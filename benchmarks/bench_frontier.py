@@ -18,7 +18,7 @@ Runs two ways:
   identical chosen plans, zero fallbacks, and the >= 3x warm-speedup
   floor on the gate configs);
 * as a script -- ``python benchmarks/bench_frontier.py [--quick]`` --
-  for the CI ``frontier-smoke`` job, exiting nonzero if the frontier
+  for the CI ``costing-smoke`` job, exiting nonzero if the frontier
   path was not selected, fell back, or disagrees with the per-plan path.
 """
 
@@ -52,9 +52,9 @@ def frontier_panel(m: int, count: int, seed: str) -> list[tuple[float, ...]]:
 
 def _estimator(
     fn: ScoringFunction,
-    frontier: bool,
     sample_size: int = 100,
     metrics: MetricsRegistry | None = None,
+    vectorized: bool = True,
 ) -> CostEstimator:
     m = fn.arity
     sample = dummy_uniform_sample(m, sample_size, seed=3)
@@ -65,9 +65,8 @@ def _estimator(
         K,
         N_TOTAL,
         model,
-        vectorized=True,
+        vectorized=vectorized,
         verify=False,
-        frontier=frontier,
         metrics=metrics,
     )
 
@@ -98,7 +97,7 @@ def run_config(
     for name, use_frontier in (("frontier", True), ("per_plan", False)):
         cold_s = warm_s = float("inf")
         for _ in range(repeats):
-            est = _estimator(fn, use_frontier, sample_size, metrics)
+            est = _estimator(fn, sample_size, metrics)
             start = time.perf_counter()
             if use_frontier:
                 batch = est.estimate_frontier(panel)
@@ -118,7 +117,7 @@ def run_config(
         counters[name] = {
             "frontier_runs": est.frontier_runs,
             "frontier_batches": est.frontier_batches,
-            "frontier_fallbacks": est.frontier_fallbacks,
+            "fallbacks": est.fallbacks,
             "kernel_runs": est.kernel_runs,
         }
         result[name] = {
@@ -141,10 +140,10 @@ def run_config(
 
 
 def identical_chosen_plans(resolution: int = 7) -> bool:
-    """The frontier switch must never change the plan the search picks."""
+    """The lockstep replay picks the plan the reference engine picks."""
     chosen = []
-    for use_frontier in (True, False):
-        est = _estimator(Min(3), use_frontier)
+    for vectorized in (True, False):
+        est = _estimator(Min(3), vectorized=vectorized)
         chosen.append(NaiveGrid(resolution=resolution).search(est).depths)
     return chosen[0] == chosen[1]
 
@@ -198,7 +197,7 @@ def _config_ok(cfg: dict) -> bool:
     front = cfg["frontier"]
     return (
         cfg["identical_costs"]
-        and front["frontier_fallbacks"] == 0
+        and front["fallbacks"] == 0
         # One batch each for the cold and the warm measurement, every
         # plan priced on the frontier path (none leaked to per-plan).
         and front["frontier_batches"] == 2
@@ -227,7 +226,7 @@ def test_frontier_throughput(benchmark, report):
     assert payload["identical_chosen_plans"]
     report("E23", "Frontier batch vs per-plan estimator", "\n".join(lines))
 
-    est = _estimator(Min(3), True)
+    est = _estimator(Min(3))
     panel = frontier_panel(3, 64, "pedantic")
 
     def _run():

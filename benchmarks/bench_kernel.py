@@ -14,7 +14,7 @@ Runs two ways:
 * under pytest with the rest of the benchmark suite (asserts exact
   cost agreement and a conservative speedup floor);
 * as a script -- ``python benchmarks/bench_kernel.py [--quick]`` --
-  for the CI perf-smoke job, exiting nonzero if the vectorized path was
+  for the CI costing-smoke job, exiting nonzero if the vectorized path was
   not selected or disagrees with the reference.
 """
 
@@ -33,7 +33,6 @@ from repro.optimizer.search import NaiveGrid
 from repro.scoring.functions import Avg, Min, ScoringFunction
 from repro.sources.cost import CostModel
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULT_FILE = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
 
 K = 10
@@ -60,8 +59,6 @@ def _estimator(
     metrics: MetricsRegistry | None = None,
 ) -> CostEstimator:
     sample = dummy_uniform_sample(fn.arity, sample_size, seed=3)
-    # E21 measures the *per-plan* scalar paths; the batched frontier
-    # path has its own benchmark (E23, bench_frontier.py).
     return CostEstimator(
         sample,
         fn,
@@ -70,14 +67,22 @@ def _estimator(
         model,
         vectorized=vectorized,
         verify=False,
-        frontier=False,
         metrics=metrics,
     )
 
 
+def _costs_one_by_one(
+    est: CostEstimator, panel: list[tuple[float, ...]]
+) -> list[float]:
+    # E21 measures the *per-plan* replay, so plans go in one at a time;
+    # the batched lockstep replay has its own benchmark (E23,
+    # bench_frontier.py).
+    return [est.estimate(depths) for depths in panel]
+
+
 def _timed_batch(est: CostEstimator, panel: list[tuple[float, ...]]):
     start = time.perf_counter()
-    costs = est.estimate_many(panel)
+    costs = _costs_one_by_one(est, panel)
     return time.perf_counter() - start, costs
 
 
@@ -151,7 +156,6 @@ def run_suite(quick: bool = False) -> dict:
         # committed artifact shows which execution paths actually fired.
         "metrics": metrics.snapshot(),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
     RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
@@ -180,7 +184,7 @@ def test_kernel_throughput(benchmark, report):
 
     def _run():
         est._cache.clear()
-        est.estimate_many(panel)
+        _costs_one_by_one(est, panel)
 
     benchmark.pedantic(_run, rounds=3, iterations=1)
 

@@ -238,13 +238,10 @@ def _cmd_optimize(args) -> int:
 
     on_off = {"auto": "auto", "on": True, "off": False}
     vectorized: bool | str = on_off[args.vectorized]
-    frontier: bool | str = on_off[args.frontier]
     nc = nc_with_dummy_planner(
         scheme=_SCHEMES[scheme_key](),
         sample_size=args.sample_size,
         vectorized=vectorized,
-        workers=args.workers,
-        frontier=frontier,
         clock=time.perf_counter,
     )
     plan = nc.resolve_plan(scenario.middleware(), scenario.fn, scenario.k)
@@ -252,8 +249,7 @@ def _cmd_optimize(args) -> int:
     reference_runs = plan.notes.get("reference_runs", 0)
     frontier_runs = plan.notes.get("frontier_runs", 0)
     frontier_batches = plan.notes.get("frontier_batches", 0)
-    frontier_fallbacks = plan.notes.get("frontier_fallbacks", 0)
-    pool_failures = plan.notes.get("pool_failures", 0)
+    fallbacks = plan.notes.get("fallbacks", 0)
     print(f"scenario : {scenario.name}  ({scenario.description})")
     print(f"costs    : {scenario.cost_model.describe()}")
     print(f"plan     : {plan.describe()}")
@@ -268,17 +264,10 @@ def _cmd_optimize(args) -> int:
             f"{name}={seconds:.4f}s" for name, seconds in phase_seconds.items()
         )
         print(f"timing   : {rendered}")
-    if frontier_fallbacks:
+    if fallbacks:
         print(
-            f"warning  : frontier batch path abandoned {frontier_fallbacks} "
-            "time(s); plan costing degraded to per-plan simulation "
-            "(results unaffected)",
-            file=sys.stderr,
-        )
-    if pool_failures:
-        print(
-            f"warning  : estimator worker pool failed {pool_failures} "
-            "time(s); plan costing degraded to serial simulation "
+            f"warning  : fast plan costing abandoned {fallbacks} time(s); "
+            "plan costing degraded to the reference engine "
             "(results unaffected)",
             file=sys.stderr,
         )
@@ -622,21 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--vectorized",
         choices=("auto", "on", "off"),
         default="auto",
-        help="plan-cost estimator path: fast kernel with spot-checks "
-        "(auto), kernel only (on), or reference engine only (off)",
-    )
-    opt_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size for batched plan costing (default: serial)",
-    )
-    opt_parser.add_argument(
-        "--frontier",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="batch plan costing: plans-as-columns frontier kernel with "
-        "spot-checks (auto), forced (on), or per-plan only (off)",
+        help="plan-cost estimator path: fast replay with reference "
+        "spot-checks (auto), fast replay only (on), or reference engine "
+        "only (off)",
     )
 
     query_parser = sub.add_parser("query", help="execute an SQL-like query")

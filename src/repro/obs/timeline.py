@@ -128,9 +128,9 @@ def _optimizer_summaries(events: Sequence[dict]) -> list[str]:
     """One line per completed optimizer run carrying timing/batch data.
 
     The optimizer's ``done`` phase event reports per-phase wall time
-    (when a clock was injected) and the frontier batch counters; showing
-    them in the timeline keeps optimization overhead visible next to
-    the execution it paid for.
+    (when a clock was injected), the lockstep batch counters and the
+    estimator's fallback count; showing them in the timeline keeps
+    optimization overhead visible next to the execution it paid for.
     """
     lines: list[str] = []
     for record in events:
@@ -146,7 +146,7 @@ def _optimizer_summaries(events: Sequence[dict]) -> list[str]:
                     for name, value in seconds.items()
                 )
             )
-        for key in ("frontier_runs", "frontier_batches", "frontier_fallbacks"):
+        for key in ("frontier_runs", "frontier_batches", "fallbacks"):
             value = record.get(key)
             if isinstance(value, (int, float)) and value:
                 parts.append(f"{key}={int(value)}")

@@ -292,7 +292,8 @@ class FrontierKernel:
         self._sorted_capable = np.asarray(index.sorted_capable, dtype=bool)
         self._random_capable = np.asarray(index.random_capable, dtype=bool)
 
-    def supports(self, fn: ScoringFunction) -> bool:
+    @staticmethod
+    def supports(fn: ScoringFunction) -> bool:
         """Whether ``fn`` has a bitwise-exact vectorized bound form."""
         return frontier_evaluator(fn) is not None
 

@@ -366,13 +366,3 @@ class SampleIndex:
                 perform_sorted(fallback)
             push(heap, (-bound_of(obj), -obj))
         return SimulationCounts(tuple(ns), tuple(nr))
-
-    def simulate_cost(
-        self,
-        fn: ScoringFunction,
-        k: int,
-        depths: Sequence[float],
-        schedule: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Eq. 1 sample cost of one plan (unscaled)."""
-        return self.simulate(fn, k, depths, schedule).cost(self.cost_model)

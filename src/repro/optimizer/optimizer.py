@@ -39,14 +39,11 @@ class NCOptimizer:
             benefit/cost heuristic.
         vectorized: estimator execution path (``True`` / ``False`` /
             ``"auto"``); see :class:`CostEstimator`.
-        workers: optional process-pool size for batched estimation.
         metrics: optional :class:`~repro.obs.MetricsRegistry` threaded
             into every estimator this optimizer builds.
         trace: optional :class:`~repro.obs.TraceRecorder` receiving
             ``phase`` events (schedule / delta-search / h-optimization,
             tick-stamped with the estimator's cumulative run counter).
-        frontier: estimator batch path (``True`` / ``False`` /
-            ``"auto"``); see :class:`CostEstimator`.
         clock: optional monotonic time source (e.g.
             ``time.perf_counter``). When provided, per-phase wall times
             are recorded in plan notes (``phase_seconds``) and the
@@ -60,10 +57,8 @@ class NCOptimizer:
         scheme: Optional[SearchScheme] = None,
         schedule_optimizer: Optional[ScheduleOptimizer] = None,
         vectorized: bool | str = "auto",
-        workers: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceRecorder] = None,
-        frontier: bool | str = "auto",
         clock: Optional[Callable[[], float]] = None,
     ):
         self.scheme = scheme if scheme is not None else HillClimb()
@@ -73,10 +68,8 @@ class NCOptimizer:
             else ScheduleOptimizer(mode="heuristic")
         )
         self.vectorized = vectorized
-        self.workers = workers
         self.metrics = metrics
         self.trace = trace
-        self.frontier = frontier
         self.clock = clock
 
     def _phase(self, estimator: CostEstimator, name: str, **fields) -> None:
@@ -118,9 +111,7 @@ class NCOptimizer:
             no_wild_guesses=no_wild_guesses,
             min_sample_k=min_sample_k,
             vectorized=self.vectorized,
-            workers=self.workers,
             metrics=self.metrics,
-            frontier=self.frontier,
         )
         clock = self.clock
         phase_seconds: dict[str, float] = {}
@@ -169,13 +160,6 @@ class NCOptimizer:
                     schedule if schedule is not None else initial_schedule,
                 )
 
-            @staticmethod
-            def estimate_many(depth_list, schedule=None):
-                return estimator.estimate_many(
-                    depth_list,
-                    schedule if schedule is not None else initial_schedule,
-                )
-
         t_phase = finish_phase("schedule")
         self._phase(estimator, "delta_search")
         search_kwargs: dict[str, object] = {}
@@ -195,13 +179,12 @@ class NCOptimizer:
             estimator, result.depths, initial=initial_schedule
         )
         cost = estimator.estimate(result.depths, schedule)
-        estimator.close()
         finish_phase("h_optimization")
         done_fields: dict[str, object] = {
             "cost": cost,
             "frontier_runs": estimator.frontier_runs,
             "frontier_batches": estimator.frontier_batches,
-            "frontier_fallbacks": estimator.frontier_fallbacks,
+            "fallbacks": estimator.fallbacks,
         }
         if clock is not None:
             done_fields["phase_seconds"] = dict(phase_seconds)
@@ -212,10 +195,9 @@ class NCOptimizer:
             "sample_k": estimator.sample_k,
             "kernel_runs": estimator.kernel_runs,
             "reference_runs": estimator.reference_runs,
-            "pool_failures": estimator.pool_failures,
             "frontier_runs": estimator.frontier_runs,
             "frontier_batches": estimator.frontier_batches,
-            "frontier_fallbacks": estimator.frontier_fallbacks,
+            "fallbacks": estimator.fallbacks,
             "warm_started": bool(search_kwargs),
         }
         if clock is not None:

@@ -62,26 +62,6 @@ def _grid(resolution: int) -> list[float]:
     return [float(v) for v in np.linspace(0.0, 1.0, resolution)]
 
 
-def _batch_estimate(
-    estimator: CostEstimator, points: list[tuple[float, ...]]
-) -> list[float]:
-    """Cost the frontier ``points`` in one estimator submission.
-
-    Batching is purely an execution detail -- ``estimate_frontier`` is
-    specified to return exactly what a serial ``estimate`` loop would --
-    but it lets the estimator amortize its fast-path setup: cost the
-    whole deduplicated batch in one plans-as-columns frontier pass, or
-    fan out to worker processes. Estimator-likes without the batch API
-    (duck-typed test doubles, wrappers) degrade to the serial loop.
-    """
-    batch = getattr(estimator, "estimate_frontier", None)
-    if batch is None:
-        batch = getattr(estimator, "estimate_many", None)
-    if batch is not None:
-        return list(batch(points))
-    return [estimator.estimate(point) for point in points]
-
-
 class NaiveGrid(SearchScheme):
     """Exhaustive grid search (Scheme Naive).
 
@@ -129,7 +109,7 @@ class NaiveGrid(SearchScheme):
                 f"grid of {len(points)} points exceeds max_points="
                 f"{self.max_points}; use HillClimb or Strategies for this m"
             )
-        for point, cost in zip(points, _batch_estimate(estimator, points)):
+        for point, cost in zip(points, estimator.estimate_frontier(points)):
             if cost < best_cost:
                 best_cost = cost
                 best_depths = point
@@ -246,7 +226,7 @@ class Strategies(SearchScheme):
         # The family scan is select-after-full-scan, hence batchable; the
         # refinement below updates the incumbent mid-pass and stays serial.
         candidates = self._candidates(m, families)
-        for point, cost in zip(candidates, _batch_estimate(estimator, candidates)):
+        for point, cost in zip(candidates, estimator.estimate_frontier(candidates)):
             if cost < best_cost:
                 best_cost, best_depths = cost, point
         assert best_depths is not None
@@ -348,7 +328,7 @@ class HillClimb(SearchScheme):
                         candidate = list(current)
                         candidate[i] = value
                         neighbours.append(tuple(candidate))
-                costs = _batch_estimate(estimator, neighbours)
+                costs = estimator.estimate_frontier(neighbours)
                 for candidate_point, cost in zip(neighbours, costs):
                     if cost < best_cost:
                         best_cost = cost

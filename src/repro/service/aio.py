@@ -335,6 +335,32 @@ class AsyncQueryServer(QueryServer):
             self.cache.release()
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next ``\\n``-terminated line (the unterminated rest at EOF).
+
+    A line longer than the reader's buffer limit raises ``ValueError``,
+    but only after the whole line has been consumed, so the next read
+    starts at the next request.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        # ``consumed`` buffered bytes hold no separator: drop them.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            pass
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+            continue
+        raise ValueError("request line exceeds the stream reader's limit")
+
+
 class TcpQueryService:
     """The JSON-lines protocol over TCP, many concurrent clients.
 
@@ -422,16 +448,20 @@ class TcpQueryService:
         owned: set[str] = set()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                text = line.decode("utf-8").strip()
-                if not text:
-                    continue
                 try:
+                    line = await _read_line(reader)
+                    if not line:
+                        break
+                    text = line.decode("utf-8").strip()
+                    if not text:
+                        continue
                     request = json.loads(text)
                 except json.JSONDecodeError as exc:
                     response = _error(f"bad JSON: {exc}", "ProtocolError")
+                except ValueError as exc:
+                    # Non-UTF-8 bytes or a line over the reader's limit:
+                    # answer this line and keep serving the connection.
+                    response = _error(f"bad request line: {exc}", "ProtocolError")
                 else:
                     response = await self._dispatch(request, owned, writer)
                 await self._send(writer, response)

@@ -1,22 +1,17 @@
 """Regression tests for the silently-degrading accounting paths.
 
-Three bugs rode the pre-observability code, all of the "numbers quietly
+Two bugs rode the pre-observability code, both of the "numbers quietly
 wrong" kind:
 
-1. an estimator worker-pool failure fell back to serial simulation
-   without any signal -- no counter, no warning, invisible in optimizer
-   notes;
-2. ``QueryServer.stats()["degraded_predicates"]`` was evaluated at the
+1. ``QueryServer.stats()["degraded_predicates"]`` was evaluated at the
    stale between-sessions clock base, so a mid-query caller saw breaker
    cooldowns as still running after they had already elapsed;
-3. :class:`CostMonitor` only observed *successful* access durations, so
+2. :class:`CostMonitor` only observed *successful* access durations, so
    a source failing slowly on every attempt (timeouts burning the whole
    deadline) never registered as drift.
 
 Each test here fails on the pre-fix code.
 """
-
-import warnings
 
 import pytest
 
@@ -25,11 +20,6 @@ from repro.data.generators import uniform
 from repro.exceptions import RetryExhaustedError
 from repro.faults import FaultProfile, RetryPolicy, chaos_middleware
 from repro.faults.breaker import BreakerPolicy
-from repro.obs import MetricsRegistry
-from repro.optimizer.estimator import CostEstimator
-from repro.optimizer.optimizer import NCOptimizer
-from repro.optimizer.sampling import dummy_uniform_sample
-from repro.scoring.functions import Min
 from repro.service import QueryServer, ServerConfig
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -38,78 +28,7 @@ from repro.types import AccessType
 
 
 # ----------------------------------------------------------------------
-# Bugfix 1: worker-pool failures must be loud
-# ----------------------------------------------------------------------
-
-
-class _BrokenPool:
-    """Quacks like a ProcessPoolExecutor whose workers have died."""
-
-    def map(self, fn, items):
-        raise RuntimeError("pool workers are gone")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def _panel(count: int, offset: float = 0.0) -> list[tuple[float, float]]:
-    return [
-        (round(0.1 + 0.08 * i + offset, 6), round(0.95 - 0.05 * i, 6))
-        for i in range(count)
-    ]
-
-
-class TestPoolFailureSurfaces:
-    def _estimator(self, metrics=None, workers=2):
-        sample = dummy_uniform_sample(2, 60, seed=1)
-        return CostEstimator(
-            sample,
-            Min(2),
-            5,
-            300,
-            CostModel.uniform(2),
-            vectorized=True,
-            verify=False,
-            workers=workers,
-            metrics=metrics,
-        )
-
-    def test_poisoned_pool_warns_counts_and_matches_serial(self):
-        metrics = MetricsRegistry()
-        est = self._estimator(metrics=metrics)
-        est._pool = _BrokenPool()
-        panel = _panel(10)
-        with pytest.warns(RuntimeWarning, match="worker pool failed"):
-            costs = est.estimate_many(panel)
-        # The failure is counted, not swallowed.
-        assert est.pool_failures == 1
-        assert metrics.total("repro_estimator_pool_failures_total") == 1.0
-        # ... and the results are still correct (serial fallback).
-        serial = self._estimator(workers=None)
-        assert costs == serial.estimate_many(panel)
-
-    def test_warns_once_then_stays_serial(self):
-        est = self._estimator()
-        est._pool = _BrokenPool()
-        with pytest.warns(RuntimeWarning):
-            est.estimate_many(_panel(10))
-        # Later batches run serially without re-warning or re-counting.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est.estimate_many(_panel(10, offset=0.005))
-        assert est.pool_failures == 1
-        est.close()
-
-    def test_optimizer_notes_carry_pool_failures(self):
-        sample = dummy_uniform_sample(2, 50, seed=2)
-        plan = NCOptimizer(vectorized=True).plan(
-            sample, Min(2), 5, 200, CostModel.uniform(2)
-        )
-        assert plan.notes["pool_failures"] == 0
-
-
-# ----------------------------------------------------------------------
-# Bugfix 2: degraded_predicates at the live clock, not the stale base
+# Bugfix 1: degraded_predicates at the live clock, not the stale base
 # ----------------------------------------------------------------------
 
 
@@ -206,7 +125,7 @@ class TestDegradedPredicatesLiveClock:
 
 
 # ----------------------------------------------------------------------
-# Bugfix 3: failed-attempt durations feed the cost monitor
+# Bugfix 2: failed-attempt durations feed the cost monitor
 # ----------------------------------------------------------------------
 
 

@@ -456,6 +456,23 @@ class TestTcpTransport:
         assert not bad_op["ok"]
         assert not no_query["ok"]
 
+    def test_undecodable_and_oversized_lines_keep_the_connection(self):
+        async def scenario(server, host, port):
+            async with _TcpClient(host, port) as client:
+                client.writer.write(b"\xff\xfe\n")
+                # Past the stream reader's 64 KiB line limit.
+                client.writer.write(b"x" * (70 * 1024) + b"\n")
+                await client.writer.drain()
+                not_utf8 = await client.recv()
+                oversized = await client.recv()
+                stats = await client.call(op="stats")
+                return not_utf8, oversized, stats
+
+        not_utf8, oversized, stats = self._serve(scenario)
+        for bad in (not_utf8, oversized):
+            assert not bad["ok"] and bad["type"] == "ProtocolError"
+        assert stats["ok"] and stats["op"] == "stats"
+
     def test_shutdown_op_stops_the_service(self):
         async def main():
             server = make_server()
