@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from repro.core.choices import necessary_choices
 from repro.core.heap import LazyMaxHeap
@@ -228,39 +228,6 @@ class FrameworkNC:
                 continue
             self._heap.push(obj, self._priority_of(obj))
 
-    def _first_incomplete(
-        self, entries: Sequence[tuple[int, float]]
-    ) -> Optional[int]:
-        for obj, _bound in entries:
-            if obj == UNSEEN or not self.state.is_complete(obj):
-                return obj
-        return None
-
-    def _apply(self, access: Access) -> object:
-        """Perform one access and fold its result into the score state."""
-        result = self.middleware.perform(access)
-        if access.is_sorted:
-            if result is not None:
-                obj, score = result
-                self.state.record(access.predicate, obj, score)
-                if obj not in self._in_heap:
-                    self._heap.push(obj, self.state.upper_bound(obj))
-                    self._in_heap.add(obj)
-        else:
-            assert access.obj is not None
-            self.state.record(access.predicate, access.obj, float(result))
-        return result
-
-    def _check_budget(self) -> None:
-        if (
-            self.max_accesses is not None
-            and self.middleware.stats.total_accesses > self.max_accesses
-        ):
-            raise ReproError(
-                f"access budget of {self.max_accesses} exceeded; the policy "
-                "appears not to make progress"
-            )
-
     def _alternatives(self, target: int) -> list[Access]:
         """The choice set for this iteration: the task's necessary choices."""
         return necessary_choices(self.state, target)
@@ -300,11 +267,12 @@ class FrameworkNC:
                 choices = affordable
         return choices or None
 
-    def _mark_fault(self, access: Access, error: Exception) -> None:
+    def _mark_fault(self, access: Access, error: Exception) -> Exception:
         """Note a logical access failure for the result's fault report."""
         event = f"{access}: {type(error).__name__}"
         if event not in self._fault_events:
             self._fault_events.append(event)
+        return error
 
     def _degrade(self, obj: int) -> RankedObject:
         """Answer ``obj`` bound-only: proven interval, reported at F_min."""
@@ -403,37 +371,28 @@ class FrameworkNC:
             )
         return result
 
-    def _finish(self, entries: Sequence[tuple[int, float]], label: str) -> QueryResult:
-        ranking = [
-            RankedObject(obj, bound)
-            if obj not in self._bound_only
-            else RankedObject(obj, self._bound_only[obj][0])
-            for obj, bound in entries
-        ]
+    def _finish(self, ranking: list[RankedObject], label: str) -> QueryResult:
+        metadata: dict[str, object] = {
+            "policy": self.policy.describe(),
+            "iterations": self._steps,
+        }
+        if self.theta > 1.0:
+            metadata["theta"] = self.theta
         return self._annotate(
             QueryResult(
                 ranking=ranking,
                 stats=self.middleware.stats,
                 algorithm=label,
-                metadata={
-                    "policy": self.policy.describe(),
-                    "iterations": self._steps,
-                },
+                metadata=metadata,
             )
         )
 
-    def _iterate(
-        self, target: int, alternatives: Optional[list[Access]] = None
-    ) -> None:
-        """One Figure-6 iteration: build choices, Select, perform, record.
+    # ------------------------------------------------------------------
+    # The step shared by every execution shape
+    # ------------------------------------------------------------------
 
-        A logical access failure (retries exhausted, breaker open, source
-        permanently gone) is absorbed, not raised: the failure is noted
-        for the partial-result report and scheduling moves on -- the now
-        refusing source is filtered from future choice sets.
-        """
-        if alternatives is None:
-            alternatives = self._alternatives(target)
+    def _select(self, target: int, alternatives: list[Access]) -> Access:
+        """Offer ``target``'s choice set to the Select policy."""
         ctx = SelectContext(
             state=self.state, middleware=self.middleware, target=target
         )
@@ -443,20 +402,41 @@ class FrameworkNC:
                 f"policy {self.policy.describe()} selected {access}, which "
                 "is outside the offered alternatives"
             )
+        return access
+
+    def _perform(self, target: int, access: Access) -> object:
+        """Perform one access selected for ``target`` and fold it in.
+
+        Charge-and-fetch through the middleware, then record the result
+        in the score state. A logical access failure (retries exhausted,
+        breaker open, source permanently gone) is absorbed, not raised:
+        it is noted for the partial-result report and returned in place
+        of the result, and the now refusing source drops out of future
+        choice sets. Every performed access then counts as one step, runs
+        the contract checks and is held to the ``max_accesses`` cap.
+        """
         try:
-            result = self._apply(access)
+            result = self.middleware.perform(access)
         except (RetryExhaustedError, SourceUnavailableError) as exc:
-            self._mark_fault(access, exc)
-            result = exc
+            result = self._mark_fault(access, exc)
         except BudgetExceededError as exc:
-            # Budget checked affordable above but ran out mid-access (e.g.
+            # Budget checked affordable but ran out mid-access (e.g.
             # charged retries of a flaky source). Degrade instead of
             # raising; the affordability filter ends further attempts.
             if not self.degrade_on_budget:
                 raise
-            self._mark_fault(access, exc)
             self._budget_blocked = True
-            result = exc
+            result = self._mark_fault(access, exc)
+        else:
+            if not access.is_sorted:
+                assert access.obj is not None
+                self.state.record(access.predicate, access.obj, float(result))
+            elif result is not None:
+                obj, score = result
+                self.state.record(access.predicate, obj, score)
+                if obj not in self._in_heap:
+                    self._heap.push(obj, self.state.upper_bound(obj))
+                    self._in_heap.add(obj)
         self._steps += 1
         checker = self.middleware.contracts
         if checker is not None:
@@ -467,38 +447,34 @@ class FrameworkNC:
                     self.state.lower_bound(target),
                     self.state.upper_bound(target),
                 )
-        self._check_budget()
-        if self.observer is not None:
-            self.observer(
-                TraceStep(
-                    step=self._steps,
-                    target=target,
-                    alternatives=alternatives,
-                    access=access,
-                    result=result,
-                )
+        if (
+            self.max_accesses is not None
+            and self.middleware.stats.total_accesses > self.max_accesses
+        ):
+            raise ReproError(
+                f"access budget of {self.max_accesses} exceeded; the policy "
+                "appears not to make progress"
             )
+        return result
 
     # ------------------------------------------------------------------
-    # The main loop (Figure 6 / Figure 10), progressive form
+    # The sequential core (Figure 6 / Figure 10) and its sync drivers
     # ------------------------------------------------------------------
 
-    def answers(self) -> Iterator[RankedObject]:
-        """Stream the ranked answers progressively, best first.
+    def _sequential(self) -> Iterator[Union[RankedObject, Access]]:
+        """The Figure-6 loop, one access per iteration.
+
+        Yields each confirmed answer, best first, and each selected access
+        *before* performing it. The access yield is the only point where
+        a driver may suspend (the async engine awaits the access's latency
+        there); resuming performs the access and runs on to the next yield
+        without interruption.
 
         An object popped from the bound heap *complete* is a confirmed
         answer: everything still live is bounded at or below it (the
         MPro-style progressive output; equivalent to the Theorem-1 batch
         test, and performing the identical access sequence, since the
         highest-ranked incomplete object is the target either way).
-
-        The stream is lazy and unbounded by ``k``: consuming exactly ``k``
-        items reproduces :meth:`run`; consuming further items continues
-        the same processing for "next-k" retrieval at only the marginal
-        access cost. With ``theta > 1``, an incomplete leader may be
-        confirmed *approximately* once ``theta * F_min(u)`` dominates
-        every other candidate's bound; its reported score is then the
-        proven lower bound.
         """
         self._prepare()
         while True:
@@ -536,8 +512,35 @@ class FrameworkNC:
                     continue
                 yield self._degrade(obj)
                 continue
-            self._iterate(obj, choices)
+            access = self._select(obj, choices)
+            yield access
+            result = self._perform(obj, access)
+            if self.observer is not None:
+                self.observer(
+                    TraceStep(
+                        step=self._steps,
+                        target=obj,
+                        alternatives=choices,
+                        access=access,
+                        result=result,
+                    )
+                )
             self._heap.push(obj, self._priority_of(obj))
+
+    def answers(self) -> Iterator[RankedObject]:
+        """Stream the ranked answers progressively, best first.
+
+        The stream is lazy and unbounded by ``k``: consuming exactly ``k``
+        items reproduces :meth:`run`; consuming further items continues
+        the same processing for "next-k" retrieval at only the marginal
+        access cost. With ``theta > 1``, an incomplete leader may be
+        confirmed *approximately* once ``theta * F_min(u)`` dominates
+        every other candidate's bound; its reported score is then the
+        proven lower bound.
+        """
+        for item in self._sequential():
+            if isinstance(item, RankedObject):
+                yield item
 
     def _approximately_confirmed(self, obj: int) -> bool:
         """theta-approximation test for the current leader ``obj``.
@@ -561,26 +564,7 @@ class FrameworkNC:
         objects are their proven lower bounds.
         """
         ranking = list(itertools.islice(self.answers(), self.k))
-        result = self._finish_ranking(ranking, self._label())
-        return result
-
-    def _finish_ranking(
-        self, ranking: list[RankedObject], label: str
-    ) -> QueryResult:
-        metadata = {
-            "policy": self.policy.describe(),
-            "iterations": self._steps,
-        }
-        if self.theta > 1.0:
-            metadata["theta"] = self.theta
-        return self._annotate(
-            QueryResult(
-                ranking=ranking,
-                stats=self.middleware.stats,
-                algorithm=label,
-                metadata=metadata,
-            )
-        )
+        return self._finish(ranking, self._label())
 
     def _label(self) -> str:
         return f"NC[{self.policy.describe()}]"

@@ -28,22 +28,17 @@ Two speculation modes trade elapsed time against total cost:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.choices import necessary_choices
 from repro.core.framework import FrameworkNC
-from repro.core.policies import SelectContext, SelectPolicy
+from repro.core.policies import SelectPolicy
 from repro.core.tasks import UNSEEN
-from repro.exceptions import (
-    BudgetExceededError,
-    RetryExhaustedError,
-    SourceUnavailableError,
-)
 from repro.parallel.clock import VirtualClock
 from repro.scoring.functions import ScoringFunction
 from repro.sources.latency import ConstantLatency, LatencyModel
 from repro.sources.middleware import Middleware
-from repro.types import Access, QueryResult
+from repro.types import Access, QueryResult, RankedObject
 
 if TYPE_CHECKING:  # pragma: no cover - optimizer imports the core engine
     from repro.optimizer.replan import ReplanController
@@ -107,33 +102,26 @@ class ParallelExecutor(FrameworkNC):
         self.clock = VirtualClock()
         self.waves = 0
 
-    def _plan_wave(self, targets: list[int]) -> list[Access]:
+    def _plan_wave(
+        self, workable: list[tuple[int, list[Access]]]
+    ) -> dict[Access, int]:
         """Choose up to ``c`` distinct compatible accesses for this wave.
 
-        Each refinable incomplete top-k object contributes at most one
-        access -- the one the sequential policy would pick for it. Every
-        access in the wave is therefore individually justified by Theorem 1
-        (its target's task must be worked on eventually); the only
-        speculation is ordering, which keeps the total-cost overhead of
-        concurrency small. Accesses behind an open circuit breaker are
-        never scheduled.
+        ``workable`` pairs each refinable incomplete top-k object with its
+        usable choices; the wave maps each chosen access to the target it
+        refines. Each target contributes at most one access -- the one the
+        sequential policy would pick for it. Every access in the wave is
+        therefore individually justified by Theorem 1 (its target's task
+        must be worked on eventually); the only speculation is ordering,
+        which keeps the total-cost overhead of concurrency small.
         """
-        batch: list[Access] = []
+        batch: dict[Access, int] = {}
         used_sorted: set[int] = set()
-        used: set[Access] = set()
-        for target in targets:
+        for target, choices in workable:
             if len(batch) >= self.concurrency:
                 break
-            alternatives = self._usable_choices(target)
-            if alternatives is None:
-                # A breaker opened mid-wave-planning; skip the target, the
-                # collect phase degrades it next round.
-                continue
-            ctx = SelectContext(
-                state=self.state, middleware=self.middleware, target=target
-            )
-            access = self.policy.select(alternatives, ctx)
-            if access in used or (
+            access = self._select(target, choices)
+            if access in batch or (
                 access.is_sorted and access.predicate in used_sorted
             ):
                 # The access this target actually wants is already in the
@@ -141,19 +129,19 @@ class ParallelExecutor(FrameworkNC):
                 # second choice instead would be speculation the sequential
                 # plan never performs; skip the target until the next wave.
                 continue
-            batch.append(access)
-            used.add(access)
+            batch[access] = target
             if access.is_sorted:
                 used_sorted.add(access.predicate)
         if self.speculation == "eager":
-            self._fill_speculatively(targets, batch, used, used_sorted)
+            self._fill_speculatively(
+                [target for target, _choices in workable], batch, used_sorted
+            )
         return batch
 
     def _fill_speculatively(
         self,
         targets: list[int],
-        batch: list[Access],
-        used: set[Access],
+        batch: dict[Access, int],
         used_sorted: set[int],
     ) -> None:
         """Eager mode: pack remaining slots with second-choice accesses.
@@ -171,57 +159,63 @@ class ParallelExecutor(FrameworkNC):
                 alternatives = [
                     acc
                     for acc in necessary_choices(self.state, target)
-                    if acc not in used
+                    if acc not in batch
                     and not (acc.is_sorted and acc.predicate in used_sorted)
                     and self.middleware.access_allowed(acc.predicate, acc.kind)
                 ]
                 if not alternatives:
                     continue
-                ctx = SelectContext(
-                    state=self.state, middleware=self.middleware, target=target
-                )
-                access = self.policy.select(alternatives, ctx)
-                batch.append(access)
-                used.add(access)
+                access = self._select(target, alternatives)
+                batch[access] = target
                 if access.is_sorted:
                     used_sorted.add(access.predicate)
                 progressed = True
 
-    def _plan_next_wave(
-        self,
-    ) -> Union[ParallelResult, tuple[list[Access], list[tuple[int, float]]]]:
-        """Advance bookkeeping to the next wave -- or to the finish line.
+    def _waves(self) -> Generator[list[float], None, ParallelResult]:
+        """The wave loop: plan a wave, yield its durations, fold it.
 
-        Pops the current top-k, degrades unrefinable targets, and either
-        declares the run finished (returning the completed
-        :class:`ParallelResult`) or plans the next wave's access batch,
-        returning ``(batch, popped)`` for :meth:`_fold_wave`. Split out of
-        :meth:`execute` so the async engine can await the wave's makespan
-        between planning and folding while sharing every decision.
+        Each round pops the current top-k and degrades unrefinable
+        targets. Then it either returns the finished
+        :class:`ParallelResult` or plans the next wave and yields the
+        wave's access durations *before* performing it. That yield is the
+        only point where a driver may suspend (the async engine awaits the
+        wave's makespan there); resuming folds the whole wave through
+        :meth:`_perform` and plans on to the next yield without
+        interruption.
         """
+        self._prepare()
         while True:
             # Wave boundary == safe checkpoint: no access is in flight,
             # the previous wave is fully folded in.
             self._replan_checkpoint()
             popped = self._collect_topk()
-            workable: list[int] = []
+            workable: list[tuple[int, list[Access]]] = []
             abandoned_unseen = False
             for obj, _bound in popped:
                 if obj != UNSEEN and self.state.is_complete(obj):
                     continue
-                if self._usable_choices(obj) is None:
-                    if obj == UNSEEN:
-                        abandoned_unseen = True
-                    else:
-                        self._degrade(obj)
+                choices = self._usable_choices(obj)
+                if choices is not None:
+                    workable.append((obj, choices))
+                elif obj == UNSEEN:
+                    abandoned_unseen = True
                 else:
-                    workable.append(obj)
+                    self._degrade(obj)
             if abandoned_unseen:
                 self._abandon_unseen()
                 self._push_back(popped)
                 continue
             if not workable:
-                result = self._finish(popped, self._label())
+                ranking = [
+                    RankedObject(
+                        obj,
+                        self._bound_only[obj][0]
+                        if obj in self._bound_only
+                        else bound,
+                    )
+                    for obj, bound in popped
+                ]
+                result = self._finish(ranking, self._label())
                 result.metadata["waves"] = self.waves
                 result.metadata["concurrency"] = self.concurrency
                 return ParallelResult(
@@ -232,32 +226,16 @@ class ParallelExecutor(FrameworkNC):
                 )
             batch = self._plan_wave(workable)
             assert batch, "refinable top-k objects always admit an access"
-            return batch, popped
-
-    def _fold_wave(
-        self,
-        batch: list[Access],
-        popped: list[tuple[int, float]],
-        durations: list[float],
-    ) -> None:
-        """Apply one planned wave's results and advance the clocks."""
-        # Fold results in randoms-first: a concurrent sa_i may deliver an
-        # object the same wave also probed on i, and applying the probe
-        # after the delivery would look like a duplicate fetch.
-        for access in sorted(batch, key=lambda acc: acc.is_sorted):
-            try:
-                self._apply(access)
-            except (RetryExhaustedError, SourceUnavailableError) as exc:
-                self._mark_fault(access, exc)
-            except BudgetExceededError as exc:
-                if not self.degrade_on_budget:
-                    raise
-                self._mark_fault(access, exc)
-                self._budget_blocked = True  # repro-ownership: per-query engine task
-        self.clock.run_wave(durations, self.concurrency)
-        self.waves += 1  # repro-ownership: per-query engine task
-        self._check_budget()
-        self._push_back(popped)
+            durations = [self.latency_model.duration(acc) for acc in batch]
+            yield durations
+            # Fold results in randoms-first: a concurrent sa_i may deliver
+            # an object the same wave also probed on i, and applying the
+            # probe after the delivery would look like a duplicate fetch.
+            for access in sorted(batch, key=lambda acc: acc.is_sorted):
+                self._perform(batch[access], access)
+            self.clock.run_wave(durations, self.concurrency)
+            self.waves += 1  # repro-ownership: per-query engine task
+            self._push_back(popped)
 
     def execute(self) -> ParallelResult:
         """Run the query to completion under the concurrency bound.
@@ -267,14 +245,12 @@ class ParallelExecutor(FrameworkNC):
         answered bound-only, mirroring the sequential engine's contract
         (docs/FAULTS.md).
         """
-        self._prepare()
+        waves = self._waves()
         while True:
-            step = self._plan_next_wave()
-            if isinstance(step, ParallelResult):
-                return step
-            batch, popped = step
-            durations = [self.latency_model.duration(acc) for acc in batch]
-            self._fold_wave(batch, popped, durations)
+            try:
+                next(waves)
+            except StopIteration as done:
+                return done.value
 
     def run(self) -> QueryResult:
         """TopK-style entry point returning just the query result."""

@@ -11,48 +11,47 @@ queries sharing the loop run, so independent accesses overlap in
 wall-clock time the way the paper's middleware setting assumes
 (Fagin-style sources probed concurrently).
 
-Two execution shapes, chosen by the concurrency bound:
+Two execution shapes, chosen by the concurrency bound. The engine owns
+no decision logic of its own: each shape is a driver over the step core
+its sync engine runs.
 
-* ``concurrency == 1`` -- the *sequential shadow*: the engine replays
-  :meth:`FrameworkNC.answers <repro.core.framework.FrameworkNC.answers>`
-  decision for decision (same access sequence, same charges, same
-  metadata), pacing before each access. A run at concurrency 1 is
-  byte-identical to the sync engine; this is the determinism contract's
-  anchor (docs/RUNTIME.md) and what the async server serves by default.
+* ``concurrency == 1`` -- the *sequential shadow*: :meth:`stream` drives
+  the sequential core behind :meth:`FrameworkNC.answers
+  <repro.core.framework.FrameworkNC.answers>` (same access sequence, same
+  charges, same metadata), pacing at each pending access. A run at
+  concurrency 1 is byte-identical to the sync engine; this is the
+  determinism contract's anchor (docs/RUNTIME.md) and what the async
+  server serves by default.
 * ``concurrency > 1`` -- the *wave shadow*: the parallel executor's wave
-  loop, with the barrier realized as one awaited makespan instead of a
+  core, with the barrier realized as one awaited makespan instead of a
   silent clock jump.
 
-Atomicity discipline: the **only** suspension points are the pacer waits.
-Everything that touches shared structures -- the middleware's
-charge-and-fetch against the cross-query SourceCache, breaker bookkeeping,
-metrics, trace emission -- runs in one synchronous section per access
-(or per wave), so two sessions can never interleave *inside* an access:
-the ``serves_free`` cache check and the Eq. 1 charge it guards are always
-observed together. Cancellation therefore only ever lands on a wait,
-between consistent states, which is what keeps the obs reconciliation
-invariant (charged + cached == recorded) intact for cancelled queries.
+Atomicity discipline: the **only** suspension points are the pacer waits
+at the core's pending-access (or pending-wave) yield. Everything that
+touches shared structures -- the middleware's charge-and-fetch against
+the cross-query SourceCache, breaker bookkeeping, metrics, trace
+emission -- runs after the core resumes, in one synchronous section per
+access (or per wave), so two sessions can never interleave *inside* an
+access: the ``serves_free`` cache check and the Eq. 1 charge it guards
+are always observed together. Cancellation therefore only ever lands on
+a wait, between consistent states, which is what keeps the obs
+reconciliation invariant (charged + cached == recorded) intact for
+cancelled queries.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, AsyncIterator, Awaitable, Callable, Optional
 
-from repro.core.framework import FrameworkNC, TraceStep
-from repro.core.policies import SelectContext, SelectPolicy
-from repro.core.tasks import UNSEEN
-from repro.exceptions import (
-    BudgetExceededError,
-    ReproError,
-    RetryExhaustedError,
-    SourceUnavailableError,
-)
+from repro.core.framework import FrameworkNC
+from repro.core.policies import SelectPolicy
+from repro.exceptions import ReproError
 from repro.parallel.executor import ParallelExecutor, ParallelResult
 from repro.runtime.pacing import Pacer
 from repro.scoring.functions import ScoringFunction
 from repro.sources.latency import LatencyModel
 from repro.sources.middleware import Middleware
-from repro.types import Access, QueryResult, RankedObject
+from repro.types import QueryResult, RankedObject
 
 if TYPE_CHECKING:  # pragma: no cover - optimizer imports the core engine
     from repro.optimizer.replan import ReplanController
@@ -110,15 +109,15 @@ class AsyncExecutor(ParallelExecutor):
         self.pacer = pacer if pacer is not None else Pacer()
 
     # ------------------------------------------------------------------
-    # Sequential shadow (concurrency == 1)
+    # Drivers over the two step cores
     # ------------------------------------------------------------------
 
     async def stream(self) -> AsyncIterator[RankedObject]:
         """Stream confirmed answers progressively, best first.
 
-        The async mirror of :meth:`FrameworkNC.answers`: identical
-        decision sequence, with one pacer wait per access. Only defined
-        at concurrency 1 -- the wave shape has no per-answer confirmation
+        Drives the sequential core of :meth:`FrameworkNC.answers`,
+        awaiting one pacer wait at each pending access. Only defined at
+        concurrency 1 -- the wave shape has no per-answer confirmation
         order until the Theorem-1 test passes for the whole top-k; use
         :meth:`run_async` there.
         """
@@ -127,95 +126,18 @@ class AsyncExecutor(ParallelExecutor):
                 "progressive streaming requires concurrency 1; "
                 f"this engine was built with concurrency {self.concurrency}"
             )
-        self._prepare()
-        while True:
-            # Same safe point as the sync engine's answers() loop: no
-            # access in flight, no await since the last fold.
-            self._replan_checkpoint()
-            entry = self._heap.pop_current(self._priority_of)
-            if entry is None:
-                return
-            obj, bound = entry
-            all_seen = len(self.middleware.seen) >= self.middleware.n_objects
-            if obj == UNSEEN and (all_seen or self._unseen_abandoned):
-                self._in_heap.discard(UNSEEN)  # repro-ownership: per-query engine task
+        for item in self._sequential():
+            if isinstance(item, RankedObject):
+                yield item
                 continue
-            if obj != UNSEEN and self.state.is_complete(obj):
-                yield RankedObject(obj, bound)
-                continue
-            if (
-                obj != UNSEEN
-                and self.theta > 1.0
-                and self._approximately_confirmed(obj)
-            ):
-                yield RankedObject(obj, self.state.lower_bound(obj))
-                continue
-            choices = self._usable_choices(obj)
-            if choices is None:
-                if obj == UNSEEN:
-                    self._abandon_unseen()
-                    continue
-                yield self._degrade(obj)
-                continue
-            await self._iterate_async(obj, choices)
-            self._heap.push(obj, self._priority_of(obj))
-
-    async def _iterate_async(
-        self, target: int, alternatives: list[Access]
-    ) -> None:
-        """One Figure-6 iteration with the latency awaited, not skipped.
-
-        The access is *selected* before the wait (on this query's private
-        score state, which no other task touches) and *performed* after
-        it, in one synchronous section: whether the cache serves it free
-        is decided at perform time, against whatever frontier concurrent
-        queries have built meanwhile -- exactly once, race-free.
-        """
-        ctx = SelectContext(
-            state=self.state, middleware=self.middleware, target=target
-        )
-        access = self.policy.select(alternatives, ctx)
-        if access not in alternatives:
-            raise ReproError(
-                f"policy {self.policy.describe()} selected {access}, which "
-                "is outside the offered alternatives"
-            )
-        duration = self.latency_model.duration(access)
-        await self.pacer.wait(duration)
-        try:
-            result: object = self._apply(access)
-        except (RetryExhaustedError, SourceUnavailableError) as exc:
-            self._mark_fault(access, exc)
-            result = exc
-        except BudgetExceededError as exc:
-            if not self.degrade_on_budget:
-                raise
-            self._mark_fault(access, exc)
-            self._budget_blocked = True  # repro-ownership: per-query engine task
-            result = exc
-        self.clock.advance(duration)
-        self.waves += 1  # repro-ownership: per-query engine task
-        self._steps += 1  # repro-ownership: per-query engine task
-        checker = self.middleware.contracts
-        if checker is not None:
-            checker.observe_threshold(self.state.unseen_bound())
-            if target != UNSEEN:
-                checker.check_interval(
-                    target,
-                    self.state.lower_bound(target),
-                    self.state.upper_bound(target),
-                )
-        self._check_budget()
-        if self.observer is not None:
-            self.observer(
-                TraceStep(
-                    step=self._steps,
-                    target=target,
-                    alternatives=alternatives,
-                    access=access,
-                    result=result,
-                )
-            )
+            # The access is selected (on this query's private score
+            # state) before the wait and performed after it, when the
+            # core resumes: whether the cache serves it free is decided
+            # at perform time, exactly once, race-free.
+            duration = self.latency_model.duration(item)
+            await self.pacer.wait(duration)
+            self.clock.advance(duration)
+            self.waves += 1  # repro-ownership: per-query engine task
 
     async def _run_sequential(
         self, on_answer: Optional[AnswerCallback]
@@ -234,22 +156,16 @@ class AsyncExecutor(ParallelExecutor):
         # The sequential shadow reports as the sequential engine: same
         # label, same metadata keys, so a concurrency-1 run serializes
         # byte-identically to FrameworkNC.run().
-        return self._finish_ranking(ranking, FrameworkNC._label(self))
-
-    # ------------------------------------------------------------------
-    # Wave shadow (concurrency > 1)
-    # ------------------------------------------------------------------
+        return self._finish(ranking, FrameworkNC._label(self))
 
     async def _run_waves(self) -> ParallelResult:
-        self._prepare()
+        waves = self._waves()
         while True:
-            step = self._plan_next_wave()
-            if isinstance(step, ParallelResult):
-                return step
-            batch, popped = step
-            durations = [self.latency_model.duration(acc) for acc in batch]
+            try:
+                durations = next(waves)
+            except StopIteration as done:
+                return done.value
             await self.pacer.wave(durations)
-            self._fold_wave(batch, popped, durations)
 
     # ------------------------------------------------------------------
     # Entry points

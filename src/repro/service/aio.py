@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional
+from typing import Any, Optional
 
 from repro.exceptions import ReproError, ServiceOverloadError
 from repro.runtime.engine import AnswerCallback, AsyncExecutor
 from repro.runtime.pacing import Pacer
 from repro.service.protocol import _error, _session_response
 from repro.service.server import QueryServer, Session
-from repro.sources.middleware import Middleware
 from repro.types import RankedObject
 
 
@@ -73,7 +72,6 @@ class AsyncQueryServer(QueryServer):
         self._semaphore = asyncio.Semaphore(self.config.concurrent_queries)
         self._tasks: dict[str, asyncio.Task[None]] = {}
         self._events: dict[str, asyncio.Event] = {}
-        self._inflight: dict[str, Middleware] = {}
         self._pending = 0
         self._draining = False
 
@@ -95,18 +93,6 @@ class AsyncQueryServer(QueryServer):
     def draining(self) -> bool:
         """Whether :meth:`drain` has shut the admission door."""
         return self._draining
-
-    def current_clock(self) -> int:
-        """The live access-count clock, summed over in-flight sessions.
-
-        Mirrors the sync server's definition: completed sessions' folded
-        accesses plus everything the currently executing sessions have
-        charged so far. With one session in flight this is exactly the
-        sync value.
-        """
-        return self._clock_base + sum(
-            mw.stats.total_accesses for mw in self._inflight.values()
-        )
 
     def stats(self) -> dict:
         """The shared-state snapshot, extended with async runtime gauges."""
@@ -245,39 +231,15 @@ class AsyncQueryServer(QueryServer):
     # Execution
     # ------------------------------------------------------------------
 
-    def _async_engine(
-        self, middleware: Middleware, session: Session
-    ) -> AsyncExecutor:
-        """The per-session engine: plan with the shared planner, run async.
-
-        The plan depends only on ``(m, fn, k, n_objects, cost model)`` --
-        the planner samples a seeded dummy distribution, not live source
-        state -- so planning is interleaving-invariant and identical to
-        the sync server's.
-        """
-        from repro.query.compiler import compile_expression
-        from repro.core.policies import SRGPolicy
-
-        from repro.optimizer.replan import plan_fingerprint
-
-        fn, _order = compile_expression(session.query.expr, schema=self.schema)
-        plan = self._session_plan(middleware, fn, session)
-        policy = SRGPolicy(plan.depths, plan.schedule)
-        engine = AsyncExecutor(
-            middleware,
-            fn,
-            session.query.k,
-            policy,
+    def _build_engine(self, *args: Any, **shared: Any) -> AsyncExecutor:
+        """The async engine over the shared pacer, at either shape."""
+        return AsyncExecutor(
+            *args,
             concurrency=self.config.query_concurrency,
             speculation=self.config.speculation,
-            degrade_on_budget=self.config.degrade_on_budget,
             pacer=self.pacer,
-            replan=self._replan_controller(
-                middleware, fn, session.query.k, plan
-            ),
+            **shared,
         )
-        engine.plan_id = plan_fingerprint(plan)
-        return engine
 
     async def _run_session(
         self, session: Session, on_answer: Optional[AnswerCallback]
@@ -310,7 +272,7 @@ class AsyncQueryServer(QueryServer):
         session.status = "running"
         engine = None
         try:
-            engine = self._async_engine(middleware, session)
+            engine = self._engine(middleware, session)
             result = await engine.run_async(on_answer=on_answer)
         except asyncio.CancelledError:
             session.status = "cancelled"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.algorithms.nc import NC
 from repro.contracts import ContractChecker
@@ -304,7 +304,9 @@ class QueryServer:
         self._clock_base = 0
         self._charged_total = 0.0
         self._rejected = 0
-        self._live_middleware: Optional[Middleware] = None
+        # Executing sessions' middlewares, by session id: the sync server
+        # runs at most one, the async server up to concurrent_queries.
+        self._inflight: dict[str, Middleware] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -324,18 +326,15 @@ class QueryServer:
         """The live access-count clock the shared breakers run on.
 
         Completed sessions' charged accesses plus whatever the currently
-        executing session (if any) has charged so far. Breaker state is a
+        executing sessions have charged so far. Breaker state is a
         function of this clock; evaluating it anywhere else -- the old
         ``stats()`` used the stale completed-sessions base even when
         called mid-query -- reports cooldowns as still running after they
         have already elapsed.
         """
-        if self._live_middleware is not None:
-            return (
-                self._clock_base
-                + self._live_middleware.stats.total_accesses
-            )
-        return self._clock_base
+        return self._clock_base + sum(
+            mw.stats.total_accesses for mw in self._inflight.values()
+        )
 
     def session(self, session_id: str) -> Session:
         """Look up a session record (raises on unknown ids)."""
@@ -649,34 +648,40 @@ class QueryServer:
         )
 
     def _engine(self, middleware: Middleware, session: Session) -> FrameworkNC:
+        """The per-session engine: compile, plan, then build the shape.
+
+        The plan depends only on ``(m, fn, k, n_objects, cost model)`` --
+        the planner samples a seeded dummy distribution, not live source
+        state -- so planning is interleaving-invariant and identical for
+        both servers; only :meth:`_build_engine` differs between them.
+        """
         fn, _order = compile_expression(session.query.expr, schema=self.schema)
         plan = self._session_plan(middleware, fn, session)
         policy = SRGPolicy(plan.depths, plan.schedule)
         controller = self._replan_controller(
             middleware, fn, session.query.k, plan
         )
-        if self.config.query_concurrency > 1:
-            engine: FrameworkNC = ParallelExecutor(
-                middleware,
-                fn,
-                session.query.k,
-                policy,
-                concurrency=self.config.query_concurrency,
-                speculation=self.config.speculation,
-                degrade_on_budget=self.config.degrade_on_budget,
-                replan=controller,
-            )
-        else:
-            engine = FrameworkNC(
-                middleware,
-                fn,
-                session.query.k,
-                policy,
-                degrade_on_budget=self.config.degrade_on_budget,
-                replan=controller,
-            )
+        engine = self._build_engine(
+            middleware,
+            fn,
+            session.query.k,
+            policy,
+            degrade_on_budget=self.config.degrade_on_budget,
+            replan=controller,
+        )
         engine.plan_id = plan_fingerprint(plan)
         return engine
+
+    def _build_engine(self, *args: Any, **shared: Any) -> FrameworkNC:
+        """The sync engine: sequential at concurrency 1, waves above it."""
+        if self.config.query_concurrency == 1:
+            return FrameworkNC(*args, **shared)
+        return ParallelExecutor(
+            *args,
+            concurrency=self.config.query_concurrency,
+            speculation=self.config.speculation,
+            **shared,
+        )
 
     def _start_session(self, session: Session) -> None:
         """Emit the session-start trace marker (at the current clock)."""
@@ -738,7 +743,7 @@ class QueryServer:
 
     def _execute(self, session: Session) -> None:
         middleware = self._middleware(session)
-        self._live_middleware = middleware  # repro-ownership: event-loop synchronous section
+        self._inflight[session.id] = middleware  # repro-ownership: event-loop synchronous section
         self._start_session(session)
         engine: Optional[FrameworkNC] = None
         try:
@@ -751,7 +756,7 @@ class QueryServer:
         else:
             self._complete(session, result)
         finally:
-            self._live_middleware = None  # repro-ownership: event-loop synchronous section
+            del self._inflight[session.id]  # repro-ownership: event-loop synchronous section
             if engine is not None:
                 self._fold_replan(engine.replan)
             self._finalize(session, middleware)

@@ -14,8 +14,11 @@ import pytest
 from repro.algorithms import NRA, TA
 from repro.bench.harness import nc_with_dummy_planner
 from repro.contracts import ContractChecker, env_enabled, resolve_checker
+from repro.core.framework import FrameworkNC
+from repro.core.policies import SRGPolicy
 from repro.data.generators import uniform
 from repro.exceptions import ContractViolationError
+from repro.parallel.executor import ParallelExecutor
 from repro.scoring.functions import Avg, Min, ScoringFunction
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -56,6 +59,23 @@ class NonMonotone(ScoringFunction):
 
     def evaluate(self, scores: Sequence[float]) -> float:
         return 1.0 - sum(scores) / self.arity
+
+
+class SpyChecker(ContractChecker):
+    """Counts the engine's per-access contract calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.thresholds = 0
+        self.intervals = 0
+
+    def observe_threshold(self, value: float) -> None:
+        self.thresholds += 1
+        super().observe_threshold(value)
+
+    def check_interval(self, obj: object, lower: float, upper: float) -> None:
+        self.intervals += 1
+        super().check_interval(obj, lower, upper)
 
 
 def _middleware(data, contracts=True, source_cls=SimulatedSource, **kwargs):
@@ -155,6 +175,19 @@ class TestHealthyRuns:
         assert checked.objects == plain.objects
         assert checked.scores == plain.scores
         assert mw.contracts is not None and mw.contracts.checks > 0
+
+    @pytest.mark.parametrize(
+        "engine",
+        [FrameworkNC, lambda *args: ParallelExecutor(*args, concurrency=2)],
+        ids=["sequential", "wave-c2"],
+    )
+    def test_engine_checks_every_access(self, engine):
+        data = uniform(200, 3, seed=1)
+        spy = SpyChecker()
+        mw = _middleware(data, contracts=spy)
+        engine(mw, Avg(3), 5, SRGPolicy([0.5] * 3)).run()
+        assert spy.thresholds == mw.stats.total_accesses > 0
+        assert spy.intervals > 0
 
     def test_middleware_reset_resets_checker(self):
         data = uniform(40, 2, seed=3)

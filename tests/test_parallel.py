@@ -51,6 +51,7 @@ class TestExecutorCorrectness:
         )
         outcome = executor.execute()
         assert_valid_topk(outcome.result, small_uniform, Min(2), 3)
+        assert outcome.result.metadata["iterations"] == mw.stats.total_accesses
 
     def test_concurrency_validated(self, small_uniform):
         with pytest.raises(ValueError):

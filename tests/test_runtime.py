@@ -8,6 +8,9 @@ from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.data.generators import uniform
 from repro.exceptions import ReproError
+from repro.faults.injector import FaultProfile, faulty_sources_for
+from repro.faults.retry import RetryPolicy
+from repro.optimizer.replan import ReplanConfig
 from repro.parallel.executor import ParallelExecutor
 from repro.runtime import AsyncExecutor, Pacer
 from repro.scoring.functions import Avg, Min
@@ -15,6 +18,7 @@ from repro.serialization import result_to_dict
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
 from tests.conftest import assert_valid_topk
+from tests.test_replan import FN, K, controller, drift_middleware, misspecified_plan
 
 
 class TestPacer:
@@ -68,6 +72,36 @@ def _mw(data, m=2):
     return Middleware.over(data, CostModel.uniform(m))
 
 
+#: Shadow scenarios beyond the plain run: absorbed transient faults, a
+#: source dying mid-query, a budget running dry, and a drift-driven
+#: plan switch.
+SCENARIOS = ["plain", "faults", "outage", "budget", "replan"]
+
+
+def _scenario(name):
+    """Fresh ``(middleware, fn, k, policy, engine kwargs)`` for one run."""
+    if name == "replan":
+        plan = misspecified_plan()
+        ctrl = controller(plan, ReplanConfig(mode="always", check_every=16))
+        policy = SRGPolicy(plan.depths, plan.schedule)
+        return drift_middleware(), FN, K, policy, {"replan": ctrl}
+    profile = {
+        "faults": FaultProfile.transient(0.3),
+        "outage": FaultProfile(fail_after=15),
+    }.get(name)
+    sources = faulty_sources_for(
+        uniform(200, 3, seed=4), FaultProfile(), seed=2, profiles=[profile, None, None]
+    )
+    middleware = Middleware(
+        sources,
+        CostModel.uniform(3, cs=1.0, cr=2.0),
+        retry_policy=RetryPolicy(max_attempts=2) if name == "faults" else None,
+        budget=60.0 if name == "budget" else None,
+    )
+    kwargs = {"degrade_on_budget": name == "budget"}
+    return middleware, Avg(3), 5, SRGPolicy([0.6] * 3), kwargs
+
+
 class TestSequentialShadow:
     """concurrency == 1: byte-for-byte the sequential engine."""
 
@@ -117,6 +151,16 @@ class TestSequentialShadow:
         assert outcome.elapsed == pytest.approx(outcome.total_cost)
         assert outcome.waves == mw.stats.total_accesses
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_identical_under_faults_budget_and_replan(self, scenario):
+        mw, fn, k, policy, kwargs = _scenario(scenario)
+        seq = FrameworkNC(mw, fn, k, policy, **kwargs).run()
+        mw, fn, k, policy, kwargs = _scenario(scenario)
+        engine = AsyncExecutor(mw, fn, k, policy, **kwargs)
+        outcome = asyncio.run(engine.execute_async())
+        assert result_to_dict(outcome.result) == result_to_dict(seq)
+        assert outcome.waves == seq.metadata["iterations"]
+
     def test_stream_requires_concurrency_one(self):
         data = uniform(30, 2, seed=1)
         engine = AsyncExecutor(
@@ -143,6 +187,18 @@ class TestWaveShadow:
         engine = AsyncExecutor(
             _mw(data), Min(2), 5, SRGPolicy([0.6, 0.6]), concurrency=c
         )
+        outcome = asyncio.run(engine.execute_async())
+        assert result_to_dict(outcome.result) == result_to_dict(par.result)
+        assert outcome.elapsed == par.elapsed
+        assert outcome.waves == par.waves
+
+    @pytest.mark.parametrize("c", [2, 4])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_identical_under_faults_budget_and_replan(self, scenario, c):
+        mw, fn, k, policy, kwargs = _scenario(scenario)
+        par = ParallelExecutor(mw, fn, k, policy, concurrency=c, **kwargs).execute()
+        mw, fn, k, policy, kwargs = _scenario(scenario)
+        engine = AsyncExecutor(mw, fn, k, policy, concurrency=c, **kwargs)
         outcome = asyncio.run(engine.execute_async())
         assert result_to_dict(outcome.result) == result_to_dict(par.result)
         assert outcome.elapsed == par.elapsed
