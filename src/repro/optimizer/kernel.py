@@ -45,7 +45,14 @@ from typing import Callable, Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.exceptions import UnanswerableQueryError
-from repro.scoring.functions import Avg, Max, Min, ScoringFunction, WeightedSum
+from repro.scoring.functions import (
+    Avg,
+    Max,
+    Min,
+    Monotone,
+    ScoringFunction,
+    WeightedSum,
+)
 from repro.sources.cost import CostModel
 from repro.sources.stats import eq1_cost
 
@@ -63,7 +70,9 @@ def scalar_evaluator(
     aggregate can be computed without the method-dispatch overhead of
     :meth:`ScoringFunction.evaluate`, *replicating its exact float
     operation order* so decisions (and therefore access counts) cannot
-    drift. Unknown subclasses fall back to ``fn.evaluate`` itself.
+    drift. A :class:`Monotone` -- every compiled query -- hands over its
+    wrapped callable itself. Unknown subclasses fall back to
+    ``fn.evaluate``.
     """
     kind = type(fn)
     if kind is Min:
@@ -76,6 +85,8 @@ def scalar_evaluator(
     if kind is WeightedSum:
         weights = fn.weights
         return lambda vals: math.fsum(w * s for w, s in zip(weights, vals))
+    if kind is Monotone:
+        return fn.function
     return fn.evaluate
 
 
@@ -137,17 +148,6 @@ class SampleIndex:
             order = sample.sorted_order(i)
             self.orders[i] = order.tolist()
             self.sorted_scores[i] = sample.matrix[order, i].tolist()
-        self._evaluators: dict[int, Callable[[Sequence[float]], float]] = {}
-
-    def _evaluator(
-        self, fn: ScoringFunction
-    ) -> Callable[[Sequence[float]], float]:
-        key = id(fn)
-        cached = self._evaluators.get(key)
-        if cached is None:
-            cached = scalar_evaluator(fn)
-            self._evaluators[key] = cached
-        return cached
 
     def simulate(
         self,
@@ -192,7 +192,7 @@ class SampleIndex:
         for pos, pred in enumerate(order_h):
             rank[pred] = pos
 
-        evaluate = self._evaluator(fn)
+        evaluate = scalar_evaluator(fn)
         rows = self.rows
         orders = self.orders
         sorted_scores = self.sorted_scores

@@ -283,6 +283,10 @@ class Monotone(ScoringFunction):
     The wrapper does not (and cannot exhaustively) verify monotonicity; use
     :func:`repro.scoring.check_monotone` to randomized-test a candidate
     before trusting it in a query.
+
+    Attributes:
+        function: the wrapped callable; calling it directly is exactly
+            :meth:`evaluate` without the method dispatch.
     """
 
     def __init__(
@@ -292,7 +296,7 @@ class Monotone(ScoringFunction):
         name: str = "custom",
     ):
         super().__init__(arity, name)
-        self._fn = fn
+        self.function = fn
 
     def evaluate(self, scores: Sequence[float]) -> float:
-        return self._fn(scores)
+        return self.function(scores)

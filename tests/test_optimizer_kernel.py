@@ -164,6 +164,26 @@ class TestKernelDifferential:
             second = index.simulate(fn, k, plan, schedule)
             assert first == second
 
+    def test_index_replays_each_temporary_function(self):
+        # Regression: evaluators were once cached by id(fn), so a freed
+        # function whose id was reused by a new one replayed the old F.
+        dataset = dummy_uniform_sample(3, 60, seed=7)
+        model = CostModel.uniform(3)
+        makers = [
+            lambda: Min(3),
+            lambda: Avg(3),
+            lambda: Max(3),
+            lambda: WeightedSum([0.6, 0.3, 0.1]),
+        ] * 3
+        depths = (0.4, 0.6, 0.8)
+        expected = [
+            SampleIndex(dataset, model).simulate(make(), 5, depths)
+            for make in makers
+        ]
+        shared = SampleIndex(dataset, model)
+        got = [shared.simulate(make(), 5, depths) for make in makers]
+        assert got == expected
+
     def test_unseen_no_wild_guess_unanswerable_parity(self):
         # No sorted access anywhere + no wild guesses: nothing can ever
         # be discovered. Both paths must refuse identically.
