@@ -74,9 +74,7 @@ def _estimator(
 def _costs_one_by_one(
     est: CostEstimator, panel: list[tuple[float, ...]]
 ) -> list[float]:
-    # E21 measures the *per-plan* replay, so plans go in one at a time;
-    # the batched lockstep replay has its own benchmark (E23,
-    # bench_frontier.py).
+    # E21 measures the per-plan replay, the estimator's only fast path.
     return [est.estimate(depths) for depths in panel]
 
 

@@ -247,16 +247,13 @@ def _cmd_optimize(args) -> int:
     plan = nc.resolve_plan(scenario.middleware(), scenario.fn, scenario.k)
     kernel_runs = plan.notes.get("kernel_runs", 0)
     reference_runs = plan.notes.get("reference_runs", 0)
-    frontier_runs = plan.notes.get("frontier_runs", 0)
-    frontier_batches = plan.notes.get("frontier_batches", 0)
     fallbacks = plan.notes.get("fallbacks", 0)
     print(f"scenario : {scenario.name}  ({scenario.description})")
     print(f"costs    : {scenario.cost_model.describe()}")
     print(f"plan     : {plan.describe()}")
     print(
         f"overhead : {plan.estimator_runs} estimator simulation runs "
-        f"({kernel_runs} kernel, {reference_runs} reference, "
-        f"{frontier_runs} frontier in {frontier_batches} batch(es))"
+        f"({kernel_runs} kernel, {reference_runs} reference)"
     )
     phase_seconds = plan.notes.get("phase_seconds")
     if isinstance(phase_seconds, dict) and phase_seconds:

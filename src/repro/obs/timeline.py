@@ -125,12 +125,12 @@ def _render_lane(
 
 
 def _optimizer_summaries(events: Sequence[dict]) -> list[str]:
-    """One line per completed optimizer run carrying timing/batch data.
+    """One line per completed optimizer run carrying timing/fallback data.
 
     The optimizer's ``done`` phase event reports per-phase wall time
-    (when a clock was injected), the lockstep batch counters and the
-    estimator's fallback count; showing them in the timeline keeps
-    optimization overhead visible next to the execution it paid for.
+    (when a clock was injected) and the estimator's fallback count;
+    showing them in the timeline keeps optimization overhead visible
+    next to the execution it paid for.
     """
     lines: list[str] = []
     for record in events:
@@ -146,10 +146,9 @@ def _optimizer_summaries(events: Sequence[dict]) -> list[str]:
                     for name, value in seconds.items()
                 )
             )
-        for key in ("frontier_runs", "frontier_batches", "fallbacks"):
-            value = record.get(key)
-            if isinstance(value, (int, float)) and value:
-                parts.append(f"{key}={int(value)}")
+        fallbacks = record.get("fallbacks")
+        if isinstance(fallbacks, (int, float)) and fallbacks:
+            parts.append(f"fallbacks={int(fallbacks)}")
         if parts:
             lines.append("  optimizer: " + ", ".join(parts))
     return lines

@@ -20,25 +20,18 @@ Two kinds of execution produce that sample cost:
   engine itself, trivially correct, but re-sorting the sample and paying
   the full access-layer machinery on every call. It is the
   differential-test oracle and the only fallback;
-* the **fast path** replays the same algorithm on a
-  :class:`~repro.optimizer.kernel.SampleIndex` built once per estimator,
-  bitwise-identical by construction. It has one dispatch point, chosen
-  from the batch itself: a deduplicated uncached batch of at least
-  :data:`FRONTIER_MIN_BATCH` plans whose scoring function the
-  :class:`~repro.optimizer.frontier.FrontierKernel` supports is replayed
-  in one plans-as-columns lockstep pass (``path="frontier"``); every
-  other batch is replayed plan by plan through
-  :meth:`SampleIndex.simulate` (``path="kernel"``).
+* the **fast path** replays the same algorithm plan by plan on a
+  :class:`~repro.optimizer.kernel.SampleIndex` built once per estimator
+  (:meth:`SampleIndex.simulate`), bitwise-identical by construction.
 
-Both replays yield per-plan access counts or the exception the engine
-would raise, and one fold turns those outcomes into costs under one
-trust ladder. ``vectorized`` selects the mode: ``False`` is
-reference-only; ``"auto"`` (the default) replays the first
-:data:`AUTO_VERIFY_RUNS` outcomes of *each* replay against the reference
-engine and *permanently falls back* to it on a disagreement or an
-internal kernel error; ``True`` trusts the fast path and turns a
-disagreement into :class:`~repro.exceptions.KernelMismatchError`. Every
-fallback is counted (:attr:`CostEstimator.fallbacks`, and
+The fast path yields per-plan access counts or the exception the engine
+would raise, under one trust ladder. ``vectorized`` selects the mode:
+``False`` is reference-only; ``"auto"`` (the default) replays the first
+:data:`AUTO_VERIFY_RUNS` fast-path outcomes against the reference engine
+and *permanently falls back* to it on a disagreement or an internal
+kernel error; ``True`` trusts the fast path and turns a disagreement
+into :class:`~repro.exceptions.KernelMismatchError`. Every fallback is
+counted (:attr:`CostEstimator.fallbacks`, and
 ``repro_estimator_fallbacks_total`` labelled ``reason=verify_mismatch``
 or ``internal_error``), never silent.
 
@@ -46,23 +39,18 @@ Results are memoized per ``(Delta, H)`` in a bounded LRU so search
 schemes revisiting a configuration (hill-climbing does constantly) pay
 once; the run counter still reports *distinct* simulation runs, the
 optimization-overhead metric of the scheme-comparison experiment.
-:meth:`CostEstimator.estimate_frontier` accepts whole candidate
-frontiers at once -- semantically a plain loop (identical costs, cache
-behaviour, and run counts), but it is what lets a large batch take the
-lockstep replay.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
 from repro.exceptions import KernelMismatchError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.frontier import FrontierKernel, PlanOutcome
 from repro.optimizer.kernel import SampleIndex
 from repro.scoring.functions import ScoringFunction
 from repro.sources.cost import CostModel
@@ -74,15 +62,9 @@ from repro.sources.middleware import Middleware
 #: rounded to 6 digits) collides distinct fine-step hill-climb depths.
 PlanKey = tuple[tuple[float, ...], tuple[int, ...]]
 
-#: How many outcomes of each fast replay ``vectorized="auto"``
-#: cross-checks against the reference engine before trusting it outright.
+#: How many fast-path outcomes ``vectorized="auto"`` cross-checks
+#: against the reference engine before trusting it outright.
 AUTO_VERIFY_RUNS = 3
-
-#: Minimum number of uncached simulations in one batch before the
-#: plans-as-columns lockstep replay beats the per-plan replay (lockstep
-#: wall-clock is governed by the slowest plan, so tiny batches pay
-#: dispatch overhead for nothing).
-FRONTIER_MIN_BATCH = 16
 
 
 class CostEstimator:
@@ -99,7 +81,7 @@ class CostEstimator:
             docstring. ``"auto"`` is the default.
         verify: cross-check policy for fast-path outcomes. ``None``
             (default) verifies the first :data:`AUTO_VERIFY_RUNS`
-            outcomes of each replay in ``"auto"`` mode and none in
+            fast-path outcomes in ``"auto"`` mode and none in
             ``True`` mode; ``True`` verifies every outcome; ``False``
             verifies none.
         cache_size: LRU capacity of the plan-cost memo (``None`` =
@@ -171,20 +153,16 @@ class CostEstimator:
         self._runs = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        self._path_runs = {"kernel": 0, "frontier": 0, "reference": 0}
+        self._path_runs = {"kernel": 0, "reference": 0}
         self._fallbacks = 0
-        self._frontier_batches = 0
         self._index: Optional[SampleIndex] = None
-        self._frontier_kernel: Optional[FrontierKernel] = None
         self._kernel_enabled = vectorized in (True, "auto")
         if verify is True:
-            budget = float("inf")
+            self._verify_remaining = float("inf")
         elif verify is None and vectorized == "auto":
-            budget = float(AUTO_VERIFY_RUNS)
+            self._verify_remaining = float(AUTO_VERIFY_RUNS)
         else:
-            budget = 0.0
-        # One spot-check budget per fast replay, spent in serial order.
-        self._verify_remaining = {"kernel": budget, "frontier": budget}
+            self._verify_remaining = 0.0
         self._metrics = metrics
 
     def _m_inc(self, name: str, value: float = 1.0, **labels: object) -> None:
@@ -223,16 +201,6 @@ class CostEstimator:
     def reference_runs(self) -> int:
         """Simulations executed on the reference engine (incl. cross-checks)."""
         return self._path_runs["reference"]
-
-    @property
-    def frontier_runs(self) -> int:
-        """Simulations executed on the plans-as-columns lockstep replay."""
-        return self._path_runs["frontier"]
-
-    @property
-    def frontier_batches(self) -> int:
-        """Deduplicated batches the lockstep replay costed in one pass."""
-        return self._frontier_batches
 
     @property
     def fallbacks(self) -> int:
@@ -318,84 +286,53 @@ class CostEstimator:
             )
         return self._index
 
-    def _scalar_outcomes(self, plans: list[PlanKey]) -> Iterator[PlanOutcome]:
-        index = self._ensure_index()
-        for depths, schedule in plans:
-            try:
-                yield index.simulate(self.fn, self.sample_k, depths, schedule)
-            except (ReproError, ValueError) as exc:
-                # Conditions the reference engine raises too (unanswerable
-                # query, bad plan): genuine errors, raised by the fold.
-                yield exc
-
-    def _lockstep_outcomes(self, plans: list[PlanKey]) -> Iterator[PlanOutcome]:
-        # A generator, so an internal kernel error surfaces at the fold's
-        # first ``next`` exactly like a scalar one.
-        if self._frontier_kernel is None:
-            self._frontier_kernel = FrontierKernel(self._ensure_index())
-        yield from self._frontier_kernel.simulate_frontier(
-            self.fn, self.sample_k, plans
-        )
-
     def _fall_back(self, reason: str) -> None:
         self._fallbacks += 1
         self._m_inc("repro_estimator_fallbacks_total", reason=reason)
         self._kernel_enabled = False
 
-    def _simulate(self, fresh: list[PlanKey]) -> list[float]:
-        """Costs of distinct uncached plans, in serial-loop semantics.
+    def _simulate(self, plan: PlanKey) -> float:
+        """Cost of one uncached plan under the trust ladder.
 
-        The single dispatch point picks the replay; the fold below owns
-        the run counters, the trust ladder, and the serial-order error
-        contract: the first failing plan raises its exception with the
-        counters covering the prefix up to and including it.
+        A plan the engine itself would reject raises its error, counted
+        in ``runs`` but not in a path counter. A rejected fast-path
+        attempt still counts as a ``kernel`` run; the reference engine's
+        cost is returned in its place.
         """
         if not self._kernel_enabled:
-            return [self._reference_run(plan) for plan in fresh]
-        if len(fresh) >= FRONTIER_MIN_BATCH and FrontierKernel.supports(self.fn):
-            path, outcomes = "frontier", self._lockstep_outcomes(fresh)
-        else:
-            path, outcomes = "kernel", self._scalar_outcomes(fresh)
-        costs: list[float] = []
+            return self._reference_run(plan)
+        depths, schedule = plan
         try:
-            for depths, schedule in fresh:
-                try:
-                    outcome = next(outcomes)
-                except Exception:
-                    if self.vectorized is True:
-                        raise
-                    self._fall_back("internal_error")
-                    break
-                if isinstance(outcome, Exception):
-                    self._runs += 1
-                    raise outcome
-                costs.append(outcome.cost(self.cost_model) * self.scale)
-                if self._verify_remaining[path] > 0:
-                    self._verify_remaining[path] -= 1
-                    reference = self._reference_cost(depths, schedule)
-                    if reference != costs[-1]:
-                        if self.vectorized is True:
-                            raise KernelMismatchError(
-                                f"{path} cost {costs[-1]!r} != reference "
-                                f"cost {reference!r} for plan depths="
-                                f"{depths} schedule={schedule}"
-                            )
-                        costs[-1] = reference
-                        self._fall_back("verify_mismatch")
-                        break
-            else:
-                if path == "frontier":
-                    self._frontier_batches += 1
-                    self._m_inc("repro_estimator_frontier_batches_total")
-        finally:
-            self._runs += len(costs)
-            if costs:
-                self._path_runs[path] += len(costs)
-                self._m_inc(
-                    "repro_estimator_runs_total", float(len(costs)), path=path
-                )
-        # After a fallback the rest of the batch goes to the reference.
-        return costs + [self._reference_run(p) for p in fresh[len(costs):]]
+            counts = self._ensure_index().simulate(
+                self.fn, self.sample_k, depths, schedule
+            )
+        except (ReproError, ValueError):
+            # Conditions the reference engine raises too (unanswerable
+            # query, bad plan): genuine errors, not kernel faults.
+            self._runs += 1
+            raise
+        except Exception:
+            if self.vectorized is True:
+                raise
+            self._fall_back("internal_error")
+            return self._reference_run(plan)
+        cost = counts.cost(self.cost_model) * self.scale
+        self._runs += 1
+        self._path_runs["kernel"] += 1
+        self._m_inc("repro_estimator_runs_total", path="kernel")
+        if self._verify_remaining > 0:
+            self._verify_remaining -= 1
+            reference = self._reference_cost(depths, schedule)
+            if reference != cost:
+                if self.vectorized is True:
+                    raise KernelMismatchError(
+                        f"kernel cost {cost!r} != reference cost "
+                        f"{reference!r} for plan depths={depths} "
+                        f"schedule={schedule}"
+                    )
+                self._fall_back("verify_mismatch")
+                return reference
+        return cost
 
     # ------------------------------------------------------------------
     # Public estimation API
@@ -407,66 +344,16 @@ class CostEstimator:
         schedule: Optional[Sequence[int]] = None,
     ) -> float:
         """Estimated full-database cost of the SR/G plan ``(Delta, H)``."""
-        return self.estimate_plans([(depths, schedule)])[0]
-
-    def estimate_frontier(
-        self,
-        depth_list: Sequence[Sequence[float]],
-        schedule: Optional[Sequence[int]] = None,
-    ) -> list[float]:
-        """Costs of a frontier of depth vectors under one shared schedule.
-
-        Exactly equivalent to ``[self.estimate(d, schedule) for d in
-        depth_list]`` -- same costs, same memoization, same ``runs``
-        accounting -- which is what lets the search schemes submit whole
-        frontiers without changing their selection semantics. Large
-        deduplicated batches take the lockstep replay on the
-        :class:`~repro.optimizer.frontier.FrontierKernel`.
-        """
-        return self.estimate_plans([(d, schedule) for d in depth_list])
-
-    def estimate_plans(
-        self,
-        plans: Sequence[
-            tuple[Sequence[float], Optional[Sequence[int]]]
-        ],
-    ) -> list[float]:
-        """Costs of a batch of full ``(depths, schedule)`` plans.
-
-        Duplicates within the batch are simulated once (later occurrences
-        count as cache hits, as in a serial loop); uncached plans are
-        costed together, so a large batch can take the lockstep replay.
-        """
-        default = tuple(range(self.sample.m))
-        keys: list[PlanKey] = []
-        for depths, schedule in plans:
-            keys.append(
-                self._key(depths, schedule if schedule is not None else default)
-            )
-        results: list[Optional[float]] = [None] * len(keys)
-        pending: OrderedDict[PlanKey, list[int]] = OrderedDict()
-        for i, key in enumerate(keys):
-            cached = self._cache_get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                self._m_inc("repro_estimator_cache_total", event="hit")
-                results[i] = cached
-            elif key in pending:
-                self._cache_hits += 1
-                self._m_inc("repro_estimator_cache_total", event="hit")
-                pending[key].append(i)
-            else:
-                self._cache_misses += 1
-                self._m_inc("repro_estimator_cache_total", event="miss")
-                pending[key] = [i]
-        if pending:
-            fresh = list(pending.keys())
-            for key, cost in zip(fresh, self._simulate(fresh)):
-                self._cache_put(key, cost)
-                for i in pending[key]:
-                    results[i] = cost
-        out: list[float] = []
-        for cost in results:
-            assert cost is not None
-            out.append(cost)
-        return out
+        key = self._key(
+            depths, schedule if schedule is not None else range(self.sample.m)
+        )
+        cost = self._cache_get(key)
+        if cost is not None:
+            self._cache_hits += 1
+            self._m_inc("repro_estimator_cache_total", event="hit")
+            return cost
+        self._cache_misses += 1
+        self._m_inc("repro_estimator_cache_total", event="miss")
+        cost = self._simulate(key)
+        self._cache_put(key, cost)
+        return cost

@@ -153,13 +153,6 @@ class NCOptimizer:
                     depths, schedule if schedule is not None else initial_schedule
                 )
 
-            @staticmethod
-            def estimate_frontier(depth_list, schedule=None):
-                return estimator.estimate_frontier(
-                    depth_list,
-                    schedule if schedule is not None else initial_schedule,
-                )
-
         t_phase = finish_phase("schedule")
         self._phase(estimator, "delta_search")
         search_kwargs: dict[str, object] = {}
@@ -182,8 +175,6 @@ class NCOptimizer:
         finish_phase("h_optimization")
         done_fields: dict[str, object] = {
             "cost": cost,
-            "frontier_runs": estimator.frontier_runs,
-            "frontier_batches": estimator.frontier_batches,
             "fallbacks": estimator.fallbacks,
         }
         if clock is not None:
@@ -195,8 +186,6 @@ class NCOptimizer:
             "sample_k": estimator.sample_k,
             "kernel_runs": estimator.kernel_runs,
             "reference_runs": estimator.reference_runs,
-            "frontier_runs": estimator.frontier_runs,
-            "frontier_batches": estimator.frontier_batches,
             "fallbacks": estimator.fallbacks,
             "warm_started": bool(search_kwargs),
         }

@@ -19,7 +19,7 @@ parallel and async executors -- and the controller:
    breakers) are priced at a large finite penalty so the search routes
    around them without changing the capability structure (a half-open
    breaker may still recover).
-2. **Re-runs the frontier search** seeded with the current plan's depths
+2. **Re-runs the Delta search** seeded with the current plan's depths
    as a HillClimb warm start, against the revised model. Searches are
    gated on the revised model actually *changing* (quantized signature),
    so a static environment never pays for a second optimization.

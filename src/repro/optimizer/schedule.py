@@ -87,10 +87,8 @@ class ScheduleOptimizer:
         best_cost = float("inf")
         start = tuple(initial) if initial is not None else tuple(range(m))
         depths = tuple(float(d) for d in depths)
-        # Every permutation is estimated unconditionally: one batch.
-        perms = list(itertools.permutations(range(m)))
-        costs = estimator.estimate_plans([(depths, perm) for perm in perms])
-        for perm, cost in zip(perms, costs):
+        for perm in itertools.permutations(range(m)):
+            cost = estimator.estimate(depths, perm)
             # Prefer the initial schedule on exact ties for stability.
             if cost < best_cost or (cost == best_cost and perm == start):
                 best_cost = cost

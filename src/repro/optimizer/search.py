@@ -73,11 +73,10 @@ class NaiveGrid(SearchScheme):
     ``coarse_resolution`` turns on a coarse-to-fine refinement: the cube
     is first meshed at the coarse resolution, then only the box within
     one coarse cell of the coarse winner is re-meshed at the full
-    resolution. Both meshes are select-after-full-scan frontiers, so
-    each is one batch submission. The default (``None``) estimates the
-    full fine mesh and remains exact on its own grid; refinement trades
-    that exhaustiveness for far fewer simulations, which is the point of
-    the grid scheme only ever being a baseline.
+    resolution. The default (``None``) estimates the full fine mesh and
+    remains exact on its own grid; refinement trades that exhaustiveness
+    for far fewer simulations, which is the point of the grid scheme only
+    ever being a baseline.
     """
 
     def __init__(
@@ -109,7 +108,8 @@ class NaiveGrid(SearchScheme):
                 f"grid of {len(points)} points exceeds max_points="
                 f"{self.max_points}; use HillClimb or Strategies for this m"
             )
-        for point, cost in zip(points, estimator.estimate_frontier(points)):
+        for point in points:
+            cost = estimator.estimate(point)
             if cost < best_cost:
                 best_cost = cost
                 best_depths = point
@@ -121,9 +121,6 @@ class NaiveGrid(SearchScheme):
         start_runs = estimator.runs
         best_depths: tuple[float, ...] | None = None
         best_cost = float("inf")
-        # Each mesh is one frontier: every point is estimated regardless
-        # of the others' costs, so submit it as one batch and keep the
-        # first-minimum scan over the returned costs.
         if self.resolution**m > self.max_points and (
             self.coarse_resolution is None
             or self.coarse_resolution**m > self.max_points
@@ -223,10 +220,8 @@ class Strategies(SearchScheme):
         start_runs = estimator.runs
         best_depths: tuple[float, ...] | None = None
         best_cost = float("inf")
-        # The family scan is select-after-full-scan, hence batchable; the
-        # refinement below updates the incumbent mid-pass and stays serial.
-        candidates = self._candidates(m, families)
-        for point, cost in zip(candidates, estimator.estimate_frontier(candidates)):
+        for point in self._candidates(m, families):
+            cost = estimator.estimate(point)
             if cost < best_cost:
                 best_cost, best_depths = cost, point
         assert best_depths is not None
@@ -316,10 +311,8 @@ class HillClimb(SearchScheme):
                 moved = False
                 best_neighbour = None
                 best_cost = current_cost
-                # Every +-step neighbour is evaluated before moving, so
-                # the ring is one batch; the first-best scan below keeps
-                # the original coordinate/direction tie-breaking.
-                neighbours: list[tuple[float, ...]] = []
+                # Every +-step neighbour is evaluated before moving; the
+                # first-best scan keeps coordinate/direction tie-breaking.
                 for i in range(m):
                     for direction in (-step, step):
                         value = min(1.0, max(0.0, current[i] + direction))
@@ -327,12 +320,10 @@ class HillClimb(SearchScheme):
                             continue
                         candidate = list(current)
                         candidate[i] = value
-                        neighbours.append(tuple(candidate))
-                costs = estimator.estimate_frontier(neighbours)
-                for candidate_point, cost in zip(neighbours, costs):
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_neighbour = candidate_point
+                        cost = estimator.estimate(candidate)
+                        if cost < best_cost:
+                            best_cost = cost
+                            best_neighbour = tuple(candidate)
                 if best_neighbour is not None:
                     current, current_cost = best_neighbour, best_cost
                     moved = True

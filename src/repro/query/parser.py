@@ -12,6 +12,12 @@ Grammar (keywords case-insensitive)::
 Sums compile to :class:`~repro.query.ast.WeightedSum` (a bare factor in a
 sum carries weight 1); single terms with a coefficient also become
 one-term weighted sums, so ``0.5*rating`` works standalone.
+
+Parentheses (grouping or aggregate) nest at most :data:`MAX_NESTING`
+deep, and so do the aggregate and weighted-sum nodes of the parsed
+tree; deeper text is a :class:`~repro.query.ast.QueryError`. Query text
+therefore cannot exhaust the interpreter's recursion limit, neither in
+the parser nor in the passes that walk the tree after it.
 """
 
 from __future__ import annotations
@@ -26,11 +32,34 @@ from repro.query.ast import (
 )
 from repro.query.lexer import Token, tokenize
 
+#: Deepest nesting a query may use, in parentheses and in tree nodes.
+MAX_NESTING = 200
+
+
+def _tree_depth(expr: Expr) -> int:
+    """How deep aggregate and weighted-sum nodes nest, without recursion."""
+    depth, level = 0, [expr]
+    while level:
+        level = [
+            child
+            for node in level
+            for child in (
+                node.args
+                if isinstance(node, Aggregate)
+                else [term for _, term in node.terms]
+                if isinstance(node, WeightedSum)
+                else ()
+            )
+        ]
+        depth += 1
+    return depth - 1
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -57,6 +86,19 @@ class _Parser:
     def _expect_keyword(self, word: str) -> Token:
         return self._expect("keyword", word)
 
+    def _open(self) -> None:
+        token = self._expect("lparen")
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise QueryError(
+                f"expression nests deeper than {MAX_NESTING} parentheses "
+                f"at offset {token.position}"
+            )
+
+    def _close(self) -> None:
+        self._expect("rparen")
+        self._depth -= 1
+
     # ------------------------------------------------------------------
     # Grammar
     # ------------------------------------------------------------------
@@ -69,6 +111,11 @@ class _Parser:
         self._expect_keyword("order")
         self._expect_keyword("by")
         expr = self._parse_expr()
+        if _tree_depth(expr) > MAX_NESTING:
+            # Weighted sums add tree levels that no parenthesis marks.
+            raise QueryError(
+                f"expression nests deeper than {MAX_NESTING} levels"
+            )
         k = self._parse_stop()
         self._expect("eof")
         return ParsedQuery(select=select, source=source, expr=expr, k=k)
@@ -125,9 +172,9 @@ class _Parser:
     def _parse_factor(self) -> Expr:
         token = self._peek()
         if token.kind == "lparen":
-            self._advance()
+            self._open()
             inner = self._parse_expr()
-            self._expect("rparen")
+            self._close()
             return inner
         if token.kind == "ident":
             self._advance()
@@ -140,12 +187,12 @@ class _Parser:
         )
 
     def _parse_aggregate(self, name: str) -> Expr:
-        self._expect("lparen")
+        self._open()
         args = [self._parse_expr()]
         while self._peek().kind == "comma":
             self._advance()
             args.append(self._parse_expr())
-        self._expect("rparen")
+        self._close()
         return Aggregate(name.lower(), tuple(args))
 
 

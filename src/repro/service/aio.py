@@ -418,7 +418,8 @@ class TcpQueryService:
                     if not text:
                         continue
                     request = json.loads(text)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    # Malformed, or nested deeper than the decoder follows.
                     response = _error(f"bad JSON: {exc}", "ProtocolError")
                 except ValueError as exc:
                     # Non-UTF-8 bytes or a line over the reader's limit:

@@ -106,7 +106,9 @@ def serve_stream(server: QueryServer, lines: IO[str], out: IO[str]) -> bool:
             continue
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # A RecursionError is a line nested deeper than the decoder
+            # can follow: as undecodable as malformed JSON.
             response = _error(f"bad JSON: {exc}", "ProtocolError")
         else:
             response = handle_request(server, request)

@@ -280,7 +280,7 @@ class QueryServer:
         self.breakers = breakers_for(cost_model.m, self.config.breaker_policy)
         self._rng = derive_rng(self.config.seed)
         # The planner joins the server's shared metrics ledger so
-        # estimator counters (runs, cache, frontier batches/fallbacks)
+        # estimator counters (runs, cache, fallbacks)
         # appear in stats() next to the serving-layer ones.
         self._planner = NC(
             sample_size=self.config.sample_size,

@@ -1,14 +1,12 @@
-"""Differential tests: the frontier batch kernel vs. the scalar kernel.
+"""Plan costing through the estimator and the search layer built on it.
 
-The frontier kernel (:mod:`repro.optimizer.frontier`) costs a whole
-search frontier in one plans-as-columns pass and is specified to be
-*bitwise-identical* per plan to :meth:`SampleIndex.simulate` -- same
-per-predicate counts, same Eq. 1 cost, same error type and message.
-These tests hold it to that bar on adversarial inputs (the same
-hypothesis instance space as the scalar kernel's differential suite),
-pin the estimator's single dispatch point and its trust ladder on top,
-and cover the search-layer features built on the batch path: coarse-to-fine ``NaiveGrid`` refinement, ``HillClimb``
-warm starts, and the server's per-(expression, k) plan memory.
+Every plan is priced one at a time: by the per-plan fast path
+(:meth:`SampleIndex.simulate`) under the trust ladder, or by the
+reference engine. These tests pin that the fast path agrees with the
+reference engine bit for bit, including memoization, run accounting and
+errors, and cover the search-layer features on top: coarse-to-fine
+``NaiveGrid`` refinement, ``HillClimb`` warm starts, and the server's
+per-(expression, k) plan memory.
 """
 
 import itertools
@@ -17,19 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.generators import uniform
-from repro.exceptions import (
-    OptimizationError,
-    ReproError,
-    UnanswerableQueryError,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.estimator import (
-    AUTO_VERIFY_RUNS,
-    FRONTIER_MIN_BATCH,
-    CostEstimator,
-)
-from repro.optimizer.frontier import FrontierKernel, frontier_evaluator
-from repro.optimizer.kernel import SampleIndex, SimulationCounts
+from repro.exceptions import OptimizationError, UnanswerableQueryError
+from repro.optimizer.estimator import AUTO_VERIFY_RUNS, CostEstimator
 from repro.optimizer.optimizer import NCOptimizer
 from repro.optimizer.sampling import dummy_uniform_sample
 from repro.optimizer.search import HillClimb, NaiveGrid
@@ -43,82 +30,7 @@ from repro.scoring.functions import (
 )
 from repro.service import QueryServer, ServerConfig
 from repro.sources.cost import CostModel
-from tests.test_optimizer_kernel import (
-    check_broken_replay,
-    depth_panel,
-    depth_value,
-    instances,
-)
-
-
-def _frontier_plans(depths, schedule, m):
-    """A small adversarial frontier around one drawn plan."""
-    plans = [
-        (depths, schedule),
-        (tuple(0.0 for _ in range(m)), schedule),
-        (tuple(1.0 for _ in range(m)), schedule),
-        (tuple(0.5 for _ in range(m)), tuple(range(m))),
-        (depths, tuple(reversed(schedule))),
-    ]
-    return list(dict.fromkeys(plans))
-
-
-class TestFrontierKernelDifferential:
-    @settings(max_examples=120, deadline=None)
-    @given(instances())
-    def test_counts_costs_and_errors_match_scalar_kernel(self, instance):
-        dataset, fn, k, depths, schedule, model, no_wild_guesses = instance
-        index = SampleIndex(dataset, model, no_wild_guesses=no_wild_guesses)
-        kernel = FrontierKernel(index)
-        if not kernel.supports(fn):
-            return
-        plans = _frontier_plans(depths, schedule, dataset.m)
-        outcomes = kernel.simulate_frontier(fn, k, plans)
-        assert len(outcomes) == len(plans)
-        for (d, s), outcome in zip(plans, outcomes):
-            try:
-                want = index.simulate(fn, k, d, s)
-            except (ReproError, ValueError) as exc:
-                # Same error type *and* message, so the estimator's
-                # serial-order exception semantics are indistinguishable.
-                assert isinstance(outcome, Exception)
-                assert type(outcome) is type(exc)
-                assert str(outcome) == str(exc)
-                continue
-            assert isinstance(outcome, SimulationCounts)
-            assert outcome.sorted_counts == want.sorted_counts
-            assert outcome.random_counts == want.random_counts
-            # Bitwise, not approximate: shared eq1_cost accumulation.
-            assert outcome.cost(model) == want.cost(model)
-
-    @settings(max_examples=40, deadline=None)
-    @given(instances(), st.integers(min_value=2, max_value=5))
-    def test_tail_threshold_never_changes_outcomes(self, instance, tail):
-        # The hybrid exact-tail cutover is a pure perf knob.
-        dataset, fn, k, depths, schedule, model, no_wild_guesses = instance
-        index = SampleIndex(dataset, model, no_wild_guesses=no_wild_guesses)
-        if not FrontierKernel(index).supports(fn):
-            return
-        plans = _frontier_plans(depths, schedule, dataset.m)
-        a = FrontierKernel(index, tail_threshold=0).simulate_frontier(
-            fn, k, plans
-        )
-        b = FrontierKernel(index, tail_threshold=tail).simulate_frontier(
-            fn, k, plans
-        )
-        for x, y in zip(a, b):
-            if isinstance(x, Exception):
-                assert type(x) is type(y) and str(x) == str(y)
-            else:
-                assert x == y
-
-    def test_unsupported_fn_raises_loudly(self):
-        index = SampleIndex(dummy_uniform_sample(2, 10, seed=0), CostModel.uniform(2))
-        kernel = FrontierKernel(index)
-        assert frontier_evaluator(Product(2)) is None
-        assert not kernel.supports(Product(2))
-        with pytest.raises(ValueError, match="does not support"):
-            kernel.simulate_frontier(Product(2), 1, [((0.5, 0.5), (0, 1))])
+from tests.test_optimizer_kernel import depth_panel, depth_value
 
 
 def _estimator(fn=None, metrics=None, **kwargs):
@@ -135,8 +47,12 @@ def _estimator(fn=None, metrics=None, **kwargs):
     )
 
 
-#: Batch widths straddling the lockstep threshold on both sides.
-WIDTHS = (1, FRONTIER_MIN_BATCH - 1, FRONTIER_MIN_BATCH, 64)
+def _costs(est, panel):
+    return [est.estimate(depths) for depths in panel]
+
+
+#: Panel widths on both sides of the auto-mode spot-check budget.
+WIDTHS = (1, 15, 16, 64)
 
 FUNCTIONS = {
     "Min": Min(2),
@@ -155,137 +71,81 @@ class TestEstimateFrontierEquivalence:
         fn = FUNCTIONS[name]
         panel = depth_panel(2, width)
         serial = _estimator(fn=fn, vectorized=False)
-        expected = [serial.estimate(d) for d in panel]
-        lockstep = width >= FRONTIER_MIN_BATCH and FrontierKernel.supports(fn)
+        expected = _costs(serial, panel)
         for mode in (True, "auto"):
             est = _estimator(fn=fn, vectorized=mode)
-            assert est.estimate_frontier(panel) == expected
+            assert _costs(est, panel) == expected
             assert est.runs == serial.runs
             assert est.cache_info()["misses"] == serial.cache_info()["misses"]
-            # Costs landed in the memo exactly as the loop's would.
-            assert est.estimate_frontier(panel) == expected
+            # Costs landed in the memo exactly as the reference's did.
+            assert _costs(est, panel) == expected
+            assert est.runs == serial.runs
             assert est.fallbacks == 0
-            # The one dispatch point: batch size and scoring function.
-            assert est.frontier_runs == (width if lockstep else 0)
-            assert est.kernel_runs == (0 if lockstep else width)
-            assert est.frontier_batches == (1 if lockstep else 0)
+            # Every scoring function takes the per-plan fast path.
+            assert est.kernel_runs == width
             checks = min(width, AUTO_VERIFY_RUNS) if mode == "auto" else 0
             assert est.reference_runs == checks
 
-    def test_batch_path_actually_used_and_counted(self):
-        metrics = MetricsRegistry()
-        panel = depth_panel(2, FRONTIER_MIN_BATCH + 4)
-        est = _estimator(verify=False, metrics=metrics)
-        est.estimate_frontier(panel)
-        assert est.frontier_batches == 1
-        assert est.frontier_runs == len(panel)
-        assert est.kernel_runs == 0
-        counters = metrics.snapshot()["counters"]
-        assert counters['repro_estimator_runs_total{path="frontier"}'] == len(
-            panel
-        )
-        assert counters["repro_estimator_frontier_batches_total"] == 1
-
     def test_auto_mode_spot_checks_each_replay_against_reference(self):
         est = _estimator()
-        est.estimate_frontier(depth_panel(2, FRONTIER_MIN_BATCH + 4))
-        # The lockstep replay's first outcomes were checked against the
-        # reference engine, yet every plan was priced exactly once.
+        _costs(est, depth_panel(2, 20))
+        # The first outcomes were checked against the reference engine,
+        # yet every plan was priced exactly once.
         assert est.reference_runs == AUTO_VERIFY_RUNS
-        assert est.frontier_runs == est.runs == FRONTIER_MIN_BATCH + 4
-        # The per-plan replay has its own budget.
-        est.estimate_frontier([(0.01, 0.02), (0.03, 0.04)])
-        assert est.kernel_runs == 2
-        assert est.reference_runs == AUTO_VERIFY_RUNS + 2
-
-    def test_small_batches_stay_on_the_per_plan_path(self):
-        panel = depth_panel(2, FRONTIER_MIN_BATCH - 1)
-        est = _estimator(verify=False)
-        est.estimate_frontier(panel)
-        assert est.frontier_batches == 0
-        assert est.kernel_runs == len(panel)
+        assert est.kernel_runs == est.runs == 20
+        # One budget per estimator: later plans are trusted outright.
+        _costs(est, [(0.01, 0.02), (0.03, 0.04)])
+        assert est.kernel_runs == 22
+        assert est.reference_runs == AUTO_VERIFY_RUNS
 
     def test_duplicates_count_as_cache_hits(self):
-        panel = depth_panel(2, FRONTIER_MIN_BATCH)
+        panel = depth_panel(2, 16)
         est = _estimator(verify=False)
-        costs = est.estimate_frontier(panel + panel[:5])
+        costs = _costs(est, panel + panel[:5])
         assert costs[len(panel):] == costs[:5]
         assert est.cache_hits == 5
-        assert est.frontier_runs == len(panel)
+        assert est.kernel_runs == est.runs == len(panel)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             _estimator(vectorized="yes")
-        # The lockstep replay is chosen by dispatch, never by a switch.
+        # There is no replay switch beside ``vectorized``.
         with pytest.raises(TypeError):
             _estimator(frontier=True)
 
     def test_error_semantics_match_serial_loop(self):
-        # Unanswerable scenario: the batch raises the same error with the
-        # same run accounting as the serial loop, and memoizes nothing.
-        fn = Min(2)
+        # Unanswerable scenario: the fast path raises the reference
+        # engine's error with the same run accounting, memoizing nothing.
         sample = dummy_uniform_sample(2, 40, seed=1)
-        model = CostModel.no_sorted(2)
-        panel = depth_panel(2, FRONTIER_MIN_BATCH + 2)
-
-        def build():
-            return CostEstimator(sample, fn, 3, 400, model, verify=False)
-
-        serial = build()
-        with pytest.raises(UnanswerableQueryError) as serial_exc:
-            for depths in panel:
-                serial.estimate(depths)
-        batched = build()
-        with pytest.raises(UnanswerableQueryError) as batch_exc:
-            batched.estimate_frontier(panel)
-        assert batched.frontier_batches == 0
-        assert str(batch_exc.value) == str(serial_exc.value)
-        # The failing plan itself counts as run, as in a serial loop.
-        assert batched.runs == serial.runs == 1
-        assert batched.cache_info()["size"] == serial.cache_info()["size"] == 0
-
-
-class TestFrontierFallbacks:
-    def test_unsupported_fn_falls_back_loudly(self):
-        # A scoring function the lockstep replay does not support falls
-        # back, by dispatch, to the per-plan replay: no fallback is
-        # counted, and the path label shows where the batch went.
-        metrics = MetricsRegistry()
-        fn = Product(2)
-        panel = depth_panel(2, FRONTIER_MIN_BATCH + 2)
-        est = _estimator(fn=fn, verify=False, metrics=metrics)
-        reference = _estimator(fn=fn, vectorized=False)
-        assert est.estimate_frontier(panel) == reference.estimate_frontier(
-            panel
-        )
-        assert est.fallbacks == 0
-        assert est.frontier_runs == est.frontier_batches == 0
-        assert est.kernel_runs == len(panel)
-        assert est.kernel_active
-        counters = metrics.snapshot()["counters"]
-        key = 'repro_estimator_runs_total{path="kernel"}'
-        assert counters[key] == len(panel)
-        assert not any("fallbacks" in name for name in counters)
-
-    def test_verify_mismatch_falls_back_in_auto_mode(self, monkeypatch):
-        check_broken_replay(monkeypatch, "frontier", "verify_mismatch", "auto")
-
-    def test_verify_mismatch_raises_in_frontier_true_mode(self, monkeypatch):
-        # The frontier=True switch is gone; vectorized=True is its heir.
-        check_broken_replay(monkeypatch, "frontier", "verify_mismatch", True)
-
-    def test_internal_error_falls_back_in_auto_mode(self, monkeypatch):
-        check_broken_replay(monkeypatch, "frontier", "internal_error", "auto")
-
-    def test_internal_error_propagates_in_frontier_true_mode(self, monkeypatch):
-        check_broken_replay(monkeypatch, "frontier", "internal_error", True)
+        panel = depth_panel(2, 18)
+        raised = {}
+        estimators = {}
+        for mode in ("auto", False):
+            est = CostEstimator(
+                sample,
+                Min(2),
+                3,
+                400,
+                CostModel.no_sorted(2),
+                vectorized=mode,
+                verify=False,
+            )
+            with pytest.raises(UnanswerableQueryError) as exc:
+                _costs(est, panel)
+            raised[mode], estimators[mode] = str(exc.value), est
+        assert raised["auto"] == raised[False]
+        fast, reference = estimators["auto"], estimators[False]
+        # The failing plan itself counts as run, on neither path.
+        assert fast.runs == reference.runs == 1
+        assert fast.kernel_runs == reference.reference_runs == 0
+        assert fast.cache_info()["size"] == reference.cache_info()["size"] == 0
 
 
 class TestSearchIntegration:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(depth_value, min_size=2, max_size=2))
     def test_chosen_plans_identical_across_frontier_switch(self, start):
-        # Fast path (lockstep on large frontiers) vs the reference engine.
+        # Fast path vs the reference engine.
         results = []
         for mode in (True, False):
             est = _estimator(vectorized=mode, verify=False)
@@ -353,9 +213,10 @@ class TestOptimizerNotes:
         sample = dummy_uniform_sample(2, 60, seed=3)
         plan = optimizer.plan(sample, Avg(2), 5, 600, CostModel.uniform(2))
         notes = plan.notes
-        assert notes["frontier_batches"] >= 1
-        assert notes["frontier_runs"] > 0
+        assert notes["kernel_runs"] == plan.estimator_runs > 0
+        assert notes["reference_runs"] == AUTO_VERIFY_RUNS
         assert notes["fallbacks"] == 0
+        assert not any("frontier" in key for key in notes)
         assert set(notes["phase_seconds"]) == {
             "schedule",
             "delta_search",
@@ -376,8 +237,6 @@ class TestOptimizerNotes:
                     "delta_search": 0.0123,
                     "h_optimization": 0.0004,
                 },
-                "frontier_runs": 33,
-                "frontier_batches": 1,
                 "fallbacks": 0,
             },
             {"event": "access", "predicate": 0, "kind": "sorted", "tick": 1},
@@ -385,10 +244,10 @@ class TestOptimizerNotes:
         rendered = format_timeline(events)
         assert "optimizer: phases schedule=0.0001s" in rendered
         assert "delta_search=0.0123s" in rendered
-        assert "frontier_runs=33" in rendered
-        assert "frontier_batches=1" in rendered
         # Zero-valued fallback counters stay out of the summary line.
         assert "fallbacks" not in rendered
+        events[1]["fallbacks"] = 2
+        assert "fallbacks=2" in format_timeline(events)
 
     def test_warm_start_threads_through_plan(self):
         optimizer = NCOptimizer(scheme=HillClimb(seed=7))

@@ -19,12 +19,7 @@ from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
 from repro.exceptions import KernelMismatchError, UnanswerableQueryError
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.estimator import (
-    AUTO_VERIFY_RUNS,
-    FRONTIER_MIN_BATCH,
-    CostEstimator,
-)
-from repro.optimizer.frontier import FrontierKernel
+from repro.optimizer.estimator import AUTO_VERIFY_RUNS, CostEstimator
 from repro.optimizer.kernel import (
     SampleIndex,
     SimulationCounts,
@@ -260,48 +255,43 @@ def avg_estimator(**kwargs):
 WRONG = SimulationCounts((999, 999), (999, 999))
 
 
-def _break_replay(monkeypatch, replay, fault):
-    """Make one fast replay lie (``verify_mismatch``) or crash."""
+def _break_replay(monkeypatch, fault):
+    """Make the fast replay lie (``verify_mismatch``) or crash."""
 
     def broken(self, fn, k, *plan_args):
         if fault == "internal_error":
-            raise RuntimeError(f"{replay} replay bug")
-        return WRONG if replay == "kernel" else [WRONG] * len(plan_args[0])
+            raise RuntimeError("kernel replay bug")
+        return WRONG
 
-    owner, attr = {
-        "kernel": (SampleIndex, "simulate"),
-        "frontier": (FrontierKernel, "simulate_frontier"),
-    }[replay]
-    monkeypatch.setattr(owner, attr, broken)
+    monkeypatch.setattr(SampleIndex, "simulate", broken)
 
 
-def check_broken_replay(monkeypatch, replay, fault, mode):
-    """Pin the trust ladder for one broken fast replay.
+def check_broken_replay(monkeypatch, fault, mode):
+    """Pin the trust ladder for a broken fast replay.
 
-    ``replay`` is ``"kernel"`` (per-plan) or ``"frontier"`` (lockstep),
     ``fault`` is ``"verify_mismatch"`` or ``"internal_error"``. With
     ``mode="auto"`` the estimator falls back to the reference engine for
     good and counts one labelled fallback; with ``vectorized=True`` it
     raises instead.
     """
-    width = FRONTIER_MIN_BATCH + 2 if replay == "frontier" else 5
-    panel = depth_panel(2, width)
-    expected = avg_estimator(vectorized=False).estimate_frontier(panel)
+    panel = depth_panel(2, 5)
+    reference = avg_estimator(vectorized=False)
+    expected = [reference.estimate(depths) for depths in panel]
     metrics = MetricsRegistry()
     # ``vectorized=True`` only cross-checks when asked to.
     est = avg_estimator(
         vectorized=mode, verify=True if mode is True else None, metrics=metrics
     )
-    _break_replay(monkeypatch, replay, fault)
+    _break_replay(monkeypatch, fault)
     if mode is True:
         with pytest.raises(
             KernelMismatchError if fault == "verify_mismatch" else RuntimeError
         ):
-            est.estimate_frontier(panel)
+            est.estimate(panel[0])
         assert est.fallbacks == 0
         assert est.kernel_active
         return
-    assert est.estimate_frontier(panel) == expected
+    assert [est.estimate(depths) for depths in panel] == expected
     assert est.fallbacks == 1
     assert not est.kernel_active
     counters = metrics.snapshot()["counters"]
@@ -309,18 +299,17 @@ def check_broken_replay(monkeypatch, replay, fault, mode):
         f'repro_estimator_fallbacks_total{{reason="{fault}"}}'
     ] == 1
     # Only a rejected first attempt is charged to the fast replay;
-    # the reference engine priced the whole batch.
+    # the reference engine priced every plan.
     attempts = 1 if fault == "verify_mismatch" else 0
-    assert getattr(est, f"{replay}_runs") == attempts
-    assert est.reference_runs == width
-    assert est.runs == width
-    # Permanently abandoned: later batches of either size go to the
-    # reference engine without counting another fallback.
-    for count in (3, FRONTIER_MIN_BATCH + 6):
-        est.estimate_frontier(depth_panel(2, count))
+    assert est.kernel_runs == attempts
+    assert est.reference_runs == len(panel)
+    assert est.runs == len(panel)
+    # Permanently abandoned: later plans go to the reference engine
+    # without counting another fallback.
+    for depths in depth_panel(2, 8):
+        est.estimate(depths)
     assert est.fallbacks == 1
-    assert est.kernel_runs + est.frontier_runs == attempts
-    assert est.frontier_batches == 0
+    assert est.kernel_runs == attempts
 
 
 class TestVectorizedSwitch:
@@ -359,16 +348,16 @@ class TestVectorizedSwitch:
         assert est.kernel_active
 
     def test_verify_mismatch_raises_in_kernel_mode(self, monkeypatch):
-        check_broken_replay(monkeypatch, "kernel", "verify_mismatch", True)
+        check_broken_replay(monkeypatch, "verify_mismatch", True)
 
     def test_verify_mismatch_falls_back_in_auto_mode(self, monkeypatch):
-        check_broken_replay(monkeypatch, "kernel", "verify_mismatch", "auto")
+        check_broken_replay(monkeypatch, "verify_mismatch", "auto")
 
     def test_internal_error_propagates_in_kernel_mode(self, monkeypatch):
-        check_broken_replay(monkeypatch, "kernel", "internal_error", True)
+        check_broken_replay(monkeypatch, "internal_error", True)
 
     def test_internal_error_falls_back_in_auto_mode(self, monkeypatch):
-        check_broken_replay(monkeypatch, "kernel", "internal_error", "auto")
+        check_broken_replay(monkeypatch, "internal_error", "auto")
 
     def test_verify_every_run_when_requested(self):
         est = self._estimator(vectorized=True, verify=True)

@@ -9,7 +9,7 @@ from repro.query.ast import (
     QueryError,
     WeightedSum,
 )
-from repro.query.parser import parse_query
+from repro.query.parser import MAX_NESTING, parse_query
 
 Q1_TEXT = "SELECT name FROM r ORDER BY min(rating, close) STOP AFTER 5"
 
@@ -155,6 +155,38 @@ class TestErrors:
             k=1,
         )
         assert query.predicates == ("a",)
+
+
+class TestNestingCap:
+    @staticmethod
+    def _query(opening: str, closing: str, depth: int) -> str:
+        expr = opening * depth + "a" + closing * depth
+        return f"SELECT * FROM r ORDER BY {expr} STOP AFTER 1"
+
+    @pytest.mark.parametrize(
+        "opening, closing", [("min(", ", b)"), ("(", ")"), ("avg((", "), b)")]
+    )
+    def test_cap_is_inclusive_and_every_parenthesis_counts(
+        self, opening, closing
+    ):
+        levels = opening.count("(")
+        depth = MAX_NESTING // levels
+        parse_query(self._query(opening, closing, depth))
+        with pytest.raises(QueryError, match="nests deeper than"):
+            parse_query(self._query(opening, closing, depth + 1))
+
+    def test_weighted_sums_count_toward_the_cap(self):
+        # Each ``min(0.5*`` level nests an aggregate and a weighted sum.
+        depth = MAX_NESTING // 2
+        parse_query(self._query("min(0.5*", ", b)", depth))
+        with pytest.raises(QueryError, match="nests deeper than"):
+            parse_query(self._query("min(0.5*", ", b)", depth + 1))
+        with pytest.raises(QueryError, match="nests deeper than"):
+            parse_query(self._query("min(0.5*a + 0.5*", ", b)", depth + 1))
+
+    def test_far_past_the_cap_is_a_query_error_not_a_recursion_error(self):
+        with pytest.raises(QueryError, match=str(MAX_NESTING)):
+            parse_query(self._query("min(", ", b)", 5000))
 
 
 class TestMonotonicityOfParsedExpressions:

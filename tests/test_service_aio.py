@@ -11,6 +11,7 @@ import pytest
 from repro.data.generators import uniform
 from repro.exceptions import ServiceOverloadError
 from repro.obs.trace import TraceRecorder
+from repro.query.parser import MAX_NESTING
 from repro.serialization import result_to_dict
 from repro.service import (
     AsyncQueryServer,
@@ -19,6 +20,7 @@ from repro.service import (
     serve_tcp,
 )
 from repro.sources.cost import CostModel
+from tests.test_service_server import nested_min
 
 MIN_Q = "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 5"
 AVG_Q = "SELECT * FROM r ORDER BY avg(a, b) STOP AFTER 5"
@@ -462,15 +464,46 @@ class TestTcpTransport:
                 client.writer.write(b"\xff\xfe\n")
                 # Past the stream reader's 64 KiB line limit.
                 client.writer.write(b"x" * (70 * 1024) + b"\n")
+                # Within the limit, but past the JSON decoder's recursion.
+                client.writer.write(b"[" * 50000 + b"\n")
                 await client.writer.drain()
                 not_utf8 = await client.recv()
                 oversized = await client.recv()
+                too_deep = await client.recv()
                 stats = await client.call(op="stats")
-                return not_utf8, oversized, stats
+                return not_utf8, oversized, too_deep, stats
 
-        not_utf8, oversized, stats = self._serve(scenario)
-        for bad in (not_utf8, oversized):
+        not_utf8, oversized, too_deep, stats = self._serve(scenario)
+        for bad in (not_utf8, oversized, too_deep):
             assert not bad["ok"] and bad["type"] == "ProtocolError"
+        assert stats["ok"] and stats["op"] == "stats"
+
+    def test_deeply_nested_query_keeps_the_connection(self):
+        async def scenario(server, host, port):
+            async with _TcpClient(host, port) as client:
+                deep = [
+                    await client.call(op="query", query=nested_min(300)),
+                    await client.call(
+                        op="query", query=nested_min(180, "min(0.5*")
+                    ),
+                ]
+                at_cap = [
+                    await client.call(
+                        op="query", query=nested_min(MAX_NESTING)
+                    ),
+                    await client.call(
+                        op="query",
+                        query=nested_min(MAX_NESTING // 2, "min(0.5*"),
+                    ),
+                ]
+                stats = await client.call(op="stats")
+                return deep, at_cap, stats
+
+        deep, at_cap, stats = self._serve(scenario)
+        for response in deep:
+            assert not response["ok"] and response["type"] == "QueryError"
+        for response in at_cap:
+            assert response["ok"] and len(response["result"]["ranking"]) == 3
         assert stats["ok"] and stats["op"] == "stats"
 
     def test_shutdown_op_stops_the_service(self):

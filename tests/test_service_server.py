@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.data.generators import uniform
 from repro.exceptions import ReproError, ServiceOverloadError
 from repro.query.ast import QueryError
+from repro.query.parser import MAX_NESTING
 from repro.service import (
     QueryServer,
     ServerConfig,
@@ -20,6 +21,12 @@ from repro.sources.cost import CostModel
 
 MIN_Q = "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 5"
 AVG_Q = "SELECT * FROM r ORDER BY avg(a, b) STOP AFTER 5"
+
+
+def nested_min(depth: int, opening: str = "min(") -> str:
+    """A query whose ORDER BY nests ``opening`` ``depth`` times."""
+    expr = opening * depth + "a" + ", b)" * depth
+    return f"SELECT * FROM r ORDER BY {expr} STOP AFTER 3"
 
 
 def make_server(**config_kwargs) -> QueryServer:
@@ -244,6 +251,49 @@ class TestProtocol:
         assert responses[0]["ok"]
         assert not responses[1]["ok"] and "bad JSON" in responses[1]["error"]
         assert responses[2]["ok"] and responses[3]["op"] == "shutdown"
+
+    def test_serve_stream_answers_too_deep_lines_and_keeps_serving(self):
+        # A query nested past the parser's cap and a JSON line nested
+        # past the decoder's recursion limit are each answered with an
+        # error; the loop goes on to answer the next line.
+        server = make_server()
+        lines = io.StringIO(
+            "\n".join(
+                [
+                    json.dumps({"op": "submit", "query": nested_min(300)}),
+                    json.dumps(
+                        {"op": "submit", "query": nested_min(180, "min(0.5*")}
+                    ),
+                    "[" * 200000,
+                    json.dumps({"op": "stats"}),
+                ]
+            )
+            + "\n"
+        )
+        out = io.StringIO()
+        assert serve_stream(server, lines, out) is False
+        deep_query, deep_tree, deep_json, stats = [
+            json.loads(line) for line in out.getvalue().splitlines()
+        ]
+        for deep in (deep_query, deep_tree):
+            assert not deep["ok"] and deep["type"] == "QueryError"
+            assert str(MAX_NESTING) in deep["error"]
+        assert not deep_json["ok"] and deep_json["type"] == "ProtocolError"
+        assert stats["ok"] and stats["op"] == "stats"
+
+    @pytest.mark.parametrize(
+        "depth, opening", [(MAX_NESTING, "min("), (MAX_NESTING // 2, "min(0.5*")]
+    )
+    def test_query_at_the_nesting_cap_is_served(self, depth, opening):
+        server = make_server()
+        submitted = handle_request(
+            server, {"op": "submit", "query": nested_min(depth, opening)}
+        )
+        assert submitted["ok"]
+        result = handle_request(
+            server, {"op": "result", "session": submitted["session"]}
+        )
+        assert result["ok"] and len(result["result"]["ranking"]) == 3
 
     def test_serve_stream_eof_is_not_shutdown(self):
         server = make_server()
