@@ -13,9 +13,12 @@ Runs two ways:
 
 * under pytest with the rest of the benchmark suite (asserts exact
   cost agreement and a conservative speedup floor);
-* as a script -- ``python benchmarks/bench_kernel.py [--quick]`` --
-  for the CI costing-smoke job, exiting nonzero if the vectorized path was
-  not selected or disagrees with the reference.
+* as a script -- ``python benchmarks/bench_kernel.py`` (full suite,
+  rewrites ``BENCH_kernel.json``) or ``python benchmarks/bench_kernel.py
+  --quick --out PATH`` (small panels for the CI costing-smoke job,
+  written to ``PATH`` so the committed full-suite numbers are never
+  overwritten) -- exiting nonzero if the vectorized path was not
+  selected or disagrees with the reference.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def identical_chosen_plans(sample_size: int = 100, resolution: int = 7) -> bool:
     return chosen[0] == chosen[1]
 
 
-def run_suite(quick: bool = False) -> dict:
+def run_suite(quick: bool = False, out: pathlib.Path = RESULT_FILE) -> dict:
     if quick:
         configs = [
             ("S1-min-m2-quick", Min(2), CostModel.expensive_random(2), 100, 8),
@@ -154,7 +157,7 @@ def run_suite(quick: bool = False) -> dict:
         # committed artifact shows which execution paths actually fired.
         "metrics": metrics.snapshot(),
     }
-    RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    out.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
 
@@ -192,11 +195,23 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small panels for CI smoke runs (does not overwrite the "
-        "committed full-suite numbers' shape, only re-measures)",
+        help="small panels for CI smoke runs; needs --out",
+    )
+    parser.add_argument(
+        "--out",
+        type=pathlib.Path,
+        default=None,
+        help=f"result file (default for the full suite: {RESULT_FILE.name} "
+        "at the repo root)",
     )
     args = parser.parse_args(argv)
-    payload = run_suite(quick=args.quick)
+    if args.quick and args.out is None:
+        parser.error(
+            f"--quick needs --out PATH: quick numbers must not replace the "
+            f"committed full-suite {RESULT_FILE.name}"
+        )
+    out = args.out if args.out is not None else RESULT_FILE
+    payload = run_suite(quick=args.quick, out=out)
     ok = payload["identical_chosen_plans"]
     for cfg in payload["configs"]:
         status = "ok" if cfg["identical_costs"] else "MISMATCH"
@@ -210,7 +225,7 @@ def main(argv=None) -> int:
         ok = ok and cfg["kernel"]["kernel_runs"] > 0
         ok = ok and cfg["kernel"]["reference_runs"] == 0
     print(f"identical chosen plans: {payload['identical_chosen_plans']}")
-    print(f"wrote {RESULT_FILE}")
+    print(f"wrote {out}")
     return 0 if ok else 1
 
 

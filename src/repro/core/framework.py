@@ -3,7 +3,8 @@
 :class:`FrameworkNC` is the paper's contribution engine. Each iteration it
 
 1. maintains the current top-k objects ranked by maximal-possible score
-   ``F_max`` (lazy max-heap; Theorem 1 machinery);
+   ``F_max`` (a bound index, :mod:`repro.core.bounds`; Theorem 1
+   machinery);
 2. halts when they are all completely evaluated (Theorem 1.2) -- they are
    then the exact answer;
 3. otherwise picks the highest-ranked incomplete object, whose scoring
@@ -37,8 +38,8 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
+from repro.core.bounds import bound_index
 from repro.core.choices import necessary_choices
-from repro.core.heap import LazyMaxHeap
 from repro.core.policies import SelectContext, SelectPolicy, SRGPolicy
 from repro.core.state import ScoreState
 from repro.core.tasks import UNSEEN
@@ -155,8 +156,9 @@ class FrameworkNC:
             self.plan_revision = replan.revision
         self._budget_blocked = False
         self.state = ScoreState(middleware, fn)
-        self._heap = LazyMaxHeap()
-        self._in_heap: set[int] = set()
+        self._bounds = bound_index(self.state)
+        # Every object ever pushed into the bound index (live or not).
+        self._tracked: set[int] = set()
         self._steps = 0
         self._prepared = False
         # Degradation bookkeeping (docs/FAULTS.md): objects answered
@@ -170,11 +172,6 @@ class FrameworkNC:
     # Engine plumbing (shared with the parallel executor)
     # ------------------------------------------------------------------
 
-    def _priority_of(self, obj: int) -> float:
-        if obj == UNSEEN:
-            return self.state.unseen_bound()
-        return self.state.upper_bound(obj)
-
     def _prepare(self) -> None:
         if self._prepared:
             raise ReproError("an engine instance runs exactly one query")
@@ -187,15 +184,15 @@ class FrameworkNC:
                     "no predicate supports sorted access and wild guesses are "
                     "disallowed: no object can ever be discovered"
                 )
-            self._heap.push(UNSEEN, self.state.unseen_bound())
-            self._in_heap.add(UNSEEN)
+            self._bounds.push(UNSEEN)
+            self._tracked.add(UNSEEN)
         else:
             for obj in middleware.object_ids():
-                self._heap.push(obj, self.state.upper_bound(obj))
-                self._in_heap.add(obj)
+                self._bounds.push(obj)
+                self._tracked.add(obj)
 
     def _collect_topk(self) -> list[tuple[int, float]]:
-        """Pop the current top-k ``(obj, F_max)`` off the heap (verified).
+        """Pop the current top-k ``(obj, F_max)`` off the bound index.
 
         A stale UNSEEN entry is retired on pop once every object has been
         discovered (Figure 10), so callers never see -- or target -- the
@@ -203,14 +200,14 @@ class FrameworkNC:
         """
         popped: list[tuple[int, float]] = []
         while len(popped) < self.k:
-            entry = self._heap.pop_current(self._priority_of)
+            entry = self._bounds.pop_current()
             if entry is None:
                 break
             if entry[0] == UNSEEN and (
                 self._unseen_abandoned
                 or len(self.middleware.seen) >= self.middleware.n_objects
             ):
-                self._in_heap.discard(UNSEEN)
+                self._tracked.discard(UNSEEN)
                 continue
             popped.append(entry)
         return popped
@@ -224,9 +221,9 @@ class FrameworkNC:
         all_seen = len(self.middleware.seen) >= self.middleware.n_objects
         for obj, _stale in entries:
             if obj == UNSEEN and (all_seen or self._unseen_abandoned):
-                self._in_heap.discard(UNSEEN)
+                self._tracked.discard(UNSEEN)
                 continue
-            self._heap.push(obj, self._priority_of(obj))
+            self._bounds.push(obj)
 
     def _alternatives(self, target: int) -> list[Access]:
         """The choice set for this iteration: the task's necessary choices."""
@@ -286,7 +283,7 @@ class FrameworkNC:
     def _abandon_unseen(self) -> None:
         """Give up on discovering new objects (all sorted sources down)."""
         self._unseen_abandoned = True
-        self._in_heap.discard(UNSEEN)
+        self._tracked.discard(UNSEEN)
 
     # ------------------------------------------------------------------
     # Adaptive replanning checkpoint (docs/OPTIMIZER.md)
@@ -296,7 +293,7 @@ class FrameworkNC:
         """Safe point between accesses: let the controller swap the plan.
 
         Called with no access in flight, so the swap is purely a policy
-        exchange: the score state, bound heap, middleware accounting and
+        exchange: the score state, bound index, middleware accounting and
         budgets all carry over -- the charged-cost ledger cannot tell a
         replanned run from a straight one, only the *future* access
         choices change. The controller itself gates frequency, drift and
@@ -371,7 +368,17 @@ class FrameworkNC:
             )
         return result
 
+    @property
+    def bound_evaluations(self) -> int:
+        """``F_max`` computations so far: calls of ``F`` plus group bounds."""
+        return self.state.bound_evaluations + self._bounds.group_evaluations
+
     def _finish(self, ranking: list[RankedObject], label: str) -> QueryResult:
+        metrics = self.middleware.metrics
+        if metrics is not None:
+            metrics.inc(
+                "repro_engine_bound_evaluations_total", self.bound_evaluations
+            )
         metadata: dict[str, object] = {
             "policy": self.policy.describe(),
             "iterations": self._steps,
@@ -431,12 +438,15 @@ class FrameworkNC:
             if not access.is_sorted:
                 assert access.obj is not None
                 self.state.record(access.predicate, access.obj, float(result))
+                self._bounds.update(access.obj)
             elif result is not None:
                 obj, score = result
                 self.state.record(access.predicate, obj, score)
-                if obj not in self._in_heap:
-                    self._heap.push(obj, self.state.upper_bound(obj))
-                    self._in_heap.add(obj)
+                if obj in self._tracked:
+                    self._bounds.update(obj)
+                else:
+                    self._bounds.push(obj)
+                    self._tracked.add(obj)
         self._steps += 1
         checker = self.middleware.contracts
         if checker is not None:
@@ -470,7 +480,7 @@ class FrameworkNC:
         there); resuming performs the access and runs on to the next yield
         without interruption.
 
-        An object popped from the bound heap *complete* is a confirmed
+        An object popped from the bound index *complete* is a confirmed
         answer: everything still live is bounded at or below it (the
         MPro-style progressive output; equivalent to the Theorem-1 batch
         test, and performing the identical access sequence, since the
@@ -479,7 +489,7 @@ class FrameworkNC:
         self._prepare()
         while True:
             self._replan_checkpoint()
-            entry = self._heap.pop_current(self._priority_of)
+            entry = self._bounds.pop_current()
             if entry is None:
                 return
             obj, bound = entry
@@ -487,11 +497,11 @@ class FrameworkNC:
             if obj == UNSEEN and (all_seen or self._unseen_abandoned):
                 # Every object has been discovered (or discovery became
                 # impossible); the virtual stand-in retires (Figure 10).
-                self._in_heap.discard(UNSEEN)
+                self._tracked.discard(UNSEEN)
                 continue
             if obj != UNSEEN and self.state.is_complete(obj):
                 # Confirmed: its exact score equals its bound, and no live
-                # entry can rank above it. The object stays in _in_heap
+                # entry can rank above it. The object stays in _tracked
                 # (the "ever tracked" set) so a later sorted delivery of it
                 # cannot re-enqueue and re-confirm it.
                 yield RankedObject(obj, bound)
@@ -525,7 +535,7 @@ class FrameworkNC:
                         result=result,
                     )
                 )
-            self._heap.push(obj, self._priority_of(obj))
+            self._bounds.push(obj)
 
     def answers(self) -> Iterator[RankedObject]:
         """Stream the ranked answers progressively, best first.
@@ -545,15 +555,15 @@ class FrameworkNC:
     def _approximately_confirmed(self, obj: int) -> bool:
         """theta-approximation test for the current leader ``obj``.
 
-        Sound because ``obj`` tops the heap: every other live candidate
+        Sound because ``obj`` tops the bound index: every other live candidate
         ``x`` satisfies ``F(x) <= F_max(x) <= runner_up_bound``, so
         ``theta * F_min(obj) >= runner_up_bound`` implies the Fagin-style
         guarantee ``theta * F(obj) >= F(x)``.
         """
-        runner_up = self._heap.pop_current(self._priority_of)
+        runner_up = self._bounds.pop_current()
         if runner_up is None:
             return True
-        self._heap.push(runner_up[0], runner_up[1])
+        self._bounds.push(runner_up[0])
         return self.theta * self.state.lower_bound(obj) >= runner_up[1]
 
     def run(self) -> QueryResult:

@@ -14,13 +14,20 @@ with:
 Both are sound exactly because ``F`` is monotone. The state also computes
 the bound of the virtual ``UNSEEN`` object, ``F(l_1, ..., l_m)``, used for
 no-wild-guess processing (Section 8, Figure 10).
+
+Bounds are computed against a snapshot of ``l_1..l_m`` that is refreshed
+whenever the middleware's :attr:`~repro.sources.middleware.Middleware.
+last_seen_version` moves (every sorted-access attempt and every reset),
+and ``F`` is evaluated through its compiled scalar form
+(:func:`~repro.scoring.functions.scalar_evaluator`), so a bound costs one
+call of ``F`` and no source reads (docs/RUNTIME.md).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.scoring.functions import ScoringFunction
+from repro.scoring.functions import ScoringFunction, scalar_evaluator
 from repro.sources.middleware import Middleware
 
 
@@ -30,6 +37,11 @@ class ScoreState:
     The state is fed by :meth:`record` calls as accesses complete, and
     consults the middleware lazily for the current last-seen bounds, so
     every bound it reports reflects all accesses performed so far.
+
+    Attributes:
+        bound_evaluations: ``F_max`` computations so far (calls of
+            :meth:`upper_bound` and :meth:`unseen_bound`); the engine
+            exports it as ``repro_engine_bound_evaluations_total``.
     """
 
     def __init__(self, middleware: Middleware, fn: ScoringFunction):
@@ -46,9 +58,14 @@ class ScoreState:
             middleware.contracts.probe_scoring(fn)
         self._middleware = middleware
         self._fn = fn
+        self._evaluate = scalar_evaluator(fn)
         self._m = middleware.m
         # obj -> list of known scores (None = undetermined).
         self._known: dict[int, list[Optional[float]]] = {}
+        # Snapshot of l_1..l_m, valid while the version is unchanged.
+        self._limits: list[float] = []
+        self._limits_version = -1
+        self.bound_evaluations = 0
 
     @property
     def fn(self) -> ScoringFunction:
@@ -98,7 +115,14 @@ class ScoreState:
         row = self._known.get(obj)
         if row is None or any(score is None for score in row):
             raise ValueError(f"object {obj} is not completely evaluated")
-        return self._fn(row)  # type: ignore[arg-type]
+        return self._evaluate(row)  # type: ignore[arg-type]
+
+    def known_row(self, obj: int) -> Optional[list[Optional[float]]]:
+        """The live known-score row of ``obj`` (``None`` if untracked).
+
+        Read-only view for bound indexes; use :meth:`snapshot` for a copy.
+        """
+        return self._known.get(obj)
 
     def tracked(self) -> Iterable[int]:
         """Objects with at least one recorded score."""
@@ -112,6 +136,20 @@ class ScoreState:
     # Bounds (Eq. 3)
     # ------------------------------------------------------------------
 
+    def limits(self) -> list[float]:
+        """The current ``l_1..l_m`` (a shared snapshot: do not mutate).
+
+        Re-read from the middleware only when its ``last_seen_version``
+        moved; the list object is replaced on each refresh, so callers
+        can detect a change by identity.
+        """
+        version = self._middleware.last_seen_version
+        if version != self._limits_version:
+            last_seen = self._middleware.last_seen
+            self._limits = [last_seen(i) for i in range(self._m)]
+            self._limits_version = version
+        return self._limits
+
     def predicate_upper(self, obj: int, predicate: int) -> float:
         """Upper bound on one predicate score of one object.
 
@@ -122,18 +160,18 @@ class ScoreState:
         known = self.known_score(obj, predicate)
         if known is not None:
             return known
-        return self._middleware.last_seen(predicate)
+        return self.limits()[predicate]
 
     def upper_bound(self, obj: int) -> float:
         """Maximal-possible score ``F_max(u)`` under the accesses so far."""
         row = self._known.get(obj)
+        limits = self.limits()
+        self.bound_evaluations += 1
         if row is None:
-            return self.unseen_bound()
-        scores = [
-            row[i] if row[i] is not None else self._middleware.last_seen(i)
-            for i in range(self._m)
-        ]
-        return self._fn(scores)
+            return self._evaluate(limits[:])
+        return self._evaluate(
+            [limits[i] if score is None else score for i, score in enumerate(row)]
+        )
 
     def lower_bound(self, obj: int) -> float:
         """Minimal-possible score: unknown predicate scores as ``0``."""
@@ -141,11 +179,12 @@ class ScoreState:
         if row is None:
             row = [None] * self._m
         scores = [score if score is not None else 0.0 for score in row]
-        return self._fn(scores)
+        return self._evaluate(scores)
 
     def unseen_bound(self) -> float:
         """Bound of the virtual UNSEEN object: ``F(l_1, ..., l_m)``."""
-        return self._fn([self._middleware.last_seen(i) for i in range(self._m)])
+        self.bound_evaluations += 1
+        return self._evaluate(self.limits()[:])
 
     def snapshot(self, obj: int) -> tuple[Optional[float], ...]:
         """The known-score row of ``obj`` (``None`` for undetermined)."""

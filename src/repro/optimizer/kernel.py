@@ -41,53 +41,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.exceptions import UnanswerableQueryError
-from repro.scoring.functions import (
-    Avg,
-    Max,
-    Min,
-    Monotone,
-    ScoringFunction,
-    WeightedSum,
-)
+from repro.scoring.functions import ScoringFunction, scalar_evaluator
 from repro.sources.cost import CostModel
 from repro.sources.stats import eq1_cost
 
 #: Sentinel id of the virtual unseen object (mirrors repro.core.tasks.UNSEEN).
 _UNSEEN = -1
-
-
-def scalar_evaluator(
-    fn: ScoringFunction,
-) -> Callable[[Sequence[float]], float]:
-    """A fast scalar form of ``fn`` with bitwise-identical results.
-
-    The kernel's hot loop evaluates ``F`` on small composed rows thousands
-    of times per plan; for the library's closed-form functions the
-    aggregate can be computed without the method-dispatch overhead of
-    :meth:`ScoringFunction.evaluate`, *replicating its exact float
-    operation order* so decisions (and therefore access counts) cannot
-    drift. A :class:`Monotone` -- every compiled query -- hands over its
-    wrapped callable itself. Unknown subclasses fall back to
-    ``fn.evaluate``.
-    """
-    kind = type(fn)
-    if kind is Min:
-        return min
-    if kind is Max:
-        return max
-    if kind is Avg:
-        arity = fn.arity
-        return lambda vals: math.fsum(vals) / arity
-    if kind is WeightedSum:
-        weights = fn.weights
-        return lambda vals: math.fsum(w * s for w, s in zip(weights, vals))
-    if kind is Monotone:
-        return fn.function
-    return fn.evaluate
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,39 @@ def lower_expression(
     return f"def evaluate(s):\n{''.join(lines)}    return {root}\n", constants
 
 
+def min_terms(
+    expr: Expr, order: Sequence[str]
+) -> Optional[tuple[tuple[int, Optional[float]], ...]]:
+    """The per-predicate terms of a min-shaped expression, else ``None``.
+
+    Min-shaped means a top-level ``min(...)`` or a median of at most two
+    arguments (the lower median of two values is their minimum) whose
+    every argument is a bare predicate ``p`` -- term ``(i, None)`` -- or a
+    single weighted predicate ``w*p`` -- term ``(i, w)``. The compiled
+    function then equals, in value, the minimum of those terms
+    (:attr:`ScoringFunction.min_terms`).
+    """
+    if not isinstance(expr, Aggregate):
+        return None
+    if expr.name != "min" and not (expr.name == "median" and len(expr.args) <= 2):
+        return None
+    index = {name: i for i, name in enumerate(order)}
+    terms: list[tuple[int, Optional[float]]] = []
+    for arg in expr.args:
+        if isinstance(arg, PredicateRef):
+            terms.append((index[arg.name], None))
+        elif (
+            isinstance(arg, WeightedSum)
+            and len(arg.terms) == 1
+            and isinstance(arg.terms[0][1], PredicateRef)
+        ):
+            weight, ref = arg.terms[0]
+            terms.append((index[ref.name], weight))  # type: ignore[attr-defined]
+        else:
+            return None
+    return tuple(terms)
+
+
 @lru_cache(maxsize=1024)
 def _code(source: str) -> CodeType:
     # Sources carry no names or weights, so queries of one shape share one.
@@ -94,9 +127,10 @@ def compile_expression(
 
     ``fn`` is a :class:`Monotone` wrapping the straight-line function
     generated by :func:`lower_expression`; it returns bitwise the same
-    float as :meth:`Expr.evaluate` on the matching environment. All AST
-    node types are monotone by construction, so the compiled function
-    honours the Section 3.1 contract.
+    float as :meth:`Expr.evaluate` on the matching environment, and a
+    min-shaped expression also exposes its terms as ``fn.min_terms``
+    (:func:`min_terms`). All AST node types are monotone by construction,
+    so the compiled function honours the Section 3.1 contract.
     """
     referenced = tuple(expr.predicates())
     if schema is None:
@@ -117,4 +151,5 @@ def compile_expression(
     exec(_code(source), namespace)
     evaluate = cast(Callable[[Sequence[float]], float], namespace["evaluate"])
     fn = Monotone(evaluate, arity=len(order), name=str(expr))
+    fn.min_terms = min_terms(expr, order)
     return fn, order

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +40,17 @@ class ScoringFunction(ABC):
             differently from ``math.fsum``), so exactness-critical callers
             (the brute-force oracle, the simulation kernel) consult this
             flag before taking a vectorized shortcut.
+        min_terms: structure of a *min-shaped* ``F``, or ``None``. When
+            set, ``F(s)`` equals, in value, the minimum over the terms
+            ``(i, w)`` of ``s[i]`` (``w is None``) or ``w * s[i]``. The
+            engine's bound index (docs/RUNTIME.md) uses it to rank
+            objects by ``F_max`` without re-evaluating ``F`` per object.
+            Set by :class:`Min` and by compiled min-shaped queries; a
+            plain :class:`Monotone` never sets it.
     """
 
     batch_exact: bool = True  # the default implementation *is* the loop
+    min_terms: Optional[tuple[tuple[int, Optional[float]], ...]] = None
 
     def __init__(self, arity: int, name: str):
         if arity < 1:
@@ -118,6 +126,7 @@ class Min(ScoringFunction):
 
     def __init__(self, arity: int):
         super().__init__(arity, f"min[{arity}]")
+        self.min_terms = tuple((i, None) for i in range(arity))
 
     def evaluate(self, scores: Sequence[float]) -> float:
         return min(scores)
@@ -300,3 +309,33 @@ class Monotone(ScoringFunction):
 
     def evaluate(self, scores: Sequence[float]) -> float:
         return self.function(scores)
+
+
+def scalar_evaluator(
+    fn: ScoringFunction,
+) -> Callable[[Sequence[float]], float]:
+    """A fast scalar form of ``fn`` with bitwise-identical results.
+
+    Hot loops (the engine's score state, the plan-cost kernel) evaluate
+    ``F`` on small composed rows many times per query; for the library's
+    closed-form functions the aggregate can be computed without the
+    method-dispatch and arity-check overhead of :meth:`ScoringFunction.
+    __call__`, *replicating its exact float operation order* so decisions
+    (and therefore access counts) cannot drift. A :class:`Monotone` --
+    every compiled query -- hands over its wrapped callable itself.
+    Unknown subclasses fall back to ``fn.evaluate``.
+    """
+    kind = type(fn)
+    if kind is Min:
+        return min
+    if kind is Max:
+        return max
+    if kind is Avg:
+        arity = fn.arity
+        return lambda vals: math.fsum(vals) / arity
+    if kind is WeightedSum:
+        weights = fn.weights  # type: ignore[attr-defined]
+        return lambda vals: math.fsum(w * s for w, s in zip(weights, vals))
+    if kind is Monotone:
+        return fn.function  # type: ignore[attr-defined]
+    return fn.evaluate

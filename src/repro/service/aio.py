@@ -44,7 +44,7 @@ from typing import Any, Optional
 from repro.exceptions import ReproError, ServiceOverloadError
 from repro.runtime.engine import AnswerCallback, AsyncExecutor
 from repro.runtime.pacing import Pacer
-from repro.service.protocol import _error, _session_response
+from repro.service.protocol import _error, _session_response, request_budget
 from repro.service.server import QueryServer, Session
 from repro.types import RankedObject
 
@@ -493,7 +493,9 @@ class TcpQueryService:
                     return _error(
                         f"{op} needs a 'query' string", "ProtocolError", op
                     )
-                budget = request.get("budget")
+                budget, problem = request_budget(request)
+                if problem is not None:
+                    return _error(problem, "ProtocolError", op)
                 if not self._client_slot(owned):
                     return _error(
                         "client session limit reached "
@@ -507,7 +509,7 @@ class TcpQueryService:
                 )
                 session_id = await server.submit_async(
                     text,
-                    budget=None if budget is None else float(budget),
+                    budget=budget,
                     on_answer=on_answer,
                 )
                 owned.add(session_id)

@@ -28,6 +28,7 @@ request must not take down the sessions of other clients.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Optional
 
 from repro.exceptions import ReproError
@@ -40,6 +41,28 @@ def _error(message: str, error_type: str, op: Optional[str] = None) -> dict:
     if op is not None:
         response["op"] = op
     return response
+
+
+def request_budget(request: dict) -> tuple[Optional[float], Optional[str]]:
+    """A request's optional ``budget`` as ``(value, error)``.
+
+    A budget must be a nonnegative JSON number: absent or ``null`` means
+    the server default (``(None, None)``); a string, bool, array,
+    object, NaN or negative number yields an error message for a
+    ``ProtocolError`` answer, so one bad field never escapes as an
+    exception that ends the serving loop.
+    """
+    budget = request.get("budget")
+    if budget is None:
+        return None, None
+    if isinstance(budget, (int, float)) and not isinstance(budget, bool):
+        try:
+            value = float(budget)
+        except OverflowError:  # an integer literal beyond float range
+            value = math.nan
+        if value >= 0:  # False for NaN
+            return value, None
+    return None, f"'budget' must be a nonnegative number, got {budget!r:.40}"
 
 
 def _session_response(server: QueryServer, session: Session) -> dict:
@@ -74,10 +97,10 @@ def handle_request(server: QueryServer, request: object) -> dict:
             text = request.get("query")
             if not isinstance(text, str):
                 return _error("submit needs a 'query' string", "ProtocolError", op)
-            budget = request.get("budget")
-            session_id = server.submit(
-                text, budget=None if budget is None else float(budget)
-            )
+            budget, problem = request_budget(request)
+            if problem is not None:
+                return _error(problem, "ProtocolError", op)
+            session_id = server.submit(text, budget=budget)
             return {"ok": True, "op": "submit", "session": session_id}
         if op == "result":
             session_id = request.get("session")
@@ -106,9 +129,10 @@ def serve_stream(server: QueryServer, lines: IO[str], out: IO[str]) -> bool:
             continue
         try:
             request = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # A RecursionError is a line nested deeper than the decoder
-            # can follow: as undecodable as malformed JSON.
+        except (ValueError, RecursionError) as exc:
+            # Malformed JSON, an integer literal past the interpreter's
+            # digit limit (a plain ValueError), or a line nested deeper
+            # than the decoder can follow: all undecodable.
             response = _error(f"bad JSON: {exc}", "ProtocolError")
         else:
             response = handle_request(server, request)

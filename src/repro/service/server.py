@@ -176,6 +176,10 @@ class ServerConfig:
             raise ValueError(
                 f"time_scale must be >= 0, got {self.time_scale}"
             )
+        if self.default_budget is not None and not self.default_budget >= 0:
+            raise ValueError(
+                f"default_budget must be >= 0, got {self.default_budget}"
+            )
 
 
 @dataclass
@@ -472,7 +476,13 @@ class QueryServer:
     def _new_session(
         self, parsed: ParsedQuery, text: str, budget: Optional[float]
     ) -> Session:
-        """Mint the session record and register it (deterministic ids)."""
+        """Mint the session record and register it (deterministic ids).
+
+        A negative or NaN ``budget`` is refused here, at submission,
+        rather than when the session's middleware is built.
+        """
+        if budget is not None and not budget >= 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
         self._counter += 1  # repro-ownership: event-loop synchronous section
         session_id = f"q{self._counter:06d}-{self._rng.getrandbits(32):08x}"
         session = Session(

@@ -274,9 +274,14 @@ class SourceCache:
     # ------------------------------------------------------------------
 
     def view(self, predicate: int) -> "CachedSource":
-        """A fresh per-query view of one predicate (cursor at zero)."""
+        """A fresh per-query view of one predicate (cursor at zero).
+
+        Creating a view touches the predicate (LRU recency, see
+        :meth:`_touch`).
+        """
         if not 0 <= predicate < self.m:
             raise ValueError(f"predicate {predicate} out of range")
+        self._touch(predicate)
         return CachedSource(self, predicate)
 
     def views(self) -> list["CachedSource"]:
@@ -428,15 +433,20 @@ class SourceCache:
     # Internal access API (used by CachedSource views only)
     # ------------------------------------------------------------------
 
-    def _entry(self, predicate: int) -> _PredicateEntry:
-        entry = self._entries[predicate]
-        entry.last_touch = self._clock
-        return entry
+    def _touch(self, predicate: int) -> None:
+        """Stamp one predicate as used at the current clock.
+
+        Recency is stamped when a view is created and at every access a
+        view serves (hit or miss) -- never by reads of ``last_seen``,
+        ``exhausted`` or ``serves_free``, so eviction order does not
+        depend on how often an engine consults its bounds.
+        """
+        self._entries[predicate].last_touch = self._clock
 
     def _extend_prefix(self, predicate: int) -> Optional[tuple[int, float]]:
         """Fetch the next sorted element from the real source and cache it."""
         source = self._sources[predicate]
-        entry = self._entry(predicate)
+        entry = self._entries[predicate]
         result = source.sorted_access()
         self._record_miss(predicate, "sorted")
         if result is None:
@@ -448,7 +458,7 @@ class SourceCache:
 
     def _fetch_random(self, predicate: int, obj: int) -> float:
         """Fetch one random-access score from the real source and cache it."""
-        entry = self._entry(predicate)
+        entry = self._entries[predicate]
         score = self._sources[predicate].random_access(obj)
         self._record_miss(predicate, "random")
         entry.memo[obj] = score
@@ -499,7 +509,7 @@ class CachedSource(Source):
         return self._predicate
 
     def _live_entry(self) -> _PredicateEntry:
-        entry = self._cache._entry(self._predicate)
+        entry = self._cache._entries[self._predicate]
         if entry.generation != self._generation:
             raise ReproError(
                 f"cache entry of predicate {self._predicate} was evicted "
@@ -540,6 +550,7 @@ class CachedSource(Source):
 
     def sorted_access(self) -> Optional[tuple[int, float]]:
         entry = self._live_entry()
+        self._cache._touch(self._predicate)
         if self._cursor < len(entry.prefix):
             result = entry.prefix[self._cursor]
             self._cursor += 1
@@ -556,6 +567,7 @@ class CachedSource(Source):
 
     def random_access(self, obj: int) -> float:
         entry = self._live_entry()
+        self._cache._touch(self._predicate)
         if obj in entry.memo:
             self._cache._record_hit(self._predicate, "random")
             self._last_duration = None

@@ -192,6 +192,7 @@ class Middleware:
         self._stats = AccessStats(cost_model, record_log=record_log)
         self._seen: set[int] = set()
         self._delivered: set[tuple[int, int]] = set()
+        self._last_seen_version = 0
         if clock_base < 0:
             raise ValueError(f"clock_base must be >= 0, got {clock_base}")
         self._clock_base = clock_base
@@ -473,6 +474,18 @@ class Middleware:
         """Current last-seen bound ``l_i`` of one predicate."""
         return self._sources[predicate].last_seen
 
+    @property
+    def last_seen_version(self) -> int:
+        """A counter that moves whenever any ``l_i`` may have moved.
+
+        Bumped on every sorted-access attempt and on :meth:`reset` --
+        the only events that advance or rewind this middleware's sorted
+        cursors -- so a reader may cache ``l_1..l_m`` for as long as the
+        counter is unchanged (:class:`~repro.core.state.ScoreState`
+        does, docs/RUNTIME.md).
+        """
+        return self._last_seen_version
+
     def depth(self, predicate: int) -> int:
         """Sorted accesses performed on one predicate."""
         return self._sources[predicate].depth
@@ -751,6 +764,7 @@ class Middleware:
             raise CapabilityError(
                 f"predicate {predicate}: sorted access not in cost model"
             )
+        self._last_seen_version += 1
         access = Access.sorted(predicate)
         cached = self._served_from_cache(access)
         if not cached:
@@ -841,6 +855,7 @@ class Middleware:
         """
         for source in self._sources:
             source.reset()
+        self._last_seen_version += 1
         self._stats = AccessStats(self._cost_model, record_log=self._record_log)
         self._seen.clear()
         self._delivered.clear()

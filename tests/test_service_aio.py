@@ -458,6 +458,25 @@ class TestTcpTransport:
         assert not bad_op["ok"]
         assert not no_query["ok"]
 
+    def test_bad_budgets_keep_the_connection(self):
+        async def scenario(server, host, port):
+            async with _TcpClient(host, port) as client:
+                bad = [
+                    await client.call(op=op, query=MIN3_Q, budget=budget)
+                    for op in ("submit", "query", "stream")
+                    for budget in ("abc", True, float("nan"), -1.0, 10**400)
+                ]
+                good = await client.call(op="query", query=MIN3_Q, budget=50)
+                stats = await client.call(op="stats")
+                return bad, good, stats
+
+        bad, good, stats = self._serve(scenario)
+        for response in bad:
+            assert not response["ok"] and response["type"] == "ProtocolError"
+            assert "budget" in response["error"]
+        assert good["ok"] and len(good["result"]["ranking"]) == 3
+        assert stats["ok"] and stats["stats"]["submitted"] == 1
+
     def test_undecodable_and_oversized_lines_keep_the_connection(self):
         async def scenario(server, host, port):
             async with _TcpClient(host, port) as client:

@@ -9,6 +9,8 @@ The load-bearing guarantees, property-tested with hypothesis:
   monotonically non-increasing, and a fully-warm repeat charges zero.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,9 @@ from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset, dataset1
 from repro.data.generators import uniform
 from repro.exceptions import ReproError
+from repro.obs.trace import TraceRecorder
 from repro.scoring.functions import Avg, Max, Min
+from repro.service import AsyncQueryServer, QueryServer, ServerConfig
 from repro.sources.cache import SourceCache
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -301,3 +305,141 @@ class TestMeteringIntegration:
         # A budget far below the cold cost is plenty for a warm replay.
         tight = Middleware.warm(cache, model, budget=cold_cost / 10)
         assert _run_min(tight) == 0.0
+
+
+class TestRecency:
+    """LRU recency: stamped at view creation and at each served access.
+
+    Bound reads (``last_seen``, ``exhausted``, ``serves_free``) never
+    touch an entry, so eviction order cannot depend on how often an
+    engine consults its bounds (docs/SERVICE.md).
+    """
+
+    def test_bound_reads_do_not_touch(self):
+        cache = SourceCache.over(uniform(20, 2, seed=4), CostModel.uniform(2))
+        view = cache.view(0)
+        view.sorted_access()
+        for _ in range(3):
+            cache.tick()
+        view.last_seen
+        view.exhausted
+        view.serves_free(Access.sorted(0))
+        assert cache._entries[0].last_touch == 0
+        view.sorted_access()
+        assert cache._entries[0].last_touch == 3
+
+    def test_view_creation_touches(self):
+        cache = SourceCache.over(uniform(20, 2, seed=4), CostModel.uniform(2))
+        cache.view(1).sorted_access()
+        cache.tick()
+        cache.views()
+        assert [entry.last_touch for entry in cache._entries] == [1, 1]
+
+
+class TestEvictionOrder:
+    """The evicted ``(clock, predicate)`` sequence of served workloads.
+
+    Overlapping async sessions: a round of short and long queries runs
+    concurrently, so the clock ticks while the long query still runs.
+    Under the recency rule only the accesses it performs stamp its
+    predicates; a bound read of a predicate it never accesses does not.
+    """
+
+    ROUNDS = [
+        [
+            "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 8",
+            "SELECT * FROM r ORDER BY max(c, b) STOP AFTER 1",
+            "SELECT * FROM r ORDER BY c STOP AFTER 1",
+        ],
+        [
+            "SELECT * FROM r ORDER BY min(b, c) STOP AFTER 6",
+            "SELECT * FROM r ORDER BY max(a, b) STOP AFTER 1",
+            "SELECT * FROM r ORDER BY a STOP AFTER 2",
+        ],
+        [
+            "SELECT * FROM r ORDER BY min(a, 0.5*c) STOP AFTER 7",
+            "SELECT * FROM r ORDER BY b STOP AFTER 1",
+            "SELECT * FROM r ORDER BY max(a, b) STOP AFTER 1",
+        ],
+        [
+            "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 9",
+            "SELECT * FROM r ORDER BY c STOP AFTER 2",
+            "SELECT * FROM r ORDER BY b STOP AFTER 1",
+        ],
+    ]
+
+    SERIAL = [
+        "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 3",
+        "SELECT * FROM r ORDER BY min(b, c) STOP AFTER 4",
+        "SELECT * FROM r ORDER BY avg(a, c) STOP AFTER 3",
+        "SELECT * FROM r ORDER BY min(a, 0.5*c) STOP AFTER 5",
+        "SELECT * FROM r ORDER BY max(b, c) STOP AFTER 2",
+        "SELECT * FROM r ORDER BY min(a, b, c) STOP AFTER 3",
+        "SELECT * FROM r ORDER BY avg(a, b) STOP AFTER 4",
+        "SELECT * FROM r ORDER BY min(c, b) STOP AFTER 2",
+        "SELECT * FROM r ORDER BY min(c, a) STOP AFTER 6",
+        "SELECT * FROM r ORDER BY 0.5*a + 0.5*c STOP AFTER 3",
+        "SELECT * FROM r ORDER BY min(b, a) STOP AFTER 5",
+        "SELECT * FROM r ORDER BY median(a, b, c) STOP AFTER 3",
+    ]
+
+    @staticmethod
+    def _server(server_cls, **config):
+        return server_cls(
+            CostModel.uniform(3, cs=1.0, cr=2.0),
+            dataset=uniform(120, 3, seed=11),
+            schema=["a", "b", "c"],
+            config=ServerConfig(**config),
+            trace=TraceRecorder(capacity=None),
+        )
+
+    @staticmethod
+    def _evictions(server):
+        return [
+            (event.tick, event.as_dict()["predicate"])
+            for event in server.trace.events
+            if event.event == "eviction"
+        ]
+
+    def _overlapping(self, concurrent, **config):
+        server = self._server(
+            AsyncQueryServer, concurrent_queries=concurrent, **config
+        )
+
+        async def main():
+            for batch in self.ROUNDS:
+                ids = [await server.submit_async(q) for q in batch[:concurrent]]
+                for session_id in ids:
+                    await server.wait(session_id)
+
+        asyncio.run(main())
+        return self._evictions(server)
+
+    def test_overlapping_sessions_two_at_a_time(self):
+        assert self._overlapping(2, cache_max_entries=30) == [
+            (2, 1), (2, 0), (2, 2), (4, 0), (4, 1), (4, 2),
+            (6, 0), (8, 0), (8, 1),
+        ]
+
+    def test_overlapping_sessions_three_at_a_time(self):
+        assert self._overlapping(3, cache_max_entries=30) == [
+            (3, 1), (3, 0), (3, 2), (6, 0), (6, 1), (6, 2),
+            (9, 0), (12, 0), (12, 1),
+        ]
+
+    def test_overlapping_sessions_ttl(self):
+        # Predicate b was last accessed before the first round's short
+        # queries ticked the clock; reads of l_b afterwards do not count.
+        assert self._overlapping(2, cache_ttl=2) == [(2, 1)]
+
+    def test_one_query_at_a_time_sync_server(self):
+        # The clock cannot move mid-query, so stamping at view creation
+        # gives the same order as stamping at every bound read did.
+        server = self._server(QueryServer, cache_max_entries=60)
+        for text in self.SERIAL:
+            server.query(text)
+        assert self._evictions(server) == [
+            (2, 0), (3, 0), (4, 0), (4, 1), (5, 0), (5, 1), (5, 2),
+            (6, 0), (6, 1), (6, 2), (7, 0), (9, 0), (9, 1), (11, 0),
+            (12, 0), (12, 1),
+        ]

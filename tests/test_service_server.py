@@ -150,6 +150,15 @@ class TestBudgets:
         assert rescued.result.partial is False
         assert rescued.charged_cost == 0.0
 
+    def test_negative_budgets_fail_at_submit(self):
+        server = make_server()
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="budget"):
+                server.submit(MIN_Q, budget=budget)
+        assert server.query(MIN_Q).status == "done"
+        with pytest.raises(ValueError, match="default_budget"):
+            ServerConfig(default_budget=-1.0)
+
     def test_default_budget_from_config(self):
         server = make_server(default_budget=2.0)
         session = server.query(MIN_Q)
@@ -279,6 +288,45 @@ class TestProtocol:
             assert not deep["ok"] and deep["type"] == "QueryError"
             assert str(MAX_NESTING) in deep["error"]
         assert not deep_json["ok"] and deep_json["type"] == "ProtocolError"
+        assert stats["ok"] and stats["op"] == "stats"
+
+    def test_serve_stream_answers_bad_budgets_and_keeps_serving(self):
+        # A budget that is not a nonnegative number is answered with a
+        # ProtocolError; the loop goes on to serve the next lines.
+        server = make_server()
+        bad = ["abc", True, float("nan"), -1.0, [1], 10**400]
+        lines = io.StringIO(
+            "\n".join(
+                [json.dumps({"op": "submit", "query": MIN_Q, "budget": b}) for b in bad]
+                + [
+                    json.dumps({"op": "submit", "query": MIN_Q, "budget": 50}),
+                    json.dumps({"op": "stats"}),
+                ]
+            )
+            + "\n"
+        )
+        out = io.StringIO()
+        assert serve_stream(server, lines, out) is False
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(responses) == len(bad) + 2
+        for response in responses[: len(bad)]:
+            assert not response["ok"] and response["type"] == "ProtocolError"
+            assert "budget" in response["error"]
+        assert responses[-2]["ok"] and responses[-2]["op"] == "submit"
+        assert responses[-1]["ok"] and responses[-1]["op"] == "stats"
+
+    def test_serve_stream_answers_over_long_integer_literals(self):
+        # Decoding an integer literal past the interpreter's digit limit
+        # raises a plain ValueError, not a JSONDecodeError.
+        server = make_server()
+        lines = io.StringIO(
+            '{"op": "stats", "x": ' + "1" * 5000 + "}\n"
+            + json.dumps({"op": "stats"}) + "\n"
+        )
+        out = io.StringIO()
+        assert serve_stream(server, lines, out) is False
+        too_long, stats = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert not too_long["ok"] and too_long["type"] == "ProtocolError"
         assert stats["ok"] and stats["op"] == "stats"
 
     @pytest.mark.parametrize(
