@@ -167,7 +167,7 @@ class BoundTracker:
                 break
             if (
                 entry[0] == UNSEEN
-                and len(self.middleware.seen) >= self.middleware.n_objects
+                and self.middleware.seen_count >= self.middleware.n_objects
             ):
                 self._in_heap.discard(UNSEEN)
                 continue

@@ -89,7 +89,7 @@ class NRA(TopKAlgorithm):
         floor_key = min((state.lower_bound(obj), obj) for obj in best)
         # Every competitor (tracked outside Y, plus unseen objects) must be
         # bounded by the floor; ties resolve via the deterministic order.
-        if len(middleware.seen) < middleware.n_objects:
+        if middleware.seen_count < middleware.n_objects:
             if state.unseen_bound() > floor:
                 return None
         for obj in tracked:

@@ -91,7 +91,7 @@ class StreamCombine(TopKAlgorithm):
         best_set = set(best)
         floor = min(state.lower_bound(obj) for obj in best)
         floor_key = min((state.lower_bound(obj), obj) for obj in best)
-        if len(middleware.seen) < middleware.n_objects:
+        if middleware.seen_count < middleware.n_objects:
             if state.unseen_bound() > floor:
                 return None
         for obj in tracked:

@@ -59,7 +59,7 @@ class Upper(TopKAlgorithm):
             obj, bound = popped
             if obj == UNSEEN:
                 self._explore(tracker, middleware)
-                if len(middleware.seen) < middleware.n_objects:
+                if middleware.seen_count < middleware.n_objects:
                     tracker.push(UNSEEN)
                 continue
             if state.is_complete(obj):

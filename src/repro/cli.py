@@ -356,7 +356,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import QueryServer, ServerConfig, serve_socket, serve_stream
+    from repro.service import QueryServer, ServerConfig, serve_stream
     from repro.sources.cache import SourceCache
 
     schema = [name.strip() for name in args.schema.split(",") if name.strip()]
@@ -404,40 +404,45 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
     trace = TraceRecorder() if args.trace else None
-    if args.tcp:
-        from repro.service import AsyncQueryServer, TcpQueryService
+    if args.tcp and args.socket:
+        raise ReproError("pass at most one of --socket and --tcp")
+    if args.tcp or args.socket:
+        import asyncio
 
-        host, _, port_text = args.tcp.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise ReproError(
-                f"--tcp expects HOST:PORT, got {args.tcp!r}"
-            ) from exc
+        from repro.service import AsyncQueryServer, StreamQueryService
+
         server = AsyncQueryServer(
             model, cache=cache, schema=schema, config=config, trace=trace
         )
-
-        async def _serve_tcp() -> None:
-            service = TcpQueryService(
+        if args.socket:
+            service = StreamQueryService(server, path=args.socket)
+        else:
+            host, _, port_text = args.tcp.rpartition(":")
+            try:
+                port = int(port_text)
+            except ValueError as exc:
+                raise ReproError(
+                    f"--tcp expects HOST:PORT, got {args.tcp!r}"
+                ) from exc
+            service = StreamQueryService(
                 server, host=host or "127.0.0.1", port=port
             )
-            bound_host, bound_port = await service.start()
-            print(f"serving on {bound_host}:{bound_port}", file=sys.stderr)
+
+        async def _serve() -> None:
+            try:
+                address = await service.start()
+            except OSError as exc:  # address in use, a non-socket file, ...
+                raise ReproError(f"cannot listen: {exc}") from exc
+            print(f"serving on {address}", file=sys.stderr)
             await service.serve_forever()
 
-        import asyncio
-
-        asyncio.run(_serve_tcp())
+        asyncio.run(_serve())
     else:
         server = QueryServer(
             model, cache=cache, schema=schema, config=config, trace=trace
         )
-        if args.socket:
-            print(f"serving on {args.socket}", file=sys.stderr)
-            serve_socket(server, args.socket)
-        else:
-            serve_stream(server, sys.stdin, sys.stdout)
+        # Bytes, so a non-UTF-8 line is answered rather than fatal.
+        serve_stream(server, getattr(sys.stdin, "buffer", sys.stdin), sys.stdout)
     snapshot = server.stats()
     print(
         f"served {snapshot['completed']} queries "
@@ -668,7 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--socket",
         default=None,
-        help="serve on a unix socket at this path instead of stdio",
+        help=(
+            "serve multiple concurrent clients on a unix socket at this "
+            "path with the async runtime, like --tcp"
+        ),
     )
     serve_parser.add_argument(
         "--tcp",
@@ -684,8 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "sessions executing at once on the async (--tcp) server; "
-            "1 keeps answers byte-identical to the sync path (default 1)"
+            "sessions executing at once on the async (--socket/--tcp) "
+            "server; 1 keeps answers byte-identical to the sync path "
+            "(default 1)"
         ),
     )
     serve_parser.add_argument(

@@ -205,7 +205,7 @@ class FrameworkNC:
                 break
             if entry[0] == UNSEEN and (
                 self._unseen_abandoned
-                or len(self.middleware.seen) >= self.middleware.n_objects
+                or self.middleware.seen_count >= self.middleware.n_objects
             ):
                 self._tracked.discard(UNSEEN)
                 continue
@@ -218,7 +218,7 @@ class FrameworkNC:
         The UNSEEN entry is dropped once every object has been discovered
         (or discovery became impossible and it was abandoned).
         """
-        all_seen = len(self.middleware.seen) >= self.middleware.n_objects
+        all_seen = self.middleware.seen_count >= self.middleware.n_objects
         for obj, _stale in entries:
             if obj == UNSEEN and (all_seen or self._unseen_abandoned):
                 self._tracked.discard(UNSEEN)
@@ -493,7 +493,7 @@ class FrameworkNC:
             if entry is None:
                 return
             obj, bound = entry
-            all_seen = len(self.middleware.seen) >= self.middleware.n_objects
+            all_seen = self.middleware.seen_count >= self.middleware.n_objects
             if obj == UNSEEN and (all_seen or self._unseen_abandoned):
                 # Every object has been discovered (or discovery became
                 # impossible); the virtual stand-in retires (Figure 10).

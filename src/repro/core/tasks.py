@@ -35,7 +35,7 @@ def _candidates(state: ScoreState) -> list[tuple[int, float]]:
     if middleware.no_wild_guesses:
         for obj in state.tracked():
             entries.append((obj, state.upper_bound(obj)))
-        if len(middleware.seen) < middleware.n_objects:
+        if middleware.seen_count < middleware.n_objects:
             entries.append((UNSEEN, state.unseen_bound()))
     else:
         for obj in middleware.object_ids():

@@ -117,6 +117,16 @@ class ServiceOverloadError(ReproError):
     """
 
 
+class ProtocolError(ReproError):
+    """A ``repro serve`` request line the wire protocol cannot serve.
+
+    Raised by :mod:`repro.service.protocol` for undecodable lines
+    (non-UTF-8, malformed or too-deep JSON, non-object requests) and for
+    unknown ops or bad ``query`` / ``session`` / ``budget`` fields; every
+    transport answers it as an error response and keeps serving.
+    """
+
+
 class SourceFaultError(ReproError):
     """Base class of web-source failure conditions (see docs/FAULTS.md).
 

@@ -9,20 +9,22 @@ amortizes it over a query *stream*. The pieces:
   circuit breakers;
 * :class:`ServerConfig` / :class:`Session` -- the tuning record and the
   per-query lifecycle record;
-* :func:`handle_request` / :func:`serve_stream` / :func:`serve_socket` --
-  the JSON-lines protocol behind ``repro serve``;
-* :class:`AsyncQueryServer` / :class:`TcpQueryService` /
+* :func:`handle_request` / :func:`serve_stream` -- the JSON-lines
+  protocol of ``repro serve`` over stdio; its one line decoder and one
+  request validator serve every transport;
+* :class:`AsyncQueryServer` / :class:`StreamQueryService` /
   :func:`serve_tcp` -- the asyncio serving layer (docs/RUNTIME.md):
-  concurrent in-flight queries over the shared cache, TCP transport,
-  per-client admission, streaming progressive results, graceful drain.
+  concurrent in-flight queries over the shared cache, TCP and unix
+  socket transports, per-client admission, streaming progressive
+  results, graceful drain.
 
 The cross-query substrate itself -- the cache and its metering
 integration -- lives in :mod:`repro.sources.cache`; the async engine in
 :mod:`repro.runtime`.
 """
 
-from repro.service.aio import AsyncQueryServer, TcpQueryService, serve_tcp
-from repro.service.protocol import handle_request, serve_socket, serve_stream
+from repro.service.aio import AsyncQueryServer, StreamQueryService, serve_tcp
+from repro.service.protocol import handle_request, serve_stream
 from repro.service.server import QueryServer, ServerConfig, Session
 
 __all__ = [
@@ -30,9 +32,8 @@ __all__ = [
     "QueryServer",
     "ServerConfig",
     "Session",
-    "TcpQueryService",
+    "StreamQueryService",
     "handle_request",
     "serve_stream",
-    "serve_socket",
     "serve_tcp",
 ]

@@ -9,20 +9,24 @@ network server:
   :class:`~repro.runtime.AsyncExecutor` over the shared
   :class:`~repro.sources.cache.SourceCache`), with backpressure
   (``max_pending``), mid-flight cancellation, and graceful drain.
-* :class:`TcpQueryService` -- the JSON-lines protocol of ``repro serve``
-  over TCP, many clients at once, with per-client admission control and
-  streaming progressive results (``op: "stream"``).
+* :class:`StreamQueryService` -- the JSON-lines protocol of ``repro
+  serve`` over TCP or a unix socket, many clients at once, with
+  per-client admission control and streaming progressive results
+  (``op: "stream"``).
 
-Determinism contract (docs/RUNTIME.md): at ``concurrent_queries=1`` and
-``time_scale=0`` a submit-then-wait request sequence produces answer and
-trace bytes identical to the sync server's -- tasks start in submission
-order, the admission semaphore wakes waiters FIFO, and scale-0 pacing
-never consults a timer. At higher concurrency the *interleaving* of
+Determinism contract (docs/RUNTIME.md): the sync entry points run the
+sync server's engines, so they answer byte-identically to
+:class:`~repro.service.server.QueryServer` at any ``query_concurrency``.
+At ``concurrent_queries=1`` and ``time_scale=0`` a submit-then-wait
+request sequence produces answer and trace bytes identical to the sync
+server's too -- tasks start in submission order, the admission
+semaphore wakes waiters FIFO, and scale-0 pacing never consults a
+timer. At higher concurrency the *interleaving* of
 accesses changes but the union of charged work does not: each query's
 logical access sequence is value-deterministic and the shared cache
 fetches every position exactly once, so total charged Eq. 1 cost and the
 returned top-k are invariant across concurrency levels (what E22 and the
-``async-serve-smoke`` CI job pin). Per-session *attribution* (who paid
+``serve-smoke`` CI job pin). Per-session *attribution* (who paid
 for a shared frontier extension, who got the free hit) is the one thing
 interleaving may move.
 
@@ -38,13 +42,22 @@ reconciliation invariant (charged + cached == recorded) survives a kill.
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Any, Optional
+import os
+from typing import Optional
 
-from repro.exceptions import ReproError, ServiceOverloadError
-from repro.runtime.engine import AnswerCallback, AsyncExecutor
+from repro.exceptions import ProtocolError, ReproError, ServiceOverloadError
+from repro.runtime.engine import AnswerCallback
 from repro.runtime.pacing import Pacer
-from repro.service.protocol import _error, _session_response, request_budget
+from repro.service.protocol import (
+    QUERY_OPS,
+    STREAM_OPS,
+    decode_line,
+    encode_response,
+    error_response,
+    is_shutdown,
+    session_response,
+    validate_request,
+)
 from repro.service.server import QueryServer, Session
 from repro.types import RankedObject
 
@@ -56,9 +69,10 @@ class AsyncQueryServer(QueryServer):
     cache/breakers/ledger); the async entry points are
     :meth:`submit_async` / :meth:`wait` / :meth:`cancel` /
     :meth:`drain`. The sync entry points (``submit`` / ``result`` /
-    ``query``) still work and stay strictly FIFO -- useful for warming a
-    cache before serving -- but must not be mixed with in-flight async
-    sessions.
+    ``query``) are the sync server's: strictly FIFO on its engines,
+    byte-identical to :class:`~repro.service.server.QueryServer` --
+    useful for warming a cache before serving -- but must not be mixed
+    with in-flight async sessions.
 
     Concurrency knobs come from the shared
     :class:`~repro.service.server.ServerConfig`: ``concurrent_queries``
@@ -180,11 +194,7 @@ class AsyncQueryServer(QueryServer):
                 # the pre-start bookkeeping happens here instead.
                 self._mark_cancelled_prestart(session)
                 self._events[session.id].set()
-        event = self._events.get(session_id)
-        if event is not None:
-            await event.wait()
-        session.retrieved = True
-        return session
+        return await self.wait(session_id)
 
     def _mark_cancelled_prestart(self, session: Session) -> None:
         """Close out a session cancelled before execution started.
@@ -231,16 +241,6 @@ class AsyncQueryServer(QueryServer):
     # Execution
     # ------------------------------------------------------------------
 
-    def _build_engine(self, *args: Any, **shared: Any) -> AsyncExecutor:
-        """The async engine over the shared pacer, at either shape."""
-        return AsyncExecutor(
-            *args,
-            concurrency=self.config.query_concurrency,
-            speculation=self.config.speculation,
-            pacer=self.pacer,
-            **shared,
-        )
-
     async def _run_session(
         self, session: Session, on_answer: Optional[AnswerCallback]
     ) -> None:
@@ -263,46 +263,25 @@ class AsyncQueryServer(QueryServer):
     async def _execute_async(
         self, session: Session, on_answer: Optional[AnswerCallback]
     ) -> None:
-        middleware = self._middleware(session)
-        self._inflight[session.id] = middleware  # repro-ownership: event-loop synchronous section
-        # Pin the cache: concurrent sessions' ticks must not evict
-        # entries under this session's live views (docs/RUNTIME.md).
-        self.cache.retain()
-        self._start_session(session)
-        session.status = "running"
-        engine = None
-        try:
-            engine = self._engine(middleware, session)
-            result = await engine.run_async(on_answer=on_answer)
-        except asyncio.CancelledError:
-            session.status = "cancelled"
-            session.error = "cancelled mid-flight"
-            session.error_type = "CancelledError"
-            raise
-        except ReproError as exc:
-            session.status = "failed"
-            session.error = str(exc)
-            session.error_type = type(exc).__name__
-        else:
-            self._complete(session, result)
-        finally:
-            # One synchronous section (no awaits): fold the accounting,
-            # tick the eviction clock, unpin. Runs on completion, failure
-            # and cancellation alike -- whatever this session charged is
-            # on the ledger before anyone observes its terminal state.
-            del self._inflight[session.id]  # repro-ownership: event-loop synchronous section
-            if engine is not None:
-                self._fold_replan(engine.replan)
-            self._finalize(session, middleware)
-            self.cache.release()
+        with self._lifecycle(session) as run:
+            try:
+                run.engine = engine = self._engine(
+                    run.middleware, session, self.pacer
+                )
+                self._complete(session, await engine.run_async(on_answer=on_answer))
+            except asyncio.CancelledError:
+                session.status = "cancelled"
+                session.error = "cancelled mid-flight"
+                session.error_type = "CancelledError"
+                raise
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
     """The next ``\\n``-terminated line (the unterminated rest at EOF).
 
-    A line longer than the reader's buffer limit raises ``ValueError``,
-    but only after the whole line has been consumed, so the next read
-    starts at the next request.
+    A line longer than the reader's buffer limit raises
+    :class:`~repro.exceptions.ProtocolError`, but only after the whole
+    line has been consumed, so the next read starts at the next request.
     """
     try:
         return await reader.readuntil(b"\n")
@@ -320,11 +299,13 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         except asyncio.LimitOverrunError as exc:
             consumed = exc.consumed
             continue
-        raise ValueError("request line exceeds the stream reader's limit")
+        raise ProtocolError(
+            "bad request line: longer than the stream reader's limit"
+        )
 
 
-class TcpQueryService:
-    """The JSON-lines protocol over TCP, many concurrent clients.
+class StreamQueryService:
+    """The JSON-lines protocol over a TCP or unix socket, many clients.
 
     Speaks the ``repro serve`` wire protocol (docs/SERVICE.md) with the
     async extensions:
@@ -333,14 +314,14 @@ class TcpQueryService:
         Submit *and* await one query; responds with the full result.
     ``{"op": "stream", "query": "...", "budget": ...}``
         Like ``query``, but each confirmed answer is pushed as a
-        ``{"op": "progress", "session": ..., "rank": ..., "object": ...,
-        "score": ...}`` line as soon as the engine proves it, before the
-        final result line.
+        ``{"op": "progress", "rank": ..., "object": ..., "score": ...}``
+        line as soon as the engine proves it, before the final result
+        line.
     ``{"op": "cancel", "session": "..."}``
         Cancel an in-flight session (idempotent on finished ones).
 
     ``submit`` / ``result`` / ``stats`` / ``shutdown`` behave as in the
-    sync protocol; ``result`` awaits without blocking other clients.
+    stdio protocol; ``result`` awaits without blocking other clients.
     A client that disconnects with sessions still in flight gets them
     cancelled (their charged cost stays on the ledger); ``shutdown``
     answers, stops accepting connections, drains in-flight queries, and
@@ -348,9 +329,12 @@ class TcpQueryService:
 
     Args:
         server: the :class:`AsyncQueryServer` to serve.
-        host: listen address (default loopback).
-        port: listen port; ``0`` (default) picks a free one -- read
+        host: TCP listen address (default loopback).
+        port: TCP listen port; ``0`` (default) picks a free one -- read
             :attr:`port` after :meth:`start`.
+        path: listen on a unix socket at this path instead of TCP; a
+            stale socket file there is replaced, and the file is removed
+            on :meth:`aclose`.
     """
 
     def __init__(
@@ -358,10 +342,12 @@ class TcpQueryService:
         server: AsyncQueryServer,
         host: str = "127.0.0.1",
         port: int = 0,
+        path: Optional[str] = None,
     ):
         self.server = server
         self.host = host
         self.port = port
+        self.path = path
         self._listener: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
         self._connections = 0
@@ -371,10 +357,19 @@ class TcpQueryService:
         """Total client connections accepted so far."""
         return self._connections
 
-    async def start(self) -> tuple[str, int]:
-        """Bind and start accepting clients; returns ``(host, port)``."""
+    async def start(self) -> str:
+        """Bind and start accepting clients; returns the bound address.
+
+        The address is ``HOST:PORT`` on TCP and the socket path on a
+        unix socket.
+        """
         if self._listener is not None:
             raise ReproError("service already started")
+        if self.path is not None:
+            self._listener = await asyncio.start_unix_server(  # repro-ownership: event-loop synchronous section
+                self._handle_client, self.path
+            )
+            return self.path
         self._listener = await asyncio.start_server(  # repro-ownership: event-loop synchronous section
             self._handle_client, self.host, self.port
         )
@@ -382,7 +377,7 @@ class TcpQueryService:
         assert sockets, "start_server always binds at least one socket"
         addr = sockets[0].getsockname()
         self.port = addr[1]  # repro-ownership: event-loop synchronous section
-        return addr[0], addr[1]
+        return f"{addr[0]}:{addr[1]}"
 
     async def serve_forever(self) -> None:
         """Serve until a ``shutdown`` op arrives, then drain and close."""
@@ -392,11 +387,16 @@ class TcpQueryService:
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Stop accepting, drain in-flight queries, release the port."""
+        """Stop accepting, drain in-flight queries, release the address."""
         listener, self._listener = self._listener, None  # repro-ownership: event-loop synchronous section
         if listener is not None:
             listener.close()
             await listener.wait_closed()
+            if self.path is not None:
+                try:
+                    os.unlink(self.path)
+                except FileNotFoundError:
+                    pass
         await self.server.drain()
 
     # ------------------------------------------------------------------
@@ -414,21 +414,16 @@ class TcpQueryService:
                     line = await _read_line(reader)
                     if not line:
                         break
-                    text = line.decode("utf-8").strip()
-                    if not text:
-                        continue
-                    request = json.loads(text)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    # Malformed, or nested deeper than the decoder follows.
-                    response = _error(f"bad JSON: {exc}", "ProtocolError")
-                except ValueError as exc:
-                    # Non-UTF-8 bytes or a line over the reader's limit:
-                    # answer this line and keep serving the connection.
-                    response = _error(f"bad request line: {exc}", "ProtocolError")
+                    request = decode_line(line)
+                except ProtocolError as exc:
+                    # Answer this line and keep serving the connection.
+                    response = error_response(exc)
                 else:
+                    if request is None:
+                        continue
                     response = await self._dispatch(request, owned, writer)
                 await self._send(writer, response)
-                if response.get("op") == "shutdown" and response.get("ok"):
+                if is_shutdown(response):
                     self._shutdown.set()
                     break
         except (ConnectionResetError, BrokenPipeError):
@@ -452,9 +447,7 @@ class TcpQueryService:
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter, response: dict) -> None:
-        writer.write(
-            (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
-        )
+        writer.write(encode_response(response).encode("utf-8"))
         try:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -477,59 +470,38 @@ class TcpQueryService:
 
     async def _dispatch(
         self,
-        request: object,
+        request: dict,
         owned: set[str],
         writer: asyncio.StreamWriter,
     ) -> dict:
-        """Handle one decoded request; always returns a response dict."""
+        """Validate and execute one decoded request; always answers."""
         server = self.server
-        if not isinstance(request, dict):
-            return _error("request must be a JSON object", "ProtocolError")
-        op = request.get("op")
         try:
-            if op in ("submit", "query", "stream"):
-                text = request.get("query")
-                if not isinstance(text, str):
-                    return _error(
-                        f"{op} needs a 'query' string", "ProtocolError", op
-                    )
-                budget, problem = request_budget(request)
-                if problem is not None:
-                    return _error(problem, "ProtocolError", op)
+            valid = validate_request(request, STREAM_OPS)
+            if valid.op in QUERY_OPS:
                 if not self._client_slot(owned):
-                    return _error(
-                        "client session limit reached "
-                        f"(client_max_open={server.config.client_max_open}); "
-                        "retrieve results before submitting more",
-                        "ServiceOverloadError",
-                        op,
-                    )
-                on_answer = (
-                    self._progress_hook(writer) if op == "stream" else None
-                )
+                    return error_response(ServiceOverloadError(
+                        "client session limit reached (client_max_open="
+                        f"{server.config.client_max_open}); retrieve "
+                        "results before submitting more"
+                    ), request)
                 session_id = await server.submit_async(
-                    text,
-                    budget=budget,
-                    on_answer=on_answer,
+                    valid.query,
+                    budget=valid.budget,
+                    on_answer=(
+                        self._progress_hook(writer)
+                        if valid.op == "stream"
+                        else None
+                    ),
                 )
                 owned.add(session_id)
-                if op == "submit":
+                if valid.op == "submit":
                     return {"ok": True, "op": "submit", "session": session_id}
-                return _session_response(server, await server.wait(session_id))
-            if op == "result":
-                session_id = request.get("session")
-                if not isinstance(session_id, str):
-                    return _error(
-                        "result needs a 'session' id", "ProtocolError", op
-                    )
-                return _session_response(server, await server.wait(session_id))
-            if op == "cancel":
-                session_id = request.get("session")
-                if not isinstance(session_id, str):
-                    return _error(
-                        "cancel needs a 'session' id", "ProtocolError", op
-                    )
-                session = await server.cancel(session_id)
+                return session_response(server, await server.wait(session_id))
+            if valid.op == "result":
+                return session_response(server, await server.wait(valid.session))
+            if valid.op == "cancel":
+                session = await server.cancel(valid.session)
                 return {
                     "ok": True,
                     "op": "cancel",
@@ -537,13 +509,11 @@ class TcpQueryService:
                     "status": session.status,
                     "charged_cost": session.charged_cost,
                 }
-            if op == "stats":
+            if valid.op == "stats":
                 return {"ok": True, "op": "stats", "stats": server.stats()}
-            if op == "shutdown":
-                return {"ok": True, "op": "shutdown"}
+            return {"ok": True, "op": "shutdown"}
         except ReproError as exc:
-            return _error(str(exc), type(exc).__name__, op)
-        return _error(f"unknown op {op!r}", "ProtocolError", op)
+            return error_response(exc, request)
 
     def _progress_hook(self, writer: asyncio.StreamWriter) -> AnswerCallback:
         """An on_answer callback pushing progress lines to one client."""
@@ -568,12 +538,12 @@ class TcpQueryService:
 
 async def serve_tcp(
     server: AsyncQueryServer, host: str = "127.0.0.1", port: int = 0
-) -> TcpQueryService:
-    """Start a :class:`TcpQueryService`; returns it already listening.
+) -> StreamQueryService:
+    """Start a TCP :class:`StreamQueryService`; returns it listening.
 
-    Callers await :meth:`TcpQueryService.serve_forever` (or manage the
-    lifecycle themselves via :meth:`TcpQueryService.aclose`).
+    Callers await :meth:`StreamQueryService.serve_forever` (or manage
+    the lifecycle themselves via :meth:`StreamQueryService.aclose`).
     """
-    service = TcpQueryService(server, host=host, port=port)
+    service = StreamQueryService(server, host=host, port=port)
     await service.start()
     return service

@@ -2,7 +2,7 @@
 
 One request per line, one JSON object per response line -- the lowest
 common denominator a shell script, a test harness, or another process can
-speak over stdio or a local socket. Requests name an ``op``:
+speak over stdio, a unix socket or TCP. Requests name an ``op``:
 
 ``{"op": "submit", "query": "SELECT ...", "budget": 12.5}``
     Admit a session; responds with its ``session`` id. ``budget`` is
@@ -20,55 +20,146 @@ speak over stdio or a local socket. Requests name an ``op``:
 ``{"op": "shutdown"}``
     Acknowledge and end the serving loop.
 
-Every response carries ``"ok"``; failures carry ``"error"`` (message) and
-``"type"`` (exception class name) instead of crashing the loop -- one bad
-request must not take down the sessions of other clients.
+The socket transports (:mod:`repro.service.aio`) add ``query``,
+``stream`` and ``cancel``. Every transport reads a line through
+:func:`decode_line` and checks it with :func:`validate_request`, so
+they accept and refuse exactly the same lines. Every response carries
+``"ok"``; failures carry ``"error"`` (message) and ``"type"`` (exception
+class name) instead of crashing the loop -- one bad request must not
+take down the sessions of other clients.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import IO, Optional
+from dataclasses import dataclass
+from typing import IO, Iterable, Optional, Union
 
-from repro.exceptions import ReproError
+from repro.exceptions import ProtocolError, ReproError
 from repro.serialization import result_to_dict
 from repro.service.server import QueryServer, Session
 
+#: The ops of the stdio transport (``repro serve`` without a socket).
+STDIO_OPS = frozenset({"submit", "result", "stats", "shutdown"})
+#: The ops of the unix-socket and TCP transports.
+STREAM_OPS = STDIO_OPS | {"query", "stream", "cancel"}
+#: Ops that take a ``query`` text and an optional ``budget``.
+QUERY_OPS = frozenset({"submit", "query", "stream"})
+_SESSION_OPS = frozenset({"result", "cancel"})
 
-def _error(message: str, error_type: str, op: Optional[str] = None) -> dict:
-    response = {"ok": False, "error": message, "type": error_type}
-    if op is not None:
-        response["op"] = op
-    return response
+
+@dataclass(frozen=True)
+class Request:
+    """One validated request: its op and the arguments that op takes."""
+
+    op: str
+    query: str = ""
+    session: str = ""
+    budget: Optional[float] = None
 
 
-def request_budget(request: dict) -> tuple[Optional[float], Optional[str]]:
-    """A request's optional ``budget`` as ``(value, error)``.
+def decode_line(line: Union[bytes, str]) -> Optional[dict]:
+    """One request line as a JSON object; ``None`` for a blank line.
 
-    A budget must be a nonnegative JSON number: absent or ``null`` means
-    the server default (``(None, None)``); a string, bool, array,
-    object, NaN or negative number yields an error message for a
-    ``ProtocolError`` answer, so one bad field never escapes as an
-    exception that ends the serving loop.
+    Raises :class:`~repro.exceptions.ProtocolError` for non-UTF-8
+    bytes, malformed JSON, nesting deeper than the decoder follows, an
+    integer literal past the interpreter's digit limit (a plain
+    ``ValueError`` from ``json.loads``) and a request that is not an
+    object.
+    """
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"bad request line: {exc}") from None
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        request = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"bad JSON: {exc}") from None
+    if not isinstance(request, dict):
+        raise ProtocolError("request must be a JSON object")
+    return request
+
+
+def _budget(request: dict) -> Optional[float]:
+    """A request's optional ``budget``: a nonnegative JSON number.
+
+    Absent or ``null`` means the server default (``None``); a string,
+    bool, array, object, NaN, negative number or an integer beyond float
+    range raises :class:`~repro.exceptions.ProtocolError`.
     """
     budget = request.get("budget")
     if budget is None:
-        return None, None
+        return None
     if isinstance(budget, (int, float)) and not isinstance(budget, bool):
         try:
             value = float(budget)
         except OverflowError:  # an integer literal beyond float range
             value = math.nan
         if value >= 0:  # False for NaN
-            return value, None
-    return None, f"'budget' must be a nonnegative number, got {budget!r:.40}"
+            return value
+    raise ProtocolError(
+        f"'budget' must be a nonnegative number, got {budget!r:.40}"
+    )
 
 
-def _session_response(server: QueryServer, session: Session) -> dict:
+def validate_request(request: object, ops: frozenset[str]) -> Request:
+    """Check a decoded request against the transport's ``ops``.
+
+    The one place the protocol checks an op and its arguments: an
+    unknown op, a missing ``query`` string or ``session`` id, or a bad
+    ``budget`` raises :class:`~repro.exceptions.ProtocolError`.
+    """
+    if not isinstance(request, dict):
+        raise ProtocolError("request must be a JSON object")
+    op = request.get("op")
+    if not isinstance(op, str) or op not in ops:
+        raise ProtocolError(f"unknown op {op!r}")
+    if op in QUERY_OPS:
+        query = request.get("query")
+        if not isinstance(query, str):
+            raise ProtocolError(f"{op} needs a 'query' string")
+        return Request(op, query=query, budget=_budget(request))
+    if op in _SESSION_OPS:
+        session = request.get("session")
+        if not isinstance(session, str):
+            raise ProtocolError(f"{op} needs a 'session' id")
+        return Request(op, session=session)
+    return Request(op)
+
+
+def _failure(message: str, error_type: str, op: object = None) -> dict:
+    response = {"ok": False, "error": message, "type": error_type}
+    if op is not None:
+        response["op"] = op
+    return response
+
+
+def error_response(exc: ReproError, request: object = None) -> dict:
+    """The ``ok: false`` answer to ``exc``, naming the request's op."""
+    op = request.get("op") if isinstance(request, dict) else None
+    return _failure(str(exc), type(exc).__name__, op)
+
+
+def encode_response(response: dict) -> str:
+    """One response as its wire line (sorted keys, newline-terminated)."""
+    return json.dumps(response, sort_keys=True) + "\n"
+
+
+def is_shutdown(response: dict) -> bool:
+    """Whether ``response`` acknowledges a shutdown (the loop ends)."""
+    return response.get("op") == "shutdown" and bool(response.get("ok"))
+
+
+def session_response(server: QueryServer, session: Session) -> dict:
+    """The ``result`` answer for a retrieved session (any terminal status)."""
     if session.status in ("failed", "cancelled"):
-        response = _error(session.error or f"query {session.status}",
-                          session.error_type or "ReproError", op="result")
+        response = _failure(session.error or f"query {session.status}",
+                            session.error_type or "ReproError", op="result")
         response["session"] = session.id
         response["charged_cost"] = session.charged_cost
         if session.status == "cancelled":
@@ -88,94 +179,44 @@ def _session_response(server: QueryServer, session: Session) -> dict:
 
 
 def handle_request(server: QueryServer, request: object) -> dict:
-    """Dispatch one decoded request; always returns a response dict."""
-    if not isinstance(request, dict):
-        return _error("request must be a JSON object", "ProtocolError")
-    op = request.get("op")
+    """Validate and execute one decoded stdio request; always answers."""
     try:
-        if op == "submit":
-            text = request.get("query")
-            if not isinstance(text, str):
-                return _error("submit needs a 'query' string", "ProtocolError", op)
-            budget, problem = request_budget(request)
-            if problem is not None:
-                return _error(problem, "ProtocolError", op)
-            session_id = server.submit(text, budget=budget)
+        valid = validate_request(request, STDIO_OPS)
+        if valid.op == "submit":
+            session_id = server.submit(valid.query, budget=valid.budget)
             return {"ok": True, "op": "submit", "session": session_id}
-        if op == "result":
-            session_id = request.get("session")
-            if not isinstance(session_id, str):
-                return _error("result needs a 'session' id", "ProtocolError", op)
-            return _session_response(server, server.result(session_id))
-        if op == "stats":
+        if valid.op == "result":
+            return session_response(server, server.result(valid.session))
+        if valid.op == "stats":
             return {"ok": True, "op": "stats", "stats": server.stats()}
-        if op == "shutdown":
-            return {"ok": True, "op": "shutdown"}
+        return {"ok": True, "op": "shutdown"}
     except ReproError as exc:
-        return _error(str(exc), type(exc).__name__, op)
-    return _error(f"unknown op {op!r}", "ProtocolError", op)
+        return error_response(exc, request)
 
 
-def serve_stream(server: QueryServer, lines: IO[str], out: IO[str]) -> bool:
+def serve_stream(
+    server: QueryServer, lines: Iterable[Union[bytes, str]], out: IO[str]
+) -> bool:
     """Serve JSON-lines requests until shutdown or EOF.
 
-    Returns ``True`` when a shutdown op ended the loop (the socket server
-    uses this to distinguish a client hanging up from an ordered stop).
-    Blank lines are ignored; undecodable ones get an error response.
+    ``lines`` yields ``bytes`` (``sys.stdin.buffer``, so non-UTF-8 input
+    is answered, not fatal) or ``str``. Returns ``True`` when a shutdown
+    op ended the loop. Blank lines are ignored; undecodable ones get an
+    error response and the next line is served.
     """
     for line in lines:
-        line = line.strip()
-        if not line:
-            continue
         try:
-            request = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # Malformed JSON, an integer literal past the interpreter's
-            # digit limit (a plain ValueError), or a line nested deeper
-            # than the decoder can follow: all undecodable.
-            response = _error(f"bad JSON: {exc}", "ProtocolError")
+            request = decode_line(line)
+        except ProtocolError as exc:
+            response = error_response(exc)
         else:
+            if request is None:
+                continue
             response = handle_request(server, request)
-        out.write(json.dumps(response, sort_keys=True) + "\n")
+        out.write(encode_response(response))
         flush = getattr(out, "flush", None)
         if flush is not None:
             flush()
-        if response.get("op") == "shutdown" and response.get("ok"):
+        if is_shutdown(response):
             return True
     return False
-
-
-def serve_socket(server: QueryServer, path: str, backlog: int = 4) -> int:
-    """Serve connections on a local (unix-domain) socket, one at a time.
-
-    Connections are handled sequentially -- the execution model is
-    deterministic FIFO either way -- until one of them sends a shutdown
-    op. Returns the number of connections served. The socket file is
-    created fresh and removed on exit.
-    """
-    import os
-    import socket
-
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    connections = 0
-    try:
-        listener.bind(path)
-        listener.listen(backlog)
-        while True:
-            conn, _addr = listener.accept()
-            with conn:
-                stream = conn.makefile("rw", encoding="utf-8", newline="\n")
-                with stream:
-                    connections += 1
-                    if serve_stream(server, stream, stream):
-                        return connections
-    finally:
-        listener.close()
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass

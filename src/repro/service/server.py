@@ -27,8 +27,9 @@ of an exception, mirroring how dead sources degrade.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Sequence, Union
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.algorithms.nc import NC
 from repro.contracts import ContractChecker
@@ -54,6 +55,8 @@ from repro.parallel.executor import ParallelExecutor
 from repro.query.ast import ParsedQuery, QueryError
 from repro.query.compiler import compile_expression
 from repro.query.parser import parse_query
+from repro.runtime.engine import AsyncExecutor
+from repro.runtime.pacing import Pacer
 from repro.sources.cache import SourceCache
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -117,14 +120,11 @@ class ServerConfig:
             exactly today's engines; ``"drift"`` attaches a
             :class:`~repro.sources.monitor.CostMonitor` to every session
             and re-optimizes ``(Delta, H)`` at engine checkpoints once
-            observed source behaviour drifts beyond
-            ``replan_config.drift_tolerance``; ``"always"`` re-evaluates
-            at every checkpoint. Remembered plans keep warm-starting the
+            observed source behaviour drifts beyond the
+            :class:`~repro.optimizer.replan.ReplanConfig` default
+            ``drift_tolerance``; ``"always"`` re-evaluates at every
+            checkpoint. Remembered plans keep warm-starting the
             re-search either way.
-        replan_config: full knob set for the controller; its ``mode``
-            field is overridden by ``replan`` (the single coarse switch
-            transports expose). ``None`` uses :class:`ReplanConfig`
-            defaults.
     """
 
     max_in_flight: int = 8
@@ -145,7 +145,6 @@ class ServerConfig:
     client_max_open: Optional[int] = None
     time_scale: float = 0.0
     replan: str = "off"
-    replan_config: Optional[ReplanConfig] = None
 
     def __post_init__(self) -> None:
         if self.replan not in REPLAN_MODES:
@@ -186,9 +185,9 @@ class ServerConfig:
 class Session:
     """One submitted query's lifecycle record.
 
-    Status flow: ``queued`` -> ``done`` | ``failed`` (the async server
-    adds ``running`` in between and ``cancelled`` as a terminal state for
-    queries whose client disconnected or cancelled mid-flight). A session
+    Status flow: ``queued`` -> ``running`` -> ``done`` | ``failed`` (the
+    async server adds ``cancelled`` as a terminal state for queries
+    whose client disconnected or cancelled mid-flight). A session
     stays *open* (occupying an admission slot) until its outcome is
     retrieved.
     """
@@ -634,13 +633,6 @@ class QueryServer:
         """
         if self.config.replan == "off":
             return None
-        config = (
-            self.config.replan_config
-            if self.config.replan_config is not None
-            else ReplanConfig()
-        )
-        if config.mode != self.config.replan:
-            config = replace(config, mode=self.config.replan)
         if self._replan_sample is None:
             self._replan_sample = dummy_uniform_sample(  # repro-ownership: event-loop synchronous section
                 middleware.m, self.config.sample_size, self._planner.seed
@@ -652,57 +644,46 @@ class QueryServer:
             middleware.n_objects,
             self.cost_model,
             initial_plan=plan,
-            config=config,
+            config=ReplanConfig(mode=self.config.replan),
             optimizer=self._planner.optimizer,
             no_wild_guesses=middleware.no_wild_guesses,
         )
 
-    def _engine(self, middleware: Middleware, session: Session) -> FrameworkNC:
+    def _engine(
+        self,
+        middleware: Middleware,
+        session: Session,
+        pacer: Optional[Pacer] = None,
+    ) -> FrameworkNC:
         """The per-session engine: compile, plan, then build the shape.
 
         The plan depends only on ``(m, fn, k, n_objects, cost model)`` --
         the planner samples a seeded dummy distribution, not live source
         state -- so planning is interleaving-invariant and identical for
-        both servers; only :meth:`_build_engine` differs between them.
+        both servers. Without a ``pacer`` the engine is the sync one
+        (sequential at concurrency 1, waves above it); with one it is
+        the :class:`~repro.runtime.AsyncExecutor` over that pacer.
         """
         fn, _order = compile_expression(session.query.expr, schema=self.schema)
         plan = self._session_plan(middleware, fn, session)
-        policy = SRGPolicy(plan.depths, plan.schedule)
-        controller = self._replan_controller(
-            middleware, fn, session.query.k, plan
-        )
-        engine = self._build_engine(
-            middleware,
-            fn,
-            session.query.k,
-            policy,
+        args = (middleware, fn, session.query.k, SRGPolicy(plan.depths, plan.schedule))
+        shared = dict(
             degrade_on_budget=self.config.degrade_on_budget,
-            replan=controller,
+            replan=self._replan_controller(middleware, fn, session.query.k, plan),
         )
-        engine.plan_id = plan_fingerprint(plan)
-        return engine
-
-    def _build_engine(self, *args: Any, **shared: Any) -> FrameworkNC:
-        """The sync engine: sequential at concurrency 1, waves above it."""
-        if self.config.query_concurrency == 1:
-            return FrameworkNC(*args, **shared)
-        return ParallelExecutor(
-            *args,
+        shape = dict(
             concurrency=self.config.query_concurrency,
             speculation=self.config.speculation,
-            **shared,
         )
-
-    def _start_session(self, session: Session) -> None:
-        """Emit the session-start trace marker (at the current clock)."""
-        if self._trace is not None:
-            self._trace.emit(
-                "session",
-                self._clock_base,
-                session=session.id,
-                status="start",
-                query=session.text,
-            )
+        engine: FrameworkNC
+        if pacer is not None:
+            engine = AsyncExecutor(*args, pacer=pacer, **shape, **shared)
+        elif self.config.query_concurrency == 1:
+            engine = FrameworkNC(*args, **shared)
+        else:
+            engine = ParallelExecutor(*args, **shape, **shared)
+        engine.plan_id = plan_fingerprint(plan)
+        return engine
 
     def _complete(self, session: Session, result: QueryResult) -> None:
         """Record a finished query's answer on its session."""
@@ -712,61 +693,77 @@ class QueryServer:
         session.status = "done"
         session.result = result
 
-    def _finalize(self, session: Session, middleware: Middleware) -> None:
-        """Fold one ended session (any terminal status) into shared state.
+    @contextmanager
+    def _lifecycle(self, session: Session) -> Iterator[_Run]:
+        """One session's execution around its engine run, for both servers.
 
-        Runs whether the query finished, failed, or was cancelled:
-        accesses it charged advance the breaker clock, and the eviction
-        clock ticks exactly once per ended session. Must execute as one
-        synchronous section -- no awaits -- so concurrent sessions under
-        the async server never observe a half-folded clock.
+        On entry: register the middleware as in flight, pin the cache
+        (concurrent sessions' ticks must not evict entries under live
+        views, docs/RUNTIME.md), emit the start marker. A
+        :class:`ReproError` fails the session. On exit -- finished,
+        failed or cancelled -- one synchronous section (no awaits, so no
+        session observes a half-folded clock) folds the replan decisions
+        and the accounting, ticks the eviction clock once and unpins:
+        what the session charged is on the ledger before anyone sees its
+        terminal state.
         """
-        session.charged_cost = middleware.stats.total_cost()
-        session.cache_hits = middleware.stats.total_cached
-        session.charged_accesses = middleware.stats.total_accesses
-        if session.result is not None:
-            session.result.metadata["cache_hits"] = session.cache_hits
-        self._charged_total += session.charged_cost  # repro-ownership: event-loop synchronous section
-        self._clock_base += session.charged_accesses  # repro-ownership: event-loop synchronous section
-        self.metrics.inc("repro_sessions_total", status=session.status)
-        self.metrics.set_gauge("repro_server_clock", self._clock_base)
+        run = _Run(self._middleware(session))
+        self._inflight[session.id] = run.middleware  # repro-ownership: event-loop synchronous section
+        self.cache.retain()
         if self._trace is not None:
             self._trace.emit(
                 "session",
                 self._clock_base,
                 session=session.id,
-                status=session.status,
-                charged_cost=session.charged_cost,
-                charged_accesses=session.charged_accesses,
-                cache_hits=session.cache_hits,
+                status="start",
+                query=session.text,
             )
-        self.cache.tick()
-
-    def _fold_replan(self, controller: Optional[ReplanController]) -> None:
-        """Aggregate one ended session's replan decisions into stats()."""
-        if controller is None:
-            return
-        for outcome, count in controller.outcomes.items():
-            self._replan_outcomes[outcome] = (  # repro-ownership: event-loop synchronous section
-                self._replan_outcomes.get(outcome, 0) + count
-            )
-
-    def _execute(self, session: Session) -> None:
-        middleware = self._middleware(session)
-        self._inflight[session.id] = middleware  # repro-ownership: event-loop synchronous section
-        self._start_session(session)
-        engine: Optional[FrameworkNC] = None
+        session.status = "running"
         try:
-            engine = self._engine(middleware, session)
-            result = engine.run()
+            yield run
         except ReproError as exc:
             session.status = "failed"
             session.error = str(exc)
             session.error_type = type(exc).__name__
-        else:
-            self._complete(session, result)
         finally:
             del self._inflight[session.id]  # repro-ownership: event-loop synchronous section
-            if engine is not None:
-                self._fold_replan(engine.replan)
-            self._finalize(session, middleware)
+            if run.engine is not None and run.engine.replan is not None:
+                for outcome, count in run.engine.replan.outcomes.items():
+                    self._replan_outcomes[outcome] = (  # repro-ownership: event-loop synchronous section
+                        self._replan_outcomes.get(outcome, 0) + count
+                    )
+            stats = run.middleware.stats
+            session.charged_cost = stats.total_cost()
+            session.cache_hits = stats.total_cached
+            session.charged_accesses = stats.total_accesses
+            if session.result is not None:
+                session.result.metadata["cache_hits"] = session.cache_hits
+            self._charged_total += session.charged_cost  # repro-ownership: event-loop synchronous section
+            self._clock_base += session.charged_accesses  # repro-ownership: event-loop synchronous section
+            self.metrics.inc("repro_sessions_total", status=session.status)
+            self.metrics.set_gauge("repro_server_clock", self._clock_base)
+            if self._trace is not None:
+                self._trace.emit(
+                    "session",
+                    self._clock_base,
+                    session=session.id,
+                    status=session.status,
+                    charged_cost=session.charged_cost,
+                    charged_accesses=session.charged_accesses,
+                    cache_hits=session.cache_hits,
+                )
+            self.cache.tick()
+            self.cache.release()
+
+    def _execute(self, session: Session) -> None:
+        with self._lifecycle(session) as run:
+            run.engine = self._engine(run.middleware, session)
+            self._complete(session, run.engine.run())
+
+
+@dataclass
+class _Run:
+    """One executing session's middleware and, once built, its engine."""
+
+    middleware: Middleware
+    engine: Optional[FrameworkNC] = None

@@ -466,6 +466,11 @@ class Middleware:
         """Objects discovered by sorted access so far."""
         return frozenset(self._seen)
 
+    @property
+    def seen_count(self) -> int:
+        """How many objects sorted access has discovered (O(1), no copy)."""
+        return len(self._seen)
+
     def is_seen(self, obj: int) -> bool:
         """Whether ``obj`` has been discovered by a sorted access."""
         return obj in self._seen

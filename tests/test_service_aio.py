@@ -5,9 +5,13 @@ Everything runs through ``asyncio.run`` -- no pytest-asyncio dependency.
 
 import asyncio
 import json
+import os
+import tempfile
+import threading
 
 import pytest
 
+from repro.cli import main
 from repro.data.generators import uniform
 from repro.exceptions import ServiceOverloadError
 from repro.obs.trace import TraceRecorder
@@ -101,6 +105,25 @@ class TestSequentialShadow:
         assert aio.stats()["charged_cost_total"] == sync.stats()[
             "charged_cost_total"
         ]
+
+    @pytest.mark.parametrize("query_concurrency", [1, 2])
+    def test_sync_api_is_the_sync_server(self, query_concurrency):
+        # The async server's submit/result/query run the sync server's
+        # engines: the sequential core at concurrency 1 (never a width-1
+        # wave), the wave core above it.
+        sync = make_server(
+            QueryServer, trace=True, query_concurrency=query_concurrency
+        )
+        aio = make_server(trace=True, query_concurrency=query_concurrency)
+        for query in BATCH:
+            expected = json.dumps(
+                result_to_dict(sync.query(query).result), sort_keys=True
+            )
+            got = json.dumps(
+                result_to_dict(aio.query(query).result), sort_keys=True
+            )
+            assert got == expected
+        assert aio.trace.to_jsonl() == sync.trace.to_jsonl()
 
     def test_query_async_convenience(self):
         server = make_server()
@@ -540,3 +563,64 @@ class TestTcpTransport:
 
         server = asyncio.run(main())
         assert server.draining  # aclose() drains on the way out
+
+
+class TestUnixSocket:
+    """``repro serve --socket PATH``: the stream service on a unix socket."""
+
+    def test_cli_round_trip_and_non_utf8_line(self, capsys):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "serve.sock")
+            codes = []
+            serving = threading.Thread(
+                target=lambda: codes.append(main([
+                    "serve", "--n", "300", "--seed", "3", "--schema", "a,b",
+                    "--socket", path,
+                ])),
+                daemon=True,
+            )
+            serving.start()
+
+            async def client():
+                for _ in range(500):
+                    if os.path.exists(path):
+                        break
+                    await asyncio.sleep(0.01)
+                reader, writer = await asyncio.open_unix_connection(path)
+
+                async def call(raw):
+                    writer.write(raw + b"\n")
+                    await writer.drain()
+                    return json.loads(await reader.readline())
+
+                submitted = await call(
+                    json.dumps({"op": "submit", "query": MIN3_Q}).encode()
+                )
+                result = await call(json.dumps(
+                    {"op": "result", "session": submitted["session"]}
+                ).encode())
+                not_utf8 = await call(b"\xff\xfe")
+                stats = await call(b'{"op": "stats"}')
+                ack = await call(b'{"op": "shutdown"}')
+                writer.close()
+                await writer.wait_closed()
+                return submitted, result, not_utf8, stats, ack
+
+            submitted, result, not_utf8, stats, ack = asyncio.run(client())
+            serving.join(timeout=30)
+            assert not serving.is_alive() and codes == [0]
+            assert not os.path.exists(path)
+        assert submitted["ok"] and result["ok"]
+        assert len(result["result"]["ranking"]) == 3
+        assert not not_utf8["ok"] and not_utf8["type"] == "ProtocolError"
+        assert stats["ok"] and stats["stats"]["completed"] == 1
+        assert ack["ok"] and ack["op"] == "shutdown"
+        assert "serving on " + path in capsys.readouterr().err
+
+    def test_cli_refuses_a_path_that_is_not_a_socket(self, tmp_path, capsys):
+        # A regular file at the path is neither replaced nor served over.
+        path = tmp_path / "not-a-socket"
+        path.write_text("keep me")
+        assert main(["serve", "--n", "50", "--socket", str(path)]) == 2
+        assert "cannot listen" in capsys.readouterr().err
+        assert path.read_text() == "keep me"

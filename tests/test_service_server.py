@@ -387,6 +387,21 @@ class TestServeCli:
         # Results were never demanded, so the queries stayed queued.
         assert responses[2]["stats"]["queued"] == 2
 
+    def test_non_utf8_line_on_stdin_is_answered(self, monkeypatch, capsys):
+        # A real stdin decodes UTF-8 on read; the server reads the bytes
+        # underneath, so a non-UTF-8 line is answered, not fatal.
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfe\n" + json.dumps({"op": "stats"}).encode() + b"\n"),
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["serve", "--n", "200", "--seed", "7", "--schema", "a,b"]) == 0
+        not_utf8, stats = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert not not_utf8["ok"] and not_utf8["type"] == "ProtocolError"
+        assert stats["ok"] and stats["op"] == "stats"
+
     def test_cli_rejects_empty_schema(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         assert main(["serve", "--schema", ","]) == 2
