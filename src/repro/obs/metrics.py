@@ -63,6 +63,22 @@ class MetricsRegistry:
         self._counters: dict[str, dict[LabelSet, float]] = {}
         self._gauges: dict[str, dict[LabelSet, float]] = {}
         self._help: dict[str, str] = {}
+        # Call-site label items (with their value types, so 1, 1.0 and
+        # True stay apart) -> the sorted LabelSet they render to.
+        self._labelsets: dict[tuple, LabelSet] = {}
+
+    def _labels(self, labels: Mapping[str, object]) -> LabelSet:
+        """:func:`_labelset`, memoized per call-site keyword order."""
+        if not labels:
+            return ()
+        key = (*labels.items(), *map(type, labels.values()))
+        try:
+            return self._labelsets[key]
+        except KeyError:
+            found = self._labelsets[key] = _labelset(labels)
+            return found
+        except TypeError:  # an unhashable label value
+            return _labelset(labels)
 
     # ------------------------------------------------------------------
     # Recording
@@ -79,12 +95,12 @@ class MetricsRegistry:
                 f"counters only increase; got {value} for {name!r}"
             )
         series = self._counters.setdefault(name, {})
-        key = _labelset(labels)
+        key = self._labels(labels)
         series[key] = series.get(key, 0.0) + value
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set a gauge series to ``value``."""
-        self._gauges.setdefault(name, {})[_labelset(labels)] = float(value)
+        self._gauges.setdefault(name, {})[self._labels(labels)] = float(value)
 
     # ------------------------------------------------------------------
     # Reading
@@ -92,11 +108,11 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, **labels: object) -> float:
         """One counter series' current value (0.0 when never incremented)."""
-        return self._counters.get(name, {}).get(_labelset(labels), 0.0)
+        return self._counters.get(name, {}).get(self._labels(labels), 0.0)
 
     def gauge_value(self, name: str, **labels: object) -> Optional[float]:
         """One gauge series' current value (``None`` when never set)."""
-        return self._gauges.get(name, {}).get(_labelset(labels))
+        return self._gauges.get(name, {}).get(self._labels(labels))
 
     def total(self, name: str) -> float:
         """Sum of a counter across all of its label sets."""

@@ -39,11 +39,26 @@ Results are memoized per ``(Delta, H)`` in a bounded LRU so search
 schemes revisiting a configuration (hill-climbing does constantly) pay
 once; the run counter still reports *distinct* simulation runs, the
 optimization-overhead metric of the scheme-comparison experiment.
+
+Behind that exact-key memo sits a **comparison-box memo**. The fast
+path reads the depths only through the SR tests ``l_i > delta_i``, and
+each replay returns the box of depths that answer every test it made
+alike (:attr:`SimulationCounts.box`). On an exact-key miss the estimator
+scans the boxes stored for the same schedule, newest first; a plan
+inside one takes that replay's counts without replaying (docs/PERF.md
+gives the exactness argument). Such a *box answer* is a fast-path
+outcome in every respect: it counts as a distinct run and a ``kernel``
+run and uses up the ``"auto"`` verify budget exactly like a fresh
+replay, so it is cross-checked under the same trust ladder. Only fresh
+fast-path replays that returned and passed any cross-check store a box;
+the reference engine stores none. Box answers are counted
+(:attr:`CostEstimator.box_hits`, ``repro_estimator_box_hits_total``),
+and the stored boxes share the memo's ``cache_size`` cap.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Optional, Sequence, Union
 
 from repro.core.framework import FrameworkNC
@@ -51,7 +66,7 @@ from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
 from repro.exceptions import KernelMismatchError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.kernel import SampleIndex
+from repro.optimizer.kernel import SampleIndex, SimulationCounts, check_depths
 from repro.scoring.functions import ScoringFunction
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -84,9 +99,10 @@ class CostEstimator:
             fast-path outcomes in ``"auto"`` mode and none in
             ``True`` mode; ``True`` verifies every outcome; ``False``
             verifies none.
-        cache_size: LRU capacity of the plan-cost memo (``None`` =
-            unbounded, the pre-bounding behaviour; serving processes
-            should keep the default cap).
+        cache_size: LRU capacity of the plan-cost memo, and separately
+            the cap on stored comparison boxes, oldest dropped first
+            (``None`` = unbounded, the pre-bounding behaviour; serving
+            processes should keep the default cap).
         metrics: optional :class:`~repro.obs.MetricsRegistry` fed with
             run/cache/fallback counters (``repro_estimator_*``,
             docs/OBSERVABILITY.md).
@@ -150,6 +166,11 @@ class CostEstimator:
         self.verify = verify
         self.cache_size = cache_size
         self._cache: OrderedDict[PlanKey, float] = OrderedDict()
+        # Comparison boxes per schedule (oldest first), and the schedules
+        # in storing order for eviction.
+        self._boxes: dict[tuple[int, ...], list[SimulationCounts]] = {}
+        self._box_order: deque[tuple[int, ...]] = deque()
+        self._box_hits = 0
         self._runs = 0
         self._cache_hits = 0
         self._cache_misses = 0
@@ -191,6 +212,14 @@ class CostEstimator:
     def cache_misses(self) -> int:
         """Estimates that required a fresh simulation."""
         return self._cache_misses
+
+    @property
+    def box_hits(self) -> int:
+        """Fast-path outcomes answered from a comparison box, unreplayed.
+
+        Each is also counted in :attr:`runs` and :attr:`kernel_runs`.
+        """
+        return self._box_hits
 
     @property
     def kernel_runs(self) -> int:
@@ -254,6 +283,33 @@ class CostEstimator:
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
 
+    def _box_get(
+        self, depths: tuple[float, ...], schedule: tuple[int, ...]
+    ) -> Optional[SimulationCounts]:
+        """The newest stored replay whose comparison box holds ``depths``."""
+        for counts in reversed(self._boxes.get(schedule, ())):
+            lo, hi = counts.box  # type: ignore[misc]
+            for a, d, b in zip(lo, depths, hi):
+                if not a <= d < b:
+                    break
+            else:
+                return counts
+        return None
+
+    def _box_put(
+        self, schedule: tuple[int, ...], counts: SimulationCounts
+    ) -> None:
+        if counts.box is None:
+            return
+        self._boxes.setdefault(schedule, []).append(counts)
+        self._box_order.append(schedule)
+        if self.cache_size is not None and len(self._box_order) > self.cache_size:
+            oldest = self._box_order.popleft()
+            boxes = self._boxes[oldest]
+            del boxes[0]
+            if not boxes:
+                del self._boxes[oldest]
+
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -297,15 +353,22 @@ class CostEstimator:
         A plan the engine itself would reject raises its error, counted
         in ``runs`` but not in a path counter. A rejected fast-path
         attempt still counts as a ``kernel`` run; the reference engine's
-        cost is returned in its place.
+        cost is returned in its place. A plan inside a stored comparison
+        box takes that replay's counts instead of replaying.
         """
         if not self._kernel_enabled:
             return self._reference_run(plan)
         depths, schedule = plan
         try:
-            counts = self._ensure_index().simulate(
-                self.fn, self.sample_k, depths, schedule
+            # Range-checked first: a box may extend past [0, 1].
+            counts = self._box_get(
+                check_depths(depths, self.sample.m), schedule
             )
+            replayed = counts is None
+            if counts is None:
+                counts = self._ensure_index().simulate(
+                    self.fn, self.sample_k, depths, schedule
+                )
         except (ReproError, ValueError):
             # Conditions the reference engine raises too (unanswerable
             # query, bad plan): genuine errors, not kernel faults.
@@ -320,6 +383,9 @@ class CostEstimator:
         self._runs += 1
         self._path_runs["kernel"] += 1
         self._m_inc("repro_estimator_runs_total", path="kernel")
+        if not replayed:
+            self._box_hits += 1
+            self._m_inc("repro_estimator_box_hits_total")
         if self._verify_remaining > 0:
             self._verify_remaining -= 1
             reference = self._reference_cost(depths, schedule)
@@ -332,6 +398,8 @@ class CostEstimator:
                     )
                 self._fall_back("verify_mismatch")
                 return reference
+        if replayed:
+            self._box_put(schedule, counts)
         return cost
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ simulated sources, strict mode, no retries/breaker trips/budgets/caches,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Optional, Sequence
 
@@ -53,12 +53,40 @@ from repro.sources.stats import eq1_cost
 _UNSEEN = -1
 
 
+#: ``(lo, hi)``: per predicate, the half-open depth interval
+#: ``lo_i <= delta_i < hi_i`` inside which every SR depth test of one run
+#: gives the same answer (see :attr:`SimulationCounts.box`).
+DepthBox = tuple[tuple[float, ...], tuple[float, ...]]
+
+
+def check_depths(depths: Sequence[float], m: int) -> tuple[float, ...]:
+    """The plan's depths as floats; ``ValueError`` unless m values in [0, 1]."""
+    deltas = tuple(float(d) for d in depths)
+    if len(deltas) != m:
+        raise ValueError(
+            f"plan has {len(deltas)} depths but sample width is {m}"
+        )
+    for i, d in enumerate(deltas):
+        if not 0.0 <= d <= 1.0:
+            raise ValueError(f"depth delta_{i} must be in [0, 1], got {d}")
+    return deltas
+
+
 @dataclass(frozen=True)
 class SimulationCounts:
-    """Per-predicate access counts of one simulated plan run."""
+    """Per-predicate access counts of one simulated plan run.
+
+    ``box`` is the run's comparison box: the replay reads the depths only
+    through the SR tests ``l_i > delta_i``, so any plan with the same
+    schedule whose depths lie inside the box (``lo_i <= delta_i < hi_i``
+    for every ``i``) answers every test alike, takes the same steps and
+    has these same counts. ``None`` when the counts carry no box. The box
+    takes no part in equality.
+    """
 
     sorted_counts: tuple[int, ...]
     random_counts: tuple[int, ...]
+    box: Optional[DepthBox] = field(default=None, compare=False, repr=False)
 
     def cost(self, cost_model: CostModel) -> float:
         """Eq. 1 cost of the counts (same accumulation as AccessStats)."""
@@ -127,7 +155,9 @@ class SampleIndex:
         counts -- including every tie-break and the UNSEEN bound
         semantics -- but on flat state. Raises the same
         :class:`~repro.exceptions.UnanswerableQueryError` /
-        ``ValueError`` conditions the reference path would.
+        ``ValueError`` conditions the reference path would. The returned
+        counts carry the run's comparison box
+        (:attr:`SimulationCounts.box`).
         """
         m, n = self.m, self.n
         if fn.arity != m:
@@ -136,14 +166,7 @@ class SampleIndex:
             )
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        deltas = tuple(float(d) for d in depths)
-        if len(deltas) != m:
-            raise ValueError(
-                f"plan has {len(deltas)} depths but sample width is {m}"
-            )
-        for i, d in enumerate(deltas):
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"depth delta_{i} must be in [0, 1], got {d}")
+        deltas = check_depths(depths, m)
         if schedule is None:
             schedule = range(m)
         order_h = tuple(schedule)
@@ -173,6 +196,10 @@ class SampleIndex:
         ever_tracked = [False] * n  # the engine's _in_heap "ever" set
         ns = [0] * m
         nr = [0] * m
+        # The comparison box: the largest l_i an SR test found not above
+        # delta_i, and the smallest it found above.
+        lo = [0.0] * m
+        hi = [math.inf] * m
         heap: list[tuple[float, int]] = []
 
         # F(l_1..l_m) is the bound of UNSEEN and of every undiscovered
@@ -272,9 +299,14 @@ class SampleIndex:
                     if li > fallback_l:
                         fallback = i
                         fallback_l = li
-                    if li > deltas[i] and li > pick_l:
-                        pick = i
-                        pick_l = li
+                    if li > deltas[i]:
+                        if li < hi[i]:
+                            hi[i] = li
+                        if li > pick_l:
+                            pick = i
+                            pick_l = li
+                    elif li > lo[i]:
+                        lo[i] = li
                 if fallback == -1:
                     raise UnanswerableQueryError(
                         "unseen objects remain but no sorted access is "
@@ -304,9 +336,14 @@ class SampleIndex:
                     if li > fallback_l:
                         fallback = i
                         fallback_l = li
-                    if li > deltas[i] and li > pick_l:
-                        pick = i
-                        pick_l = li
+                    if li > deltas[i]:
+                        if li < hi[i]:
+                            hi[i] = li
+                        if li > pick_l:
+                            pick = i
+                            pick_l = li
+                    elif li > lo[i]:
+                        lo[i] = li
                 if random_capable[i] and rank[i] < probe_rank:
                     probe = i
                     probe_rank = rank[i]
@@ -328,4 +365,6 @@ class SampleIndex:
             else:
                 perform_sorted(fallback)
             push(heap, (-bound_of(obj), -obj))
-        return SimulationCounts(tuple(ns), tuple(nr))
+        return SimulationCounts(
+            tuple(ns), tuple(nr), box=(tuple(lo), tuple(hi))
+        )

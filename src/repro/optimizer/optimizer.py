@@ -185,6 +185,7 @@ class NCOptimizer:
             "sample_size": sample.n,
             "sample_k": estimator.sample_k,
             "kernel_runs": estimator.kernel_runs,
+            "box_hits": estimator.box_hits,
             "reference_runs": estimator.reference_runs,
             "fallbacks": estimator.fallbacks,
             "warm_started": bool(search_kwargs),

@@ -167,7 +167,7 @@ class AsyncQueryServer(QueryServer):
         event = self._events.get(session_id)
         if event is not None:
             await event.wait()
-        session.retrieved = True
+        self._close_slot(session)
         return session
 
     async def cancel(self, session_id: str) -> Session:

@@ -302,6 +302,9 @@ class QueryServer:
         self._replan_sample: Optional[Dataset] = None
         self._replan_outcomes: dict[str, int] = {}
         self._sessions: dict[str, Session] = {}
+        # Sessions not yet retrieved: kept at submit / _close_slot so
+        # admission never scans every session ever submitted.
+        self._open_count = 0
         self._queue: list[str] = []
         self._counter = 0
         self._clock_base = 0
@@ -318,7 +321,13 @@ class QueryServer:
     @property
     def open_sessions(self) -> int:
         """Sessions currently occupying admission slots."""
-        return sum(1 for s in self._sessions.values() if s.open)
+        return self._open_count
+
+    def _close_slot(self, session: Session) -> None:
+        """Mark ``session`` retrieved, returning its admission slot once."""
+        if not session.retrieved:
+            session.retrieved = True
+            self._open_count -= 1  # repro-ownership: event-loop synchronous section
 
     @property
     def trace(self) -> Optional[TraceRecorder]:
@@ -491,6 +500,7 @@ class QueryServer:
             budget=budget if budget is not None else self.config.default_budget,
         )
         self._sessions[session_id] = session  # repro-ownership: event-loop synchronous section
+        self._open_count += 1  # repro-ownership: event-loop synchronous section
         return session
 
     def submit(self, text: str, budget: Optional[float] = None) -> str:
@@ -525,7 +535,7 @@ class QueryServer:
         session = self.session(session_id)
         if session.status == "queued":
             self.run_pending(until=session_id)
-        session.retrieved = True
+        self._close_slot(session)
         return session
 
     def query(self, text: str, budget: Optional[float] = None) -> Session:

@@ -43,6 +43,46 @@ class TestMetricsRegistry:
         assert reg.counter_value("a_total", kind="sorted", predicate=0) == 2.0
         assert reg.total("a_total") == 2.0
 
+    def test_keyword_order_never_changes_snapshot_or_exporter_bytes(self):
+        def feed(reg, orders):
+            for order in orders:
+                labels = {"predicate": 2, "kind": "sorted", "outcome": "ok"}
+                reg.inc("a_total", 1.5, **{k: labels[k] for k in order})
+                reg.set_gauge("g", 3, **{k: labels[k] for k in order})
+                reg.inc("b_total", predicate=0)
+
+        orders = [
+            ("predicate", "kind", "outcome"),
+            ("outcome", "predicate", "kind"),
+            ("kind", "outcome", "predicate"),
+        ]
+        one, two = MetricsRegistry(), MetricsRegistry()
+        feed(one, orders)
+        feed(two, [orders[0]] * len(orders))
+        assert json.dumps(one.snapshot()) == json.dumps(two.snapshot())
+        assert one.render_prometheus() == two.render_prometheus()
+        assert one.counter_value(
+            "a_total", outcome="ok", kind="sorted", predicate=2
+        ) == 4.5
+
+    def test_equal_values_of_different_types_stay_distinct_series(self):
+        reg = MetricsRegistry()
+        reg.inc("a_total", predicate=1)
+        reg.inc("a_total", predicate=True)
+        reg.inc("a_total", predicate=1.0)
+        assert sorted(reg.snapshot()["counters"]) == [
+            'a_total{predicate="1"}',
+            'a_total{predicate="1.0"}',
+            'a_total{predicate="True"}',
+        ]
+
+    def test_unhashable_label_values_still_render(self):
+        reg = MetricsRegistry()
+        reg.inc("a_total", window=[1, 2])
+        reg.inc("a_total", window=[1, 2])
+        assert reg.counter_value("a_total", window=[1, 2]) == 2.0
+        assert 'a_total{window="[1, 2]"} 2' in reg.render_prometheus()
+
     def test_distinct_label_sets_are_distinct_series(self):
         reg = MetricsRegistry()
         reg.inc("a_total", kind="sorted")

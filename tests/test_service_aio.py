@@ -313,6 +313,58 @@ class TestCancellation:
         assert session.result is not None
 
 
+def scanned_open(server):
+    """The open-session count by scanning every session ever submitted."""
+    return sum(1 for s in server._sessions.values() if s.open)
+
+
+class TestOpenSessionCount:
+    def test_sync_server_count_equals_scan(self):
+        server = make_server(QueryServer, degrade_on_budget=False)
+        counts = []
+        a = server.submit(MIN_Q)
+        b = server.submit(AVG_Q, budget=0.5)  # fails: budget exceeded
+        c = server.submit(MIN3_Q)
+        counts.append((server.open_sessions, scanned_open(server)))
+        assert server.result(b).status == "failed"
+        counts.append((server.open_sessions, scanned_open(server)))
+        server.result(a)
+        server.result(a)  # a second retrieval frees nothing more
+        counts.append((server.open_sessions, scanned_open(server)))
+        server.query(MIN_Q)
+        counts.append((server.open_sessions, scanned_open(server)))
+        server.result(c)
+        counts.append((server.open_sessions, scanned_open(server)))
+        assert counts == [(3, 3), (2, 2), (1, 1), (1, 1), (0, 0)]
+
+    def test_async_server_count_equals_scan(self):
+        server = make_server(concurrent_queries=1, degrade_on_budget=False)
+        counts = []
+
+        async def main():
+            # First in line, so it runs on a cold cache and fails.
+            c = await server.submit_async(MIN3_Q, budget=0.5)
+            a = await server.submit_async(MIN_Q)
+            b = await server.submit_async(AVG_Q)
+            d = await server.submit_async(AVG_Q)
+            counts.append((server.open_sessions, scanned_open(server)))
+            assert (await server.cancel(d)).status == "cancelled"
+            counts.append((server.open_sessions, scanned_open(server)))
+            await server.wait(a)
+            await server.wait(a)
+            counts.append((server.open_sessions, scanned_open(server)))
+            assert (await server.wait(c)).status == "failed"
+            counts.append((server.open_sessions, scanned_open(server)))
+            await server.cancel(b)
+            await server.query_async(MIN_Q)
+            counts.append((server.open_sessions, scanned_open(server)))
+            server.query(AVG_Q)  # the sync API on the async server
+            counts.append((server.open_sessions, scanned_open(server)))
+
+        asyncio.run(main())
+        assert counts == [(4, 4), (3, 3), (2, 2), (1, 1), (0, 0), (0, 0)]
+
+
 class _TcpClient:
     """A minimal JSON-lines client for the tests."""
 
