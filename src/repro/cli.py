@@ -29,13 +29,9 @@ Usage (also via ``python -m repro``)::
         Analyze a recorded trace file: per-predicate Fig. 7-style access
         timelines plus event totals.
 
-    python -m repro lint src/repro [--format json|sarif] [--select ...]
-        Run the domain-aware static-analysis pass (docs/LINTS.md) over
-        the given files/directories; exit 1 when findings remain.
-        ``--deep`` adds the whole-program flow-sensitive rules
-        (RL101-RL105); ``--baseline lint-baseline.json`` absorbs the
-        recorded debt and fails on new or stale findings;
-        ``--update-baseline`` rewrites the ratchet file.
+    python -m repro lint src/repro
+        Run every domain lint rule (docs/LINTS.md) over the given
+        files/directories in one pass; exit 1 when findings remain.
 
 ``compare`` and ``query`` additionally accept ``--contracts`` to arm the
 runtime invariant checker (docs/LINTS.md) for the run.
@@ -49,7 +45,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.algorithms import (
@@ -466,71 +461,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import json_report, run_lint, sarif_report, text_report
-    from repro.lint.baseline import (
-        describe_stale,
-        load_baseline,
-        match_baseline,
-        write_baseline,
-    )
-    from repro.lint.core import LintReport
+    from repro.lint import run_lint, text_report
 
-    select = None
-    if args.select:
-        select = [
-            token.strip().upper()
-            for token in args.select.split(",")
-            if token.strip()
-        ]
-    try:
-        report = run_lint(args.paths, select=select, deep=args.deep)
-    except ValueError as exc:
-        raise ReproError(str(exc)) from exc
-
-    if args.update_baseline:
-        if args.baseline is None:
-            raise ReproError("--update-baseline requires --baseline PATH")
-        write_baseline(Path(args.baseline), report.findings)
-        print(
-            f"baseline updated: {len(report.findings)} finding(s) "
-            f"recorded in {args.baseline}"
-        )
-        return 0
-
-    absorbed = None
-    stale_lines: list[str] = []
-    ok = report.ok
-    if args.baseline is not None:
-        match = match_baseline(
-            report.findings, load_baseline(Path(args.baseline))
-        )
-        absorbed = match.absorbed
-        stale_lines = describe_stale(match.stale)
-        ok = match.ok
-        if args.format != "sarif":
-            # Text/JSON views show only the actionable (new) findings;
-            # SARIF keeps everything and marks baselineState instead.
-            report = LintReport(
-                findings=match.new,
-                files_checked=report.files_checked,
-                rules_run=report.rules_run,
-            )
-
-    if args.format == "json":
-        print(json_report(report))
-    elif args.format == "sarif":
-        print(sarif_report(report, baselined=absorbed))
-    else:
-        print(text_report(report))
-    for line in stale_lines:
-        print(line, file=sys.stderr)
-    if stale_lines:
-        print(
-            "stale entries mean recorded debt was fixed: tighten the "
-            "ratchet with --update-baseline",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+    report = run_lint(args.paths)
+    print(text_report(report))
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -746,34 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src/repro"],
         help="files and/or directories to lint (default: src/repro)",
-    )
-    lint_parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    lint_parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint_parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program flow-sensitive rules "
-        "(RL101-RL105, docs/LINTS.md)",
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        help="ratchet file: absorb recorded findings, fail on new ones "
-        "and on stale entries (docs/LINTS.md)",
-    )
-    lint_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
     )
 
     return parser

@@ -304,10 +304,10 @@ class FrameworkNC:
         plan = self.replan.maybe_replan(self.middleware)
         if plan is None:
             return
-        self.policy = SRGPolicy(plan.depths, plan.schedule)  # repro-ownership: per-query engine task
+        self.policy = SRGPolicy(plan.depths, plan.schedule)
         self.policy.reset()
-        self.plan_id = self.replan.plan_id  # repro-ownership: per-query engine task
-        self.plan_revision = self.replan.revision  # repro-ownership: per-query engine task
+        self.plan_id = self.replan.plan_id
+        self.plan_revision = self.replan.revision
 
     def _annotate(self, result: QueryResult) -> QueryResult:
         """Attach fault events and degradation flags to a finished result.
@@ -333,8 +333,8 @@ class FrameworkNC:
         if self._bound_only or self._unseen_abandoned:
             result.partial = True
             result.uncertainty = dict(self._bound_only)
-            # Degraded answers must be visible to the obs ledger (RL105):
-            # a bound-only result leaves a counted reason, not a silent
+            # Degraded answers must be visible to the obs ledger: a
+            # bound-only result leaves a counted reason, not a silent
             # flag only the caller ever sees.
             metrics = self.middleware.metrics
             if metrics is not None:

@@ -8,13 +8,9 @@ require that every run can be replayed bit-for-bit. The discipline is
   caller-owned :class:`random.Random` and never reach for the shared
   module-level generator;
 * every generator is constructed through :func:`derive_rng`, the single
-  audited chokepoint, so the static-analysis pass (rule RL002 of
-  docs/LINTS.md) can flag any stray ``random.Random(...)`` construction or
-  global ``random.*`` call elsewhere in the library.
-
-The fault-injection (:mod:`repro.faults`) and workload
-(:mod:`repro.bench.workloads`) layers predate this module and remain
-self-seeded; they are the only other sanctioned roots.
+  audited chokepoint, so the static-analysis pass (docs/LINTS.md) can
+  flag any stray ``random.Random(...)`` construction (rule RL102) or
+  global ``random.*`` call (rule RL002) elsewhere in the library.
 """
 
 from __future__ import annotations
@@ -35,8 +31,8 @@ def derive_rng(seed: SeedLike = None) -> random.Random:
       injection: the caller controls -- and can replay -- the stream);
     * ``None`` falls back to the library default seed, never to OS entropy.
 
-    This function is the only place outside :mod:`repro.faults` and
-    :mod:`repro.bench` where a generator may be constructed (RL002).
+    This function is the only place in the library where a generator
+    may be constructed (RL102).
     """
     if isinstance(seed, random.Random):
         return seed

@@ -1,59 +1,40 @@
 """Domain-aware static analysis for the repro library (docs/LINTS.md).
 
-The paper's guarantees rest on invariants plain review keeps missing:
-every access charged into Eq. 1 (RL001), replayable randomness (RL002),
-one exception root (RL003), complete framework plug-points (RL004), and
-no definition-time shared mutable state (RL005). ``repro lint`` makes
-them machine-checked; CI runs it on every change.
-
-The deep pass (``repro lint --deep``, docs/LINTS.md) layers whole-program
-rules (RL101-RL105) on a call graph and provenance dataflow built in
-:mod:`repro.lint.deep`; its pre-existing findings are ratcheted in
-``lint-baseline.json`` (:mod:`repro.lint.baseline`).
+The paper's cost numbers mean something only if every access is charged
+into Eq. 1 and every seeded run replays exactly. ``repro lint`` keeps the
+rules that guard those properties and that no test or runtime contract
+checks: uncharged access (RL001 by spelling, RL101 by provenance),
+replayable randomness and time (RL002, RL102 for RNG provenance, RL104
+for wall-clock reads reachable from virtual-time code), one exception
+root for deliberate raises (RL003), and no definition-time shared
+mutable state (RL005). One pass runs them all; CI runs it on every
+change.
 
 Programmatic use::
 
     from repro.lint import run_lint
-    report = run_lint(["src/repro"], deep=True)
+    report = run_lint(["src/repro"])
     assert report.ok, [f.format() for f in report.findings]
 """
 
-from repro.lint.baseline import (
-    BaselineMatch,
-    load_baseline,
-    match_baseline,
-    render_baseline,
-    write_baseline,
-)
 from repro.lint.core import (
     Finding,
     LintReport,
     ModuleContext,
     Rule,
     register,
-    register_deep,
-    registered_deep_rules,
     registered_rules,
     run_lint,
 )
-from repro.lint.reporters import json_report, sarif_report, text_report
+from repro.lint.reporters import text_report
 
 __all__ = [
-    "BaselineMatch",
     "Finding",
     "LintReport",
     "ModuleContext",
     "Rule",
-    "load_baseline",
-    "match_baseline",
     "register",
-    "register_deep",
-    "registered_deep_rules",
     "registered_rules",
-    "render_baseline",
     "run_lint",
-    "write_baseline",
-    "json_report",
-    "sarif_report",
     "text_report",
 ]

@@ -1,8 +1,9 @@
 """Core of the ``repro lint`` static-analysis pass (docs/LINTS.md).
 
-The framework is deliberately small: a :class:`Rule` walks the AST of one
-module (and may run a whole-project pass over all modules at the end), and
-emits :class:`Finding` records. Rules register themselves in a registry so
+The framework is deliberately small: a :class:`Rule` either walks the AST
+of one module (:meth:`Rule.check`) or queries the whole-program model
+built once per run (:meth:`Rule.check_project`), and emits
+:class:`Finding` records. Every rule registers itself in one registry so
 the CLI, the test suite, and CI all run the identical rule set.
 
 Suppression is per-line and explicit::
@@ -94,13 +95,13 @@ def _parse_suppressions(source: str) -> dict[int, Optional[frozenset[str]]]:
 
 
 def normalize_posix(path: str | Path) -> str:
-    """Canonical posix form of ``path`` for allowlist and baseline matching.
+    """Canonical posix form of ``path`` for allowlist matching.
 
     ``./``-prefixed and absolute spellings of the same file must match the
-    same rule allowlists and baseline entries as the plain relative one,
-    so the path is resolved and -- when it lives under the current working
-    directory -- re-expressed relative to it. Paths outside the working
-    directory stay absolute (suffix matching still applies to them).
+    same rule allowlists as the plain relative one, so the path is
+    resolved and -- when it lives under the current working directory --
+    re-expressed relative to it. Paths outside the working directory stay
+    absolute (suffix matching still applies to them).
     """
     candidate = Path(path)
     try:
@@ -145,11 +146,11 @@ def path_matches(posix: str, patterns: Sequence[str]) -> bool:
 
 
 class Rule:
-    """One lint rule: an id, a rationale, and an AST check.
+    """One lint rule: an id, a rationale, and a check.
 
-    Subclasses override :meth:`check` (per module) and optionally
-    :meth:`finalize` (once, with every module -- for whole-project
-    properties like inheritance-based rules).
+    Subclasses override :meth:`check` (one module's AST) or
+    :meth:`check_project` (the whole-program model: call graph and
+    provenance dataflow over every linted module).
     """
 
     rule_id: str = "RL???"
@@ -160,16 +161,8 @@ class Rule:
         """Yield findings for one module."""
         return iter(())
 
-    def finalize(self, modules: Sequence[ModuleContext]) -> Iterator[Finding]:
-        """Yield whole-project findings after every module was checked."""
-        return iter(())
-
     def check_project(self, project: "ProjectModel") -> Iterator[Finding]:
-        """Yield findings against the deep project model (RL1xx rules).
-
-        Only invoked for rules registered via :func:`register_deep`, and
-        only when the deep pass is requested (``run_lint(deep=True)``).
-        """
+        """Yield findings against the project model built once per run."""
         return iter(())
 
     def finding(
@@ -187,8 +180,6 @@ class Rule:
 
 _REGISTRY: dict[str, type[Rule]] = {}
 
-_DEEP_REGISTRY: dict[str, type[Rule]] = {}
-
 
 def register(rule_cls: type[Rule]) -> type[Rule]:
     """Class decorator adding a rule to the global registry."""
@@ -198,33 +189,13 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
     return rule_cls
 
 
-def register_deep(rule_cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding a whole-program rule to the deep registry.
-
-    Deep rules (RL1xx, docs/LINTS.md) run only under ``repro lint
-    --deep``: they subclass :class:`Rule` but implement
-    ``check_project(project)`` against the
-    :class:`~repro.lint.deep.ProjectModel` built once per run.
-    """
-    if rule_cls.rule_id in _DEEP_REGISTRY or rule_cls.rule_id in _REGISTRY:
-        raise ValueError(f"duplicate lint rule id {rule_cls.rule_id}")
-    _DEEP_REGISTRY[rule_cls.rule_id] = rule_cls
-    return rule_cls
-
-
 def registered_rules() -> dict[str, type[Rule]]:
     """The registry (id -> rule class), importing the built-in rules."""
-    # The import populates the registry on first use and is idempotent.
+    # The imports populate the registry on first use and are idempotent.
+    from repro.lint import deep as _deep  # noqa: F401
     from repro.lint import rules as _rules  # noqa: F401
 
     return dict(_REGISTRY)
-
-
-def registered_deep_rules() -> dict[str, type[Rule]]:
-    """The deep registry (id -> rule class), importing the deep rules."""
-    from repro.lint import deep as _deep  # noqa: F401
-
-    return dict(_DEEP_REGISTRY)
 
 
 def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -274,9 +245,7 @@ class LintReport:
 
 
 def run_lint(
-    paths: Sequence[str | Path],
-    select: Optional[Sequence[str]] = None,
-    deep: bool = False,
+    paths: Sequence[str | Path], select: Optional[Sequence[str]] = None
 ) -> LintReport:
     """Lint ``paths`` (files or directories) with the registered rules.
 
@@ -284,35 +253,17 @@ def run_lint(
         paths: files and/or directories to scan recursively.
         select: restrict to these rule ids (default: every registered
             rule). Unknown ids raise ``ValueError`` so typos fail loudly.
-        deep: also run the whole-program flow-sensitive rules (RL1xx):
-            a project model (symbol table, call graph, dataflow facts) is
-            built once over every linted module and each deep rule
-            queries it.
     """
     registry = registered_rules()
-    deep_registry = registered_deep_rules() if deep else {}
     if select is not None:
-        known = set(registry) | set(registered_deep_rules())
-        unknown = sorted(set(select) - known)
+        unknown = sorted(set(select) - set(registry))
         if unknown:
             raise ValueError(
                 f"unknown lint rule id(s) {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        deep_only = sorted(
-            set(select) & set(registered_deep_rules()) - set(deep_registry)
-        )
-        if deep_only:
-            raise ValueError(
-                f"rule id(s) {deep_only} belong to the deep pass; "
-                "run with deep=True (CLI: --deep)"
+                f"known: {sorted(registry)}"
             )
         registry = {rid: registry[rid] for rid in registry if rid in select}
-        deep_registry = {
-            rid: deep_registry[rid] for rid in deep_registry if rid in select
-        }
     rules = [rule_cls() for _, rule_cls in sorted(registry.items())]
-    deep_rules = [rule_cls() for _, rule_cls in sorted(deep_registry.items())]
 
     findings: list[Finding] = []
     modules: list[ModuleContext] = []
@@ -323,30 +274,25 @@ def run_lint(
             continue
         modules.append(loaded)
         for rule in rules:
-            for finding in rule.check(loaded):
-                if not loaded.suppressed(finding.rule, finding.line):
-                    findings.append(finding)
-    by_posix = {module.posix: module for module in modules}
+            findings.extend(rule.check(loaded))
 
-    def keep(finding: Finding) -> bool:
-        module = by_posix.get(Path(finding.path).as_posix())
-        return module is None or not module.suppressed(
-            finding.rule, finding.line
-        )
+    from repro.lint.deep.model import ProjectModel
 
+    project = ProjectModel(modules)
     for rule in rules:
-        findings.extend(filter(keep, rule.finalize(modules)))
-    if deep_rules:
-        from repro.lint.deep import build_project
-
-        project = build_project(modules)
-        for rule in deep_rules:
-            findings.extend(filter(keep, rule.check_project(project)))
+        findings.extend(rule.check_project(project))
+    by_path = {str(module.path): module for module in modules}
+    findings = [
+        finding
+        for finding in findings
+        if finding.path not in by_path
+        or not by_path[finding.path].suppressed(finding.rule, finding.line)
+    ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return LintReport(
         findings=findings,
         files_checked=len(modules),
-        rules_run=[rule.rule_id for rule in rules + deep_rules],
+        rules_run=[rule.rule_id for rule in rules],
     )
 
 
@@ -360,27 +306,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted origin they were imported as.
-
-    ``import random as r`` maps ``r -> random``; ``from random import
-    Random`` maps ``Random -> random.Random``. Relative imports are
-    resolved with their leading dots stripped (good enough for matching
-    in-package origins by suffix).
-    """
-    table: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                table[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                table[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return table
 
 
 def resolve_call(node: ast.Call, aliases: dict[str, str]) -> Optional[str]:

@@ -1,6 +1,6 @@
 """Intraprocedural dataflow with alias-lite provenance tags.
 
-The deep rules need to know *where values came from*, not just what a
+The provenance rules need to know *where values came from*, not just what a
 call site looks like: a raw :class:`~repro.sources.base.Source` handed to
 an engine two assignments later (RL101), or a ``random.Random`` threaded
 through a helper and stored on an attribute (RL102). This engine runs a
@@ -18,7 +18,7 @@ small abstract interpretation over every function:
   threading without a full context-sensitive analysis.
 
 The output is a bag of per-function facts (:class:`CallFact`,
-:class:`StoreFact`, :class:`RaiseFact`, return tags) that rules query;
+:class:`StoreFact`, return tags) that rules query;
 the engine itself knows nothing about any rule's verdicts.
 """
 
@@ -61,7 +61,7 @@ class Tag:
 
 @dataclass
 class TaintConfig:
-    """The provenance vocabulary shared by every deep rule.
+    """The provenance vocabulary shared by RL101 and RL102.
 
     Attributes:
         producers: resolved callable name -> tag kind its result carries
@@ -125,17 +125,8 @@ class StoreFact:
     """One ``self.<attr> = value`` store and the value's provenance."""
 
     node: ast.AST
-    cls: Optional[str]
     attr: str
     tags: frozenset[Tag]
-
-
-@dataclass
-class RaiseFact:
-    """One ``raise`` statement with its resolved exception name."""
-
-    node: ast.Raise
-    resolved: Optional[str]
 
 
 @dataclass
@@ -144,7 +135,6 @@ class FunctionFacts:
 
     calls: list[CallFact] = field(default_factory=list)
     stores: list[StoreFact] = field(default_factory=list)
-    raises: list[RaiseFact] = field(default_factory=list)
     returns: frozenset[Tag] = frozenset()
 
 
@@ -242,7 +232,7 @@ class _FunctionAnalyzer:
 
         The first pass populates the environment (so loop-carried and
         forward-referenced bindings are visible), the second records
-        call/store/raise facts against the converged environment.
+        call/store facts against the converged environment.
         """
         for param, tags in self.dataflow.params_for(
             self.info.qualname
@@ -275,18 +265,8 @@ class _FunctionAnalyzer:
         elif isinstance(stmt, ast.Expr):
             self._eval(stmt.value)
         elif isinstance(stmt, ast.Raise):
-            resolved = None
-            exc = stmt.exc
-            if exc is not None:
-                self._eval(exc)
-                target = exc.func if isinstance(exc, ast.Call) else exc
-                resolved = self.project.resolve_expr(
-                    target, self.module, self.cls
-                )
-            if self.record:
-                self.facts.raises.append(
-                    RaiseFact(node=stmt, resolved=resolved)
-                )
+            if stmt.exc is not None:
+                self._eval(stmt.exc)
         elif isinstance(stmt, (ast.If, ast.While)):
             self._eval(stmt.test)
             for inner in stmt.body + stmt.orelse:
@@ -345,7 +325,6 @@ class _FunctionAnalyzer:
                     self.facts.stores.append(
                         StoreFact(
                             node=target,
-                            cls=cls_qual,
                             attr=target.attr,
                             tags=frozenset(tags),
                         )
@@ -608,15 +587,11 @@ class _FunctionAnalyzer:
         return set()
 
 
-def analyze_project(
-    project: ProjectModel, config: Optional[TaintConfig] = None
-) -> ProjectDataflow:
+def analyze_project(project: ProjectModel) -> ProjectDataflow:
     """Run (and cache on the model) the project-wide provenance pass."""
-    if config is None:
-        cached = getattr(project, "_dataflow", None)
-        if cached is not None:
-            return cached  # type: ignore[no-any-return]
-        flow = ProjectDataflow(project, default_config())
-        project._dataflow = flow  # type: ignore[attr-defined]
-        return flow
-    return ProjectDataflow(project, config)
+    cached = getattr(project, "_dataflow", None)
+    if cached is not None:
+        return cached  # type: ignore[no-any-return]
+    flow = ProjectDataflow(project, default_config())
+    project._dataflow = flow  # type: ignore[attr-defined]
+    return flow

@@ -1,6 +1,7 @@
 """Whole-program model: module names, symbol tables, and the call graph.
 
-This is the resolution layer the deep rules (RL1xx, docs/LINTS.md) query.
+This is the resolution layer the whole-program rules (RL1xx,
+docs/LINTS.md) query.
 It turns the per-file :class:`~repro.lint.core.ModuleContext` list of one
 lint run into a project:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.lint.core import ModuleContext, dotted_name
+from repro.lint.core import ModuleContext, dotted_name, path_matches
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -92,11 +93,6 @@ class FunctionInfo:
     cls: Optional["ClassInfo"] = None
 
     @property
-    def name(self) -> str:
-        """The bare (unqualified) function name."""
-        return self.node.name
-
-    @property
     def params(self) -> list[str]:
         """Positional parameter names, ``self``/``cls`` stripped for methods."""
         args = self.node.args
@@ -104,11 +100,6 @@ class FunctionInfo:
         if self.cls is not None and names and names[0] in ("self", "cls"):
             names = names[1:]
         return names
-
-    @property
-    def lineno(self) -> int:
-        """Source line of the ``def``."""
-        return self.node.lineno
 
 
 @dataclass
@@ -120,11 +111,6 @@ class ClassInfo:
     node: ast.ClassDef
     base_names: list[str] = field(default_factory=list)
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        """The bare class name."""
-        return self.node.name
 
 
 @dataclass
@@ -139,7 +125,7 @@ class ModuleInfo:
 
     @property
     def posix(self) -> str:
-        """Normalized posix path (allowlist/baseline matching form)."""
+        """Normalized posix path (allowlist matching form)."""
         return self.context.posix
 
 
@@ -153,7 +139,7 @@ class CallSite:
 
 
 class ProjectModel:
-    """The queryable whole-program model one deep pass is built on."""
+    """The queryable whole-program model one lint run is built on."""
 
     def __init__(self, modules: Sequence[ModuleContext]):
         self.modules: dict[str, ModuleInfo] = {}
@@ -161,7 +147,6 @@ class ProjectModel:
         self.classes: dict[str, ClassInfo] = {}
         self.call_graph: dict[str, set[str]] = {}
         self.call_sites: dict[str, list[CallSite]] = {}
-        self._reverse: Optional[dict[str, set[str]]] = None
         for context in modules:
             self._index_module(context)
         for info in self._functions_in_order():
@@ -315,16 +300,6 @@ class ProjectModel:
             return ctor.qualname if ctor is not None else resolved
         return None
 
-    def reverse_graph(self) -> dict[str, set[str]]:
-        """Callee -> callers, built lazily and cached."""
-        if self._reverse is None:
-            reverse: dict[str, set[str]] = {}
-            for caller, callees in self.call_graph.items():
-                for callee in callees:
-                    reverse.setdefault(callee, set()).add(caller)
-            self._reverse = reverse
-        return self._reverse
-
     def reachable_from(
         self, roots: Iterable[str]
     ) -> dict[str, Optional[str]]:
@@ -363,15 +338,8 @@ class ProjectModel:
 
     def functions_in_paths(self, patterns: Sequence[str]) -> list[str]:
         """Qualnames of every function whose module path matches a glob."""
-        from repro.lint.core import path_matches
-
         return sorted(
             qual
             for qual, info in self.functions.items()
             if path_matches(info.module.posix, patterns)
         )
-
-
-def build_project(modules: Sequence[ModuleContext]) -> ProjectModel:
-    """Build the whole-program model one deep lint pass queries."""
-    return ProjectModel(modules)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.core import Finding, Rule, path_matches, register_deep
+from repro.lint.core import Finding, Rule, path_matches, register
 from repro.lint.deep.dataflow import analyze_project
 from repro.lint.deep.model import ProjectModel
 from repro.lint.rules.rl001_uncharged_access import (
@@ -38,7 +38,7 @@ _ACCESS_METHODS = frozenset({"sorted_access", "random_access"})
 _ENGINE_PREFIXES = ("repro.algorithms.", "repro.core.", "repro.parallel.")
 
 
-@register_deep
+@register
 class SourceEscapeRule(Rule):
     """Flag source-tagged values reaching access calls or engine code."""
 

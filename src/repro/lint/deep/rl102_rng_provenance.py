@@ -1,20 +1,18 @@
 """RL102: every RNG reaching engine code must come from ``derive_rng``.
 
-RL002 restricts where ``random.Random(seed)`` may be *spelled*; it cannot
-see a generator constructed legally in one function and then threaded --
-through a helper return, an attribute store, or constructor plumbing --
-into the deterministic core. The provenance engine can: raw constructions
-carry an ``rng`` tag, :func:`repro.determinism.derive_rng` results carry
-``rng_ok``, and this rule flags the three ways a raw tag goes wrong:
+A generator constructed in one function can be threaded -- through a
+helper return, an attribute store, or constructor plumbing -- into the
+deterministic core, where no call-site spelling gives it away. The
+provenance engine follows the value: raw constructions carry an ``rng``
+tag, :func:`repro.determinism.derive_rng` results carry ``rng_ok``, and
+this rule flags the three ways a raw tag goes wrong:
 
-* **construction** outside the single sanctioned root
-  (:mod:`repro.determinism`) and test/benchmark code -- deliberately
-  tighter than RL002's root list, so the fault layer and workload
-  generators must either adopt ``derive_rng`` or carry a reviewed
-  suppression/baseline entry;
+* **construction** of ``random.Random``/``random.SystemRandom`` outside
+  the single sanctioned root (:mod:`repro.determinism`) and
+  test/benchmark code;
 * **attribute stores**: a raw-tagged generator stored on ``self`` at a
   different line than its construction (the alias that outlives the
-  spelling RL002 audited);
+  construction site);
 * **escape** into ``repro.core`` / ``repro.algorithms`` /
   ``repro.optimizer`` / ``repro.service`` call arguments -- the
   deterministic core only accepts generators derived through
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.core import Finding, Rule, path_matches, register_deep
+from repro.lint.core import Finding, Rule, path_matches, register
 from repro.lint.deep.dataflow import analyze_project
 from repro.lint.deep.model import ProjectModel
 
@@ -50,7 +48,7 @@ _CORE_PREFIXES = (
 )
 
 
-@register_deep
+@register
 class RngProvenanceRule(Rule):
     """Flag raw-RNG construction, aliasing stores, and core escapes."""
 

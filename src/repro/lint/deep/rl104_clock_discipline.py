@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.core import Finding, Rule, register_deep
+from repro.lint.core import Finding, Rule, register
 from repro.lint.deep.model import ProjectModel
 from repro.lint.rules.rl002_nondeterminism import _BANNED_CALLS
 
@@ -40,7 +40,7 @@ _WALL_CLOCK = frozenset(
 )
 
 
-@register_deep
+@register
 class ClockDisciplineRule(Rule):
     """Flag wall-clock reads transitively reachable from virtual time."""
 

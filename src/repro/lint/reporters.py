@@ -1,31 +1,8 @@
-"""Render a :class:`~repro.lint.core.LintReport` as text, JSON, or SARIF.
-
-The text form is the human/CI-log view; the JSON form is stable,
-machine-readable output for editor integrations and the CI annotation
-step (one object per finding, schema documented in docs/LINTS.md); the
-SARIF form (2.1.0) is what code-scanning UIs ingest -- the CI
-``lint-deep`` job uploads it as an artifact. All three are shared by the
-shallow and deep passes: a deep run just carries RL1xx rule ids.
-"""
+"""Render a :class:`~repro.lint.core.LintReport` as the text CI logs show."""
 
 from __future__ import annotations
 
-import json
-from typing import Optional
-
-from repro.lint.core import (
-    Finding,
-    LintReport,
-    registered_deep_rules,
-    registered_rules,
-)
-
-#: SARIF version this reporter emits, pinned for schema validation.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+from repro.lint.core import LintReport
 
 
 def text_report(report: LintReport) -> str:
@@ -37,97 +14,3 @@ def text_report(report: LintReport) -> str:
         f"[rules: {', '.join(report.rules_run)}]"
     )
     return "\n".join(lines)
-
-
-def json_report(report: LintReport) -> str:
-    """The stable machine-readable form."""
-    payload = {
-        "findings": [
-            {
-                "rule": finding.rule,
-                "path": finding.path,
-                "line": finding.line,
-                "col": finding.col,
-                "message": finding.message,
-            }
-            for finding in report.findings
-        ],
-        "files_checked": report.files_checked,
-        "rules_run": report.rules_run,
-        "ok": report.ok,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_rule_metadata(rule_ids: list[str]) -> list[dict[str, object]]:
-    """``driver.rules`` descriptors for every rule id the run executed."""
-    known = {**registered_rules(), **registered_deep_rules()}
-    descriptors: list[dict[str, object]] = []
-    for rule_id in rule_ids:
-        rule_cls = known.get(rule_id)
-        descriptor: dict[str, object] = {"id": rule_id}
-        if rule_cls is not None:
-            descriptor["shortDescription"] = {"text": rule_cls.title}
-            descriptor["fullDescription"] = {"text": rule_cls.rationale}
-        descriptors.append(descriptor)
-    return descriptors
-
-
-def _sarif_result(
-    finding: Finding, baselined: Optional[set[int]] = None, index: int = 0
-) -> dict[str, object]:
-    result: dict[str, object] = {
-        "ruleId": finding.rule,
-        "level": "error",
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": finding.col,
-                    },
-                }
-            }
-        ],
-    }
-    if baselined is not None:
-        result["baselineState"] = (
-            "unchanged" if index in baselined else "new"
-        )
-    return result
-
-
-def sarif_report(
-    report: LintReport, baselined: Optional[set[int]] = None
-) -> str:
-    """SARIF 2.1.0 log for the run (shallow and deep passes alike).
-
-    Args:
-        report: the lint run to render.
-        baselined: indices into ``report.findings`` that are covered by
-            the committed baseline; when given, every result carries a
-            ``baselineState`` (``unchanged`` for baselined findings,
-            ``new`` otherwise) so scanning UIs can separate the ratchet
-            debt from fresh regressions.
-    """
-    payload = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": _sarif_rule_metadata(report.rules_run),
-                    }
-                },
-                "results": [
-                    _sarif_result(finding, baselined, index)
-                    for index, finding in enumerate(report.findings)
-                ],
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

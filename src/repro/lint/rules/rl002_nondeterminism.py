@@ -13,39 +13,18 @@ deterministic. Three things break that silently:
 * **wall-clock reads** (``time.time()``, ``datetime.now()``, ...): a
   different answer on every run.
 
-Even *seeded* ``random.Random(seed)`` construction is restricted to the
-sanctioned randomness roots (:mod:`repro.determinism`, the fault layer,
-the workload generators): everything else must accept an injected
-generator via :func:`repro.determinism.derive_rng`, so one audit of the
-roots covers the whole library.
+Where a *seeded* ``random.Random(seed)`` may be constructed is RL102's
+question (only :mod:`repro.determinism` may); this rule flags the
+generators and reads that can never be replayed, wherever they appear.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.lint.core import (
-    Finding,
-    ModuleContext,
-    Rule,
-    import_aliases,
-    path_matches,
-    register,
-    resolve_call,
-)
-
-#: Sanctioned randomness roots: constructing a seeded generator is legal
-#: only here (and in tests/benchmarks, which own their seeds).
-_RNG_ROOT_PATHS = (
-    "determinism.py",
-    "faults/*",
-    "bench/*",
-    "tests/*",
-    "benchmarks/*",
-    "examples/*",
-    "conftest.py",
-)
+from repro.lint.core import Finding, ModuleContext, Rule, register, resolve_call
+from repro.lint.deep.model import module_aliases, module_name_for
 
 #: Wall-clock and entropy reads that are nondeterministic everywhere.
 _BANNED_CALLS = {
@@ -68,16 +47,6 @@ _BANNED_CALLS = {
 }
 
 
-def _normalize(resolved: str) -> Optional[str]:
-    """Map a resolved dotted call name onto the banned-call vocabulary."""
-    if resolved in _BANNED_CALLS:
-        return resolved
-    # ``from datetime import datetime`` resolves datetime.now() to
-    # ``datetime.datetime.now`` already; a bare ``date.today`` resolves to
-    # ``datetime.date.today``. Nothing further to normalize.
-    return None
-
-
 @register
 class NondeterminismRule(Rule):
     """Flag global-RNG calls, unseeded generators, and wall-clock reads."""
@@ -91,21 +60,19 @@ class NondeterminismRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
-        in_rng_root = path_matches(module.posix, _RNG_ROOT_PATHS)
+        aliases = module_aliases(module_name_for(module.path), module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             resolved = resolve_call(node, aliases)
             if resolved is None:
                 continue
-            banned = _normalize(resolved)
-            if banned is not None:
+            if resolved in _BANNED_CALLS:
                 yield self.finding(
                     module,
                     node,
                     f"{resolved}() is nondeterministic "
-                    f"({_BANNED_CALLS[banned]}); inject the value through "
+                    f"({_BANNED_CALLS[resolved]}); inject the value through "
                     "the run configuration instead",
                 )
                 continue
@@ -125,15 +92,6 @@ class NondeterminismRule(Rule):
                         "random.Random() without a seed is seeded from OS "
                         "entropy; pass an explicit seed or inject a "
                         "generator via repro.determinism.derive_rng",
-                    )
-                elif not in_rng_root:
-                    yield self.finding(
-                        module,
-                        node,
-                        "seeded random.Random(...) constructed outside the "
-                        "sanctioned randomness roots; accept an injected "
-                        "generator and fall back through "
-                        "repro.determinism.derive_rng",
                     )
                 continue
             if resolved.startswith("random.") and resolved.count(".") == 1:

@@ -1,69 +1,34 @@
-"""RL003: every library exception must descend from ``ReproError``.
+"""RL003: deliberate raises must not use the bare ``Exception`` types.
 
 The public contract (docs/API.md) is that ``except ReproError`` catches
-everything this library raises deliberately. An exception class rooted at
-a bare ``Exception`` escapes that umbrella: callers' recovery paths --
-including the engines' graceful degradation, which catches fault errors
-by their ``ReproError``-rooted types -- silently stop applying.
+everything this library raises deliberately. ``raise Exception(...)`` or
+``raise BaseException(...)`` escapes that umbrella: callers' recovery
+paths -- including the engines' graceful degradation, which catches fault
+errors by their ``ReproError``-rooted types -- silently stop applying.
 
-The rule flags class definitions that inherit (directly or transitively,
-across the linted modules) from a builtin exception type without also
-descending from ``ReproError``. Raising bare ``Exception``/
-``BaseException`` instances is flagged for the same reason.
+That every exception *class* under ``repro`` descends from
+``ReproError`` is checked at import time by ``tests/test_exceptions.py``,
+which walks the installed package; this rule covers the raise sites a
+class walk cannot see.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.lint.core import Finding, ModuleContext, Rule, register
-from repro.lint.rules._classes import collect_classes, descends_from
-
-_ROOT = "ReproError"
-
-#: Builtin exception types someone might (wrongly) root a library error at.
-_BUILTIN_EXCEPTIONS = frozenset(
-    {
-        "BaseException",
-        "Exception",
-        "ArithmeticError",
-        "AssertionError",
-        "AttributeError",
-        "BufferError",
-        "EOFError",
-        "ImportError",
-        "IndexError",
-        "KeyError",
-        "LookupError",
-        "MemoryError",
-        "NameError",
-        "NotImplementedError",
-        "OSError",
-        "IOError",
-        "OverflowError",
-        "RecursionError",
-        "ReferenceError",
-        "RuntimeError",
-        "StopIteration",
-        "SystemError",
-        "TimeoutError",
-        "TypeError",
-        "ValueError",
-        "ZeroDivisionError",
-    }
-)
 
 
 @register
 class UnrootedExceptionRule(Rule):
-    """Flag exception classes (and raises) outside the ReproError root."""
+    """Flag ``raise Exception``/``raise BaseException`` statements."""
 
     rule_id = "RL003"
     title = "unrooted exception"
     rationale = (
-        "Custom exceptions not descending from ReproError escape the "
-        "library's single-except contract and its fault-handling paths."
+        "Raising bare Exception/BaseException escapes the library's "
+        "single-except contract and its fault-handling paths."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
@@ -83,32 +48,3 @@ class UnrootedExceptionRule(Rule):
                     "'except ReproError' handlers; raise a ReproError "
                     "subclass instead",
                 )
-
-    def finalize(self, modules: Sequence[ModuleContext]) -> Iterator[Finding]:
-        table = collect_classes(modules)
-        for name, info in sorted(table.items()):
-            if name == _ROOT:
-                continue
-            # Transitive closure over base *names*, keeping unresolved
-            # bases (builtins are never in the table).
-            closure: set[str] = set()
-            frontier = list(info.base_names)
-            while frontier:
-                base = frontier.pop()
-                if base in closure:
-                    continue
-                closure.add(base)
-                parent = table.get(base)
-                if parent is not None:
-                    frontier.extend(parent.base_names)
-            if not closure & _BUILTIN_EXCEPTIONS:
-                continue  # not an exception class
-            if descends_from(name, _ROOT, table) or _ROOT in closure:
-                continue
-            yield self.finding(
-                info.module,
-                info.node,
-                f"exception class {name} does not descend from "
-                f"{_ROOT}; callers relying on 'except {_ROOT}' will not "
-                "catch it",
-            )

@@ -24,7 +24,7 @@ class VirtualClock:
         """Move time forward; durations must be nonnegative."""
         if duration < 0:
             raise ValueError(f"cannot advance by negative duration {duration}")
-        self._now += duration  # repro-ownership: per-query engine task
+        self._now += duration
 
     def run_wave(self, durations: list[float], concurrency: int) -> float:
         """Advance by the makespan of a wave of accesses.

@@ -234,7 +234,7 @@ class ParallelExecutor(FrameworkNC):
             for access in sorted(batch, key=lambda acc: acc.is_sorted):
                 self._perform(batch[access], access)
             self.clock.run_wave(durations, self.concurrency)
-            self.waves += 1  # repro-ownership: per-query engine task
+            self.waves += 1
             self._push_back(popped)
 
     def execute(self) -> ParallelResult:

@@ -137,7 +137,7 @@ class AsyncExecutor(ParallelExecutor):
             duration = self.latency_model.duration(item)
             await self.pacer.wait(duration)
             self.clock.advance(duration)
-            self.waves += 1  # repro-ownership: per-query engine task
+            self.waves += 1
 
     async def _run_sequential(
         self, on_answer: Optional[AnswerCallback]

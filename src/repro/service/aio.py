@@ -33,10 +33,10 @@ interleaving may move.
 Concurrency discipline: asyncio is cooperative, so instead of locks this
 module relies on *synchronous sections* -- every mutation of shared
 server state (session tables, admission counters, the cache's
-charge-and-fetch) runs between awaits, marked ``repro-ownership`` for
-the RL103 audit. The engine's only suspension points are pacer waits,
-so cancellation always lands between consistent states and the
-reconciliation invariant (charged + cached == recorded) survives a kill.
+charge-and-fetch) runs between awaits, never across one. The engine's
+only suspension points are pacer waits, so cancellation always lands
+between consistent states and the reconciliation invariant (charged +
+cached == recorded) survives a kill.
 """
 
 from __future__ import annotations
@@ -152,13 +152,13 @@ class AsyncQueryServer(QueryServer):
                 f"(max_pending={limit}); apply backpressure upstream"
             )
         session = self._new_session(parsed, text, budget)
-        self._events[session.id] = asyncio.Event()  # repro-ownership: event-loop synchronous section
-        self._pending += 1  # repro-ownership: event-loop synchronous section
+        self._events[session.id] = asyncio.Event()
+        self._pending += 1
         task = asyncio.create_task(
             self._run_session(session, on_answer),
             name=f"repro-session-{session.id}",
         )
-        self._tasks[session.id] = task  # repro-ownership: event-loop synchronous section
+        self._tasks[session.id] = task
         return session.id
 
     async def wait(self, session_id: str) -> Session:
@@ -208,7 +208,7 @@ class AsyncQueryServer(QueryServer):
         session.status = "cancelled"
         session.error = "cancelled before execution started"
         session.error_type = "CancelledError"
-        self._pending -= 1  # repro-ownership: event-loop synchronous section
+        self._pending -= 1
         self.metrics.inc("repro_sessions_total", status="cancelled")
 
     async def query_async(
@@ -231,7 +231,7 @@ class AsyncQueryServer(QueryServer):
         call returns once the last one has folded its accounting into
         the shared ledger.
         """
-        self._draining = True  # repro-ownership: event-loop synchronous section
+        self._draining = True
         tasks = [task for task in self._tasks.values() if not task.done()]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -246,7 +246,7 @@ class AsyncQueryServer(QueryServer):
     ) -> None:
         try:
             async with self._semaphore:
-                self._pending -= 1  # repro-ownership: event-loop synchronous section
+                self._pending -= 1
                 await self._execute_async(session, on_answer)
         except asyncio.CancelledError:
             if session.status == "queued":
@@ -366,17 +366,17 @@ class StreamQueryService:
         if self._listener is not None:
             raise ReproError("service already started")
         if self.path is not None:
-            self._listener = await asyncio.start_unix_server(  # repro-ownership: event-loop synchronous section
+            self._listener = await asyncio.start_unix_server(
                 self._handle_client, self.path
             )
             return self.path
-        self._listener = await asyncio.start_server(  # repro-ownership: event-loop synchronous section
+        self._listener = await asyncio.start_server(
             self._handle_client, self.host, self.port
         )
         sockets = self._listener.sockets
         assert sockets, "start_server always binds at least one socket"
         addr = sockets[0].getsockname()
-        self.port = addr[1]  # repro-ownership: event-loop synchronous section
+        self.port = addr[1]
         return f"{addr[0]}:{addr[1]}"
 
     async def serve_forever(self) -> None:
@@ -388,7 +388,7 @@ class StreamQueryService:
 
     async def aclose(self) -> None:
         """Stop accepting, drain in-flight queries, release the address."""
-        listener, self._listener = self._listener, None  # repro-ownership: event-loop synchronous section
+        listener, self._listener = self._listener, None
         if listener is not None:
             listener.close()
             await listener.wait_closed()
@@ -406,7 +406,7 @@ class StreamQueryService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections += 1  # repro-ownership: event-loop synchronous section
+        self._connections += 1
         owned: set[str] = set()
         try:
             while True:

@@ -26,7 +26,7 @@ of an exception, mirroring how dead sources degrade.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -305,6 +305,9 @@ class QueryServer:
         # Sessions not yet retrieved: kept at submit / _close_slot so
         # admission never scans every session ever submitted.
         self._open_count = 0
+        # Sessions per terminal status, bumped as each session's
+        # lifecycle closes, so stats() never scans every session.
+        self._finished: Counter[str] = Counter()
         self._queue: list[str] = []
         self._counter = 0
         self._clock_base = 0
@@ -327,7 +330,7 @@ class QueryServer:
         """Mark ``session`` retrieved, returning its admission slot once."""
         if not session.retrieved:
             session.retrieved = True
-            self._open_count -= 1  # repro-ownership: event-loop synchronous section
+            self._open_count -= 1
 
     @property
     def trace(self) -> Optional[TraceRecorder]:
@@ -367,12 +370,11 @@ class QueryServer:
         registry snapshot every layer reconciles against
         (docs/OBSERVABILITY.md).
         """
-        sessions = self._sessions.values()
         return {
             "schema": list(self.schema),
             "submitted": len(self._sessions),
-            "completed": sum(1 for s in sessions if s.status == "done"),
-            "failed": sum(1 for s in sessions if s.status == "failed"),
+            "completed": self._finished["done"],
+            "failed": self._finished["failed"],
             "queued": len(self._queue),
             "open": self.open_sessions,
             "rejected": self._rejected,
@@ -436,9 +438,9 @@ class QueryServer:
                 f"cache covers {cache.m} predicates but cost model "
                 f"{self.cost_model.m}"
             )
-        self.cache = cache  # repro-ownership: event-loop synchronous section
-        self._plan_epoch += 1  # repro-ownership: event-loop synchronous section
-        self._plan_memory.clear()  # repro-ownership: event-loop synchronous section
+        self.cache = cache
+        self._plan_epoch += 1
+        self._plan_memory.clear()
         self.metrics.inc("repro_server_reloads_total")
         if self._trace is not None:
             self._trace.emit(
@@ -476,7 +478,7 @@ class QueryServer:
 
     def _reject(self, scope: str, limit: str) -> None:
         """Count one refused submission into stats and the obs ledger."""
-        self._rejected += 1  # repro-ownership: event-loop synchronous section
+        self._rejected += 1
         self.metrics.inc(
             "repro_overload_rejections_total", scope=scope, limit=limit
         )
@@ -491,7 +493,7 @@ class QueryServer:
         """
         if budget is not None and not budget >= 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
-        self._counter += 1  # repro-ownership: event-loop synchronous section
+        self._counter += 1
         session_id = f"q{self._counter:06d}-{self._rng.getrandbits(32):08x}"
         session = Session(
             id=session_id,
@@ -499,15 +501,15 @@ class QueryServer:
             text=text,
             budget=budget if budget is not None else self.config.default_budget,
         )
-        self._sessions[session_id] = session  # repro-ownership: event-loop synchronous section
-        self._open_count += 1  # repro-ownership: event-loop synchronous section
+        self._sessions[session_id] = session
+        self._open_count += 1
         return session
 
     def submit(self, text: str, budget: Optional[float] = None) -> str:
         """Admit a query session; returns its id."""
         parsed = self._admit(text)
         session = self._new_session(parsed, text, budget)
-        self._queue.append(session.id)  # repro-ownership: event-loop synchronous section
+        self._queue.append(session.id)
         return session.id
 
     def run_pending(self, until: Optional[str] = None) -> int:
@@ -519,7 +521,7 @@ class QueryServer:
         """
         executed = 0
         while self._queue:
-            session_id = self._queue.pop(0)  # repro-ownership: event-loop synchronous section
+            session_id = self._queue.pop(0)
             self._execute(self._sessions[session_id])
             executed += 1
             if until is not None and session_id == until:
@@ -610,8 +612,8 @@ class QueryServer:
         key = (fingerprint, str(session.query.expr), session.query.k)
         plan = self._plan_memory.get(key)
         if plan is not None:
-            self._plan_memory.move_to_end(key)  # repro-ownership: event-loop synchronous section
-            self._warm_start_hits += 1  # repro-ownership: event-loop synchronous section
+            self._plan_memory.move_to_end(key)
+            self._warm_start_hits += 1
             self.metrics.inc("repro_server_warm_start_total", kind="reuse")
             return plan
         warm = [
@@ -620,16 +622,16 @@ class QueryServer:
             if fp_key == fingerprint and expr_key == key[1]
         ]
         if warm:
-            self._warm_start_hits += 1  # repro-ownership: event-loop synchronous section
+            self._warm_start_hits += 1
             self.metrics.inc("repro_server_warm_start_total", kind="climb")
             plan = self._planner.resolve_plan(
                 middleware, fn, session.query.k, warm_start=warm[-3:]
             )
         else:
             plan = self._planner.resolve_plan(middleware, fn, session.query.k)
-        self._plan_memory[key] = plan  # repro-ownership: event-loop synchronous section
+        self._plan_memory[key] = plan
         while len(self._plan_memory) > self._PLAN_MEMORY_CAP:
-            self._plan_memory.popitem(last=False)  # repro-ownership: event-loop synchronous section
+            self._plan_memory.popitem(last=False)
         return plan
 
     def _replan_controller(
@@ -644,7 +646,7 @@ class QueryServer:
         if self.config.replan == "off":
             return None
         if self._replan_sample is None:
-            self._replan_sample = dummy_uniform_sample(  # repro-ownership: event-loop synchronous section
+            self._replan_sample = dummy_uniform_sample(
                 middleware.m, self.config.sample_size, self._planner.seed
             )
         return ReplanController(
@@ -718,7 +720,7 @@ class QueryServer:
         terminal state.
         """
         run = _Run(self._middleware(session))
-        self._inflight[session.id] = run.middleware  # repro-ownership: event-loop synchronous section
+        self._inflight[session.id] = run.middleware
         self.cache.retain()
         if self._trace is not None:
             self._trace.emit(
@@ -736,10 +738,10 @@ class QueryServer:
             session.error = str(exc)
             session.error_type = type(exc).__name__
         finally:
-            del self._inflight[session.id]  # repro-ownership: event-loop synchronous section
+            del self._inflight[session.id]
             if run.engine is not None and run.engine.replan is not None:
                 for outcome, count in run.engine.replan.outcomes.items():
-                    self._replan_outcomes[outcome] = (  # repro-ownership: event-loop synchronous section
+                    self._replan_outcomes[outcome] = (
                         self._replan_outcomes.get(outcome, 0) + count
                     )
             stats = run.middleware.stats
@@ -748,8 +750,9 @@ class QueryServer:
             session.charged_accesses = stats.total_accesses
             if session.result is not None:
                 session.result.metadata["cache_hits"] = session.cache_hits
-            self._charged_total += session.charged_cost  # repro-ownership: event-loop synchronous section
-            self._clock_base += session.charged_accesses  # repro-ownership: event-loop synchronous section
+            self._charged_total += session.charged_cost
+            self._clock_base += session.charged_accesses
+            self._finished[session.status] += 1
             self.metrics.inc("repro_sessions_total", status=session.status)
             self.metrics.set_gauge("repro_server_clock", self._clock_base)
             if self._trace is not None:

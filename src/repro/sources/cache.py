@@ -310,7 +310,7 @@ class SourceCache:
         concurrent one's) can have its entry truncated underneath it.
         Pair every ``retain()`` with exactly one :meth:`release`.
         """
-        self._pins += 1  # repro-ownership: event-loop synchronous section
+        self._pins += 1
 
     def release(self) -> None:
         """Drop one query's pin; the last release runs any deferred sweep.
@@ -322,9 +322,9 @@ class SourceCache:
         """
         if self._pins <= 0:
             raise ReproError("SourceCache.release() without a matching retain()")
-        self._pins -= 1  # repro-ownership: event-loop synchronous section
+        self._pins -= 1
         if self._pins == 0 and self._sweep_pending:
-            self._sweep_pending = False  # repro-ownership: event-loop synchronous section
+            self._sweep_pending = False
             self._sweep()
 
     def tick(self) -> int:
@@ -336,9 +336,9 @@ class SourceCache:
         pinned, it is deferred to the last :meth:`release`, and this
         call reports ``0`` evictions.
         """
-        self._clock += 1  # repro-ownership: event-loop synchronous section
+        self._clock += 1
         if self._pins > 0:
-            self._sweep_pending = True  # repro-ownership: event-loop synchronous section
+            self._sweep_pending = True
             if self._metrics is not None:
                 self._metrics.set_gauge("repro_cache_entries", self.entry_count)
                 self._metrics.set_gauge("repro_cache_clock", self._clock)

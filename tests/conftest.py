@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import repro
 from repro.data.dataset import Dataset, dataset1
 from repro.data.generators import uniform
 from repro.scoring.functions import Avg, Min
@@ -69,3 +74,25 @@ def assert_valid_topk(result, dataset: Dataset, fn, k: int) -> None:
     scores = [entry.score for entry in result.ranking]
     assert scores == sorted(scores, reverse=True)
     assert score_multiset(result.ranking) == score_multiset(oracle)
+
+
+def library_classes(base: type) -> list[type]:
+    """Every subclass of ``base`` defined at module level anywhere in ``repro``.
+
+    The walk imports each module, so a new class is covered the moment it
+    exists; nothing has to be added to a list by hand. Sorted by
+    qualified name.
+    """
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if info.name.endswith(".__main__"):
+            continue  # importing it would start the CLI
+        module = importlib.import_module(info.name)
+        for member in vars(module).values():
+            if (
+                inspect.isclass(member)
+                and issubclass(member, base)
+                and member.__module__ == module.__name__
+            ):
+                found[f"{module.__name__}.{member.__qualname__}"] = member
+    return [found[name] for name in sorted(found)]

@@ -5,8 +5,11 @@ behavioural fingerprints that make each algorithm what it is -- the
 properties the paper's Section 8 unification argument talks about.
 """
 
+import inspect
+
 import pytest
 
+from repro.algorithms.base import TopKAlgorithm
 from repro.algorithms.ca import CA
 from repro.algorithms.fa import FA
 from repro.algorithms.mpro import MPro
@@ -17,7 +20,28 @@ from repro.scoring.functions import Avg, Min
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
 from repro.types import AccessType
-from tests.conftest import mw_over
+from tests.conftest import library_classes, mw_over
+
+#: Every concrete algorithm under ``repro``, found by walking the package.
+CONCRETE_ALGORITHMS = [
+    cls for cls in library_classes(TopKAlgorithm) if not inspect.isabstract(cls)
+]
+
+
+class TestAlgorithmNames:
+    """Benchmark tables and comparisons key rows by ``name``: an algorithm
+    that inherits its parent's label silently merges into that row."""
+
+    @pytest.mark.parametrize(
+        "cls", CONCRETE_ALGORITHMS, ids=lambda cls: cls.__name__
+    )
+    def test_name_set_in_own_class_body(self, cls):
+        assert isinstance(vars(cls).get("name"), str), cls
+
+    def test_names_are_distinct(self):
+        names = [cls.name for cls in CONCRETE_ALGORITHMS]
+        assert len(CONCRETE_ALGORITHMS) >= 11
+        assert len(set(names)) == len(names), sorted(names)
 
 
 class TestTAThresholdMechanics:

@@ -30,6 +30,7 @@ from repro.faults import (
     faulty_sources_for,
     RetryPolicy,
 )
+from repro.obs import MetricsRegistry
 from repro.parallel.executor import ParallelExecutor
 from repro.scoring.functions import Min
 from repro.sources.cost import CostModel
@@ -454,7 +455,7 @@ class TestGracefulDegradation:
         assert not chaos.partial and chaos.is_exact
         assert chaos.total_cost() > clean.total_cost()  # retries were charged
 
-    def degraded_middleware(self):
+    def degraded_middleware(self, metrics=None):
         data = uniform(150, 2, seed=11)
         costs = CostModel(cs=[1.0, math.inf], cr=[5.0, 5.0])
         inner = sources_for(
@@ -470,11 +471,27 @@ class TestGracefulDegradation:
             ),
         ]
         return Middleware(
-            wrapped, costs, retry_policy=RetryPolicy(max_attempts=2)
+            wrapped,
+            costs,
+            retry_policy=RetryPolicy(max_attempts=2),
+            metrics=metrics,
         )
 
+    def assert_counted_partial(self, metrics, reason):
+        # A degraded answer leaves one counted reason in the obs ledger,
+        # not a flag only the caller ever sees.
+        partials = {
+            key: value
+            for key, value in metrics.snapshot()["counters"].items()
+            if key.startswith("repro_partial_results_total")
+        }
+        assert partials == {
+            f'repro_partial_results_total{{reason="{reason}"}}': 1.0
+        }
+
     def test_dead_random_only_predicate_degrades_to_bounds(self):
-        mw = self.degraded_middleware()
+        metrics = MetricsRegistry()
+        mw = self.degraded_middleware(metrics)
         result = FrameworkNC(mw, self.fn(), 5, RoundRobinPolicy()).run()
         assert result.partial and not result.is_exact
         assert len(result.ranking) == 5
@@ -486,6 +503,21 @@ class TestGracefulDegradation:
         assert result.metadata["degraded_predicates"] == [1]
         assert result.metadata["partial_reasons"]
         assert result.metadata["fault_events"]
+        self.assert_counted_partial(metrics, "bound_only")
+
+    def test_budget_degraded_answer_is_counted(self):
+        metrics = MetricsRegistry()
+        mw = Middleware.over(
+            uniform(150, 2, seed=11),
+            CostModel.uniform(2, cs=1.0, cr=5.0),
+            budget=30.0,
+            metrics=metrics,
+        )
+        result = FrameworkNC(
+            mw, self.fn(), 5, RoundRobinPolicy(), degrade_on_budget=True
+        ).run()
+        assert result.partial and result.metadata["budget_exhausted"]
+        self.assert_counted_partial(metrics, "budget")
 
     def test_parallel_executor_degrades_identically(self):
         mw = self.degraded_middleware()
@@ -506,10 +538,12 @@ class TestGracefulDegradation:
             )
             for i, src in enumerate(sources_for(data))
         ]
+        metrics = MetricsRegistry()
         mw = Middleware(
             wrapped,
             CostModel.uniform(2),
             retry_policy=RetryPolicy(max_attempts=2),
+            metrics=metrics,
         )
         result = FrameworkNC(mw, self.fn(), 5, RoundRobinPolicy()).run()
         # Nothing was ever discoverable: empty but flagged, not an exception.
@@ -519,6 +553,7 @@ class TestGracefulDegradation:
             "abandoned" in reason
             for reason in result.metadata["partial_reasons"]
         )
+        self.assert_counted_partial(metrics, "unseen_abandoned")
 
     def test_mid_query_death_yields_partial_not_crash(self):
         data = uniform(100, 2, seed=9)

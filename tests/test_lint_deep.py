@@ -1,27 +1,21 @@
-"""The deep lint pass: project model, dataflow provenance, RL101-RL105.
+"""The whole-program rules: project model, dataflow provenance, RL101-RL104.
 
 Fixtures build miniature ``repro`` package trees on disk (module names
-resolve by walking ``__init__.py`` markers), trip each deep rule through
-genuinely flow-sensitive paths -- aliased receivers, helper returns,
-attribute stores, cross-module inheritance -- and pin the clean
-counterexamples. The suite ends with the self-checks CI runs: the deep
-pass over ``src/repro`` must be clean modulo the committed baseline, and
-an injected violation must fail the ratchet.
+resolve by walking ``__init__.py`` markers), trip each whole-program rule
+through genuinely flow-sensitive paths -- aliased receivers, helper
+returns, attribute stores, call chains -- and pin the clean
+counterexamples. The suite ends with the self-checks CI runs: the pass
+over ``src/repro`` must be clean and fast, and an injected violation must
+fail it.
 """
 
 import textwrap
 import time
-from pathlib import Path
-
-import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import registered_deep_rules, registered_rules, run_lint
-from repro.lint.baseline import load_baseline, match_baseline, render_baseline
-from repro.lint.deep import build_project, module_name_for
+from repro.lint import run_lint
 from repro.lint.core import ModuleContext, load_module
-
-BASELINE = "lint-baseline.json"
+from repro.lint.deep import ProjectModel, module_name_for
 
 
 def write_tree(tmp_path, files):
@@ -33,9 +27,9 @@ def write_tree(tmp_path, files):
     return tmp_path
 
 
-def deep_findings(tmp_path, files, select=None):
+def project_findings(tmp_path, files, select=None):
     root = write_tree(tmp_path, files)
-    return run_lint([root], select=select, deep=True).findings
+    return run_lint([root], select=select).findings
 
 
 def pkg(files):
@@ -46,47 +40,6 @@ def pkg(files):
         for depth in range(1, len(parts) + 1):
             tree.setdefault("/".join(parts[:depth]) + "/__init__.py", "")
     return tree
-
-
-class TestRegistries:
-    def test_deep_rules_are_separate_from_shallow(self):
-        assert set(registered_deep_rules()) == {
-            "RL101",
-            "RL102",
-            "RL103",
-            "RL104",
-            "RL105",
-        }
-        # The shallow registry is untouched by the deep pass.
-        assert set(registered_rules()) == {
-            "RL001",
-            "RL002",
-            "RL003",
-            "RL004",
-            "RL005",
-        }
-
-    def test_deep_rules_require_deep_flag(self, tmp_path):
-        (tmp_path / "m.py").write_text("x = 1\n")
-        with pytest.raises(ValueError, match="--deep"):
-            run_lint([tmp_path], select=["RL102"])
-        report = run_lint([tmp_path], select=["RL102"], deep=True)
-        assert report.rules_run == ["RL102"]
-
-    def test_shallow_run_never_invokes_deep_rules(self, tmp_path):
-        files = pkg(
-            {
-                "repro/app.py": """
-                import random
-
-                def main():
-                    return random.Random(7)
-                """
-            }
-        )
-        root = write_tree(tmp_path, files)
-        shallow = run_lint([root])
-        assert "RL102" not in {f.rule for f in shallow.findings}
 
 
 class TestProjectModel:
@@ -122,7 +75,7 @@ class TestProjectModel:
             for m in (load_module(p) for p in sorted(root.rglob("*.py")))
             if isinstance(m, ModuleContext)
         ]
-        project = build_project(modules)
+        project = ProjectModel(modules)
         parents = project.reachable_from(["repro.a.entry"])
         assert "repro.b.leaf" in parents
         assert project.witness_path(parents, "repro.b.leaf") == [
@@ -148,7 +101,7 @@ class TestProjectModel:
         )
         root = write_tree(tmp_path, files)
         modules = [load_module(p) for p in sorted(root.rglob("*.py"))]
-        project = build_project(modules)
+        project = ProjectModel(modules)
         assert (
             "repro.determinism.derive_rng"
             in project.call_graph["repro.faults.retry.fresh"]
@@ -170,7 +123,7 @@ class TestRL101SourceEscape:
                 """
             }
         )
-        findings = deep_findings(tmp_path, files, select=["RL101"])
+        findings = project_findings(tmp_path, files, select=["RL101"])
         assert [f.rule for f in findings] == ["RL101"]
         assert "raw source by provenance" in findings[0].message
 
@@ -191,7 +144,7 @@ class TestRL101SourceEscape:
                 """,
             }
         )
-        findings = deep_findings(tmp_path, files, select=["RL101"])
+        findings = project_findings(tmp_path, files, select=["RL101"])
         assert [f.rule for f in findings] == ["RL101"]
         assert "escapes uncharged into repro.algorithms.ta.run_ta" in (
             findings[0].message
@@ -216,7 +169,7 @@ class TestRL101SourceEscape:
                 """,
             }
         )
-        assert deep_findings(tmp_path, files, select=["RL101"]) == []
+        assert project_findings(tmp_path, files, select=["RL101"]) == []
 
 
 class TestRL102RngProvenance:
@@ -249,7 +202,7 @@ class TestRL102RngProvenance:
                 """,
             }
         )
-        findings = deep_findings(tmp_path, files, select=["RL102"])
+        findings = project_findings(tmp_path, files, select=["RL102"])
         escapes = [
             f for f in findings if "reaches repro.core.framework.run" in f.message
         ]
@@ -277,7 +230,7 @@ class TestRL102RngProvenance:
                 """
             }
         )
-        findings = deep_findings(tmp_path, files, select=["RL102"])
+        findings = project_findings(tmp_path, files, select=["RL102"])
         stores = [f for f in findings if "stored on self.rng" in f.message]
         assert len(stores) == 1
 
@@ -304,7 +257,7 @@ class TestRL102RngProvenance:
                 """,
             }
         )
-        assert deep_findings(tmp_path, files, select=["RL102"]) == []
+        assert project_findings(tmp_path, files, select=["RL102"]) == []
 
     def test_refactored_faults_module_has_zero_false_positives(self):
         # The satellite fix routed the injector and retry jitter through
@@ -312,75 +265,8 @@ class TestRL102RngProvenance:
         report = run_lint(
             ["src/repro/faults", "src/repro/determinism.py"],
             select=["RL102"],
-            deep=True,
         )
         assert report.findings == []
-
-
-class TestRL103SharedState:
-    def test_ranked_inventory_with_ownership_markers(self, tmp_path):
-        files = pkg(
-            {
-                "repro/parallel/executor.py": """
-                class Executor:
-                    def __init__(self):
-                        self.jobs = []
-
-                    def execute(self, job):
-                        self.jobs.append(job)
-                        self.jobs.append(job)
-                        self.done = True
-                        self.owned = 1  # repro-ownership: executor loop
-
-                    def fanout(self, job):
-                        self.jobs.append(job)
-                """
-            }
-        )
-        findings = deep_findings(tmp_path, files, select=["RL103"])
-        messages = [f.message for f in findings]
-        # jobs: 3 unmarked sites (rank 1); done: 1 site (rank 2);
-        # owned: marked, absent; __init__ store: construction, absent.
-        assert len(findings) == 2
-        assert any("[rank 1]" in m and ".jobs mutated at 3" in m for m in messages)
-        assert any("[rank 2]" in m and ".done mutated at 1" in m for m in messages)
-        assert not any(".owned" in m for m in messages)
-
-    def test_reachability_through_cross_module_inheritance(self, tmp_path):
-        # The executor inherits charge() from shared middleware code;
-        # the mutation is two modules away from the root entry point.
-        files = pkg(
-            {
-                "repro/sources/middleware.py": """
-                class Metered:
-                    def charge(self):
-                        self.count = self.count + 1
-                """,
-                "repro/parallel/executor.py": """
-                from repro.sources.middleware import Metered
-
-                class Executor(Metered):
-                    def run(self):
-                        self.charge()
-                """,
-            }
-        )
-        findings = deep_findings(tmp_path, files, select=["RL103"])
-        assert len(findings) == 1
-        assert "Metered.count" in findings[0].message
-        assert "Executor.run" in findings[0].message  # witness chain
-
-    def test_unreachable_mutations_not_inventoried(self, tmp_path):
-        files = pkg(
-            {
-                "repro/sources/middleware.py": """
-                class Metered:
-                    def charge(self):
-                        self.count = self.count + 1
-                """
-            }
-        )
-        assert deep_findings(tmp_path, files, select=["RL103"]) == []
 
 
 class TestRL104ClockDiscipline:
@@ -404,7 +290,7 @@ class TestRL104ClockDiscipline:
                 """,
             }
         )
-        findings = deep_findings(tmp_path, files)
+        findings = project_findings(tmp_path, files)
         rules = {f.rule for f in findings}
         assert "RL104" in rules
         assert "RL002" not in rules  # the per-line waiver held
@@ -429,72 +315,22 @@ class TestRL104ClockDiscipline:
                 """,
             }
         )
-        assert deep_findings(tmp_path, files, select=["RL104"]) == []
-
-
-class TestRL105AccountingParity:
-    def test_unpaired_budget_raise_flagged_paired_clean(self, tmp_path):
-        files = pkg(
-            {
-                "repro/service/server.py": """
-                from repro.exceptions import BudgetExceededError
-
-                class Server:
-                    def reject(self):
-                        raise BudgetExceededError("over")
-
-                    def reject_counted(self):
-                        self.metrics.inc("repro_budget_rejections_total")
-                        raise BudgetExceededError("over")
-                """
-            }
-        )
-        findings = deep_findings(tmp_path, files, select=["RL105"])
-        assert len(findings) == 1
-        assert "raise BudgetExceededError" in findings[0].message
-
-    def test_partial_true_and_record_cached_need_emissions(self, tmp_path):
-        files = pkg(
-            {
-                "repro/core/framework.py": """
-                class Framework:
-                    def annotate(self, result):
-                        result.partial = True
-
-                    def annotate_traced(self, result):
-                        result.partial = True
-                        self.trace.emit("degraded", 0)
-                """,
-                "repro/sources/cache.py": """
-                class Cache:
-                    def absorb(self, access):
-                        self.stats.record_cached(access)
-                """,
-            }
-        )
-        findings = deep_findings(tmp_path, files, select=["RL105"])
-        messages = sorted(f.message for f in findings)
-        assert len(findings) == 2
-        assert any("partial = True" in m for m in messages)
-        assert any("record_cached" in m for m in messages)
+        assert project_findings(tmp_path, files, select=["RL104"]) == []
 
 
 class TestSelfLint:
-    def test_deep_pass_clean_modulo_committed_baseline(self):
-        report = run_lint(["src/repro"], deep=True)
-        match = match_baseline(report.findings, load_baseline(Path(BASELINE)))
-        assert match.new == [], [f.format() for f in match.new]
-        assert match.stale == []
+    def test_pass_is_clean_on_the_library(self):
+        report = run_lint(["src/repro"])
+        assert report.ok, [f.format() for f in report.findings]
 
-    def test_deep_pass_stays_within_wall_time_budget(self):
+    def test_pass_stays_within_wall_time_budget(self):
         start = time.perf_counter()
-        run_lint(["src/repro"], deep=True)
+        run_lint(["src/repro"])
         elapsed = time.perf_counter() - start
-        assert elapsed < 30.0, f"deep pass took {elapsed:.1f}s (budget 30s)"
+        assert elapsed < 30.0, f"lint pass took {elapsed:.1f}s (budget 30s)"
 
-    def test_injected_violation_fails_the_ratchet(self, tmp_path, capsys):
-        # A fresh RL102 violation outside the baseline must exit nonzero
-        # even with the committed baseline supplied.
+    def test_injected_violation_fails_the_pass(self, tmp_path, capsys):
+        # A fresh RL102 violation next to the clean library exits nonzero.
         extra = tmp_path / "repro" / "rogue.py"
         extra.parent.mkdir(parents=True)
         (tmp_path / "repro" / "__init__.py").write_text("")
@@ -502,23 +338,8 @@ class TestSelfLint:
             "import random\n\n\ndef bad(seed):\n"
             "    return random.Random(seed)\n"
         )
-        code = cli_main(
-            [
-                "lint",
-                "src/repro",
-                str(extra),
-                "--deep",
-                "--baseline",
-                BASELINE,
-            ]
-        )
+        code = cli_main(["lint", "src/repro", str(extra)])
         out = capsys.readouterr().out
         assert code == 1
         assert "RL102" in out
         assert "rogue.py" in out
-
-    def test_committed_baseline_matches_current_findings_exactly(self):
-        # Regenerating the baseline in-memory must reproduce the
-        # committed file byte for byte (ratchet is up to date).
-        report = run_lint(["src/repro"], deep=True)
-        assert render_baseline(report.findings) == Path(BASELINE).read_text()

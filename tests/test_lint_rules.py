@@ -1,23 +1,18 @@
-"""The repro lint pass: framework, every rule, suppression, self-check.
+"""The repro lint pass: framework, the per-module rules, the CLI.
 
 Each rule gets at least one fixture that trips it and one clean
 counterexample that must not; the suite ends with the self-check the CI
-``lint`` job runs — ``repro lint src/repro`` must be clean.
+``lint`` job runs — ``repro lint src/repro`` must be clean. The
+whole-program rules (RL101, RL102, RL104) have their fixtures in
+``test_lint_deep.py``.
 """
 
-import json
 import textwrap
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import (
-    Finding,
-    json_report,
-    registered_rules,
-    run_lint,
-    text_report,
-)
+from repro.lint import Finding, registered_rules, run_lint, text_report
 from repro.lint.core import PARSE_ERROR_ID, path_matches
 
 
@@ -34,14 +29,16 @@ def rules_hit(findings):
 
 
 class TestFramework:
-    def test_all_five_rules_registered(self):
-        assert set(registered_rules()) == {
+    def test_every_kept_rule_registered_once(self):
+        assert sorted(registered_rules()) == [
             "RL001",
             "RL002",
             "RL003",
-            "RL004",
             "RL005",
-        }
+            "RL101",
+            "RL102",
+            "RL104",
+        ]
 
     def test_select_restricts_and_rejects_unknown(self, tmp_path):
         source = """
@@ -93,16 +90,13 @@ class TestFramework:
         assert path_matches("src/repro/faults/injector.py", ("faults/*",))
         assert not path_matches("src/repro/core/state.py", ("faults/*",))
 
-    def test_reports_text_and_json(self, tmp_path):
+    def test_text_report_runs_every_rule(self, tmp_path):
         path = tmp_path / "bad.py"
         path.write_text("import random\nx = random.random()\n")
         report = run_lint([path])
         text = text_report(report)
         assert "RL002" in text and "1 finding" in text
-        payload = json.loads(json_report(report))
-        assert payload["ok"] is False
-        assert payload["findings"][0]["rule"] == "RL002"
-        assert payload["rules_run"] == sorted(registered_rules())
+        assert report.rules_run == sorted(registered_rules())
 
     def test_finding_format_is_path_line_col(self):
         finding = Finding("RL001", "a/b.py", 3, 5, "boom")
@@ -161,8 +155,13 @@ class TestRL002Nondeterminism:
         def make():
             return random.Random()
         """
-        assert rules_hit(lint_source(tmp_path, source, name="faults/rng.py")) == {
+        assert rules_hit(lint_source(tmp_path, source, name="determinism.py")) == {
             "RL002"
+        }
+        # Outside the root the construction itself is RL102's finding too.
+        assert rules_hit(lint_source(tmp_path, source, name="faults/rng.py")) == {
+            "RL002",
+            "RL102",
         }
 
     def test_seeded_random_outside_roots_flagged(self, tmp_path):
@@ -172,8 +171,9 @@ class TestRL002Nondeterminism:
         def make(seed):
             return random.Random(seed)
         """
+        # RL102 owns seeded construction: one finding, not one per rule.
         findings = lint_source(tmp_path, source, name="core/policy.py")
-        assert rules_hit(findings) == {"RL002"}
+        assert rules_hit(findings) == {"RL102"}
         assert "derive_rng" in findings[0].message
 
     def test_seeded_random_inside_roots_clean(self, tmp_path):
@@ -183,8 +183,13 @@ class TestRL002Nondeterminism:
         def make(seed):
             return random.Random(seed)
         """
-        for name in ("determinism.py", "faults/rng.py", "bench/workloads.py"):
-            assert lint_source(tmp_path, source, name=name) == []
+        assert lint_source(tmp_path, source, name="determinism.py") == []
+        # The fault layer and workload generators adopted derive_rng, so
+        # they are no longer roots.
+        for name in ("faults/rng.py", "bench/workloads.py"):
+            assert rules_hit(lint_source(tmp_path, source, name=name)) == {
+                "RL102"
+            }
 
     def test_wall_clock_and_entropy_flagged(self, tmp_path):
         source = """
@@ -210,7 +215,9 @@ class TestRL002Nondeterminism:
             return Random()
         """
         findings = lint_source(tmp_path, source)
-        assert len(findings) == 2
+        # Both aliases resolve; Random() is also constructed outside
+        # repro.determinism, which RL102 reports.
+        assert sorted(f.rule for f in findings) == ["RL002", "RL002", "RL102"]
 
     def test_injected_rng_clean(self, tmp_path):
         source = """
@@ -244,25 +251,6 @@ class TestRL002Nondeterminism:
 
 
 class TestRL003UnrootedException:
-    def test_unrooted_exception_class_flagged(self, tmp_path):
-        source = """
-        class PlanError(RuntimeError):
-            pass
-        """
-        findings = lint_source(tmp_path, source)
-        assert rules_hit(findings) == {"RL003"}
-        assert "ReproError" in findings[0].message
-
-    def test_transitively_unrooted_flagged(self, tmp_path):
-        source = """
-        class Base(ValueError):
-            pass
-
-        class Leaf(Base):
-            pass
-        """
-        assert len(lint_source(tmp_path, source)) == 2
-
     def test_rooted_exception_clean(self, tmp_path):
         source = """
         class ReproError(Exception):
@@ -271,18 +259,8 @@ class TestRL003UnrootedException:
         class PlanError(ReproError):
             pass
 
-        class SourceError(PlanError, RuntimeError):
-            pass
-        """
-        assert lint_source(tmp_path, source) == []
-
-    def test_non_exception_classes_ignored(self, tmp_path):
-        source = """
-        class Plan:
-            pass
-
-        class Wide(dict):
-            pass
+        def f():
+            raise PlanError("nope")
         """
         assert lint_source(tmp_path, source) == []
 
@@ -304,79 +282,6 @@ class TestRL003UnrootedException:
             raise exc
         """
         assert lint_source(tmp_path, source) == []
-
-
-class TestRL004AlgorithmInterface:
-    def test_missing_run_flagged(self, tmp_path):
-        source = """
-        class TopKAlgorithm:
-            def run(self, middleware, fn, k):
-                raise NotImplementedError
-
-        class Broken(TopKAlgorithm):
-            def helper(self):
-                return 1
-        """
-        findings = lint_source(tmp_path, source)
-        assert rules_hit(findings) == {"RL004"}
-        assert "does not define run, name" in findings[0].message
-
-    def test_complete_subclass_clean(self, tmp_path):
-        source = """
-        class TopKAlgorithm:
-            pass
-
-        class Fine(TopKAlgorithm):
-            name = "fine"
-
-            def run(self, middleware, fn, k):
-                return None
-        """
-        assert lint_source(tmp_path, source) == []
-
-    def test_abstract_intermediate_exempt_concrete_inherits(self, tmp_path):
-        source = """
-        import abc
-
-        class TopKAlgorithm:
-            pass
-
-        class Scaffold(TopKAlgorithm, abc.ABC):
-            name = "scaffold"
-
-            @abc.abstractmethod
-            def step(self):
-                ...
-
-        class Concrete(Scaffold):
-            def step(self):
-                return 0
-
-            def run(self, middleware, fn, k):
-                return None
-        """
-        # Scaffold is abstract (exempt); Concrete inherits name from it.
-        assert lint_source(tmp_path, source) == []
-
-    def test_policy_and_source_requirements(self, tmp_path):
-        source = """
-        class SelectPolicy:
-            pass
-
-        class Source:
-            pass
-
-        class NoSelect(SelectPolicy):
-            pass
-
-        class HalfSource(Source):
-            def sorted_access(self):
-                return None
-        """
-        findings = lint_source(tmp_path, source)
-        assert len(findings) == 2
-        messages = " ".join(finding.message for finding in findings)
-        assert "select" in messages and "random_access" in messages
 
 
 class TestRL005MutableDefault:
@@ -434,13 +339,74 @@ class TestSelfCheck:
         assert cli_main(["lint", str(bad)]) == 1
         assert "RL002" in capsys.readouterr().out
 
-    def test_cli_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        assert cli_main(["lint", str(bad), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
+    @pytest.mark.parametrize(
+        "flag", ["--deep", "--format", "--baseline", "--select"]
+    )
+    def test_cli_takes_only_paths(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lint", "src/repro", flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_cli_unknown_rule_is_an_error(self, capsys):
-        assert cli_main(["lint", "src/repro", "--select", "RL999"]) == 2
-        assert "RL999" in capsys.readouterr().err
+
+class TestPathNormalization:
+    """``./`` and absolute spellings match allowlists and suppressions."""
+
+    SPELLINGS = ["relative", "dot", "absolute"]
+
+    def _arg(self, tmp_path, rel, spelling):
+        return {
+            "relative": rel,
+            "dot": f"./{rel}",
+            "absolute": str(tmp_path / rel),
+        }[spelling]
+
+    def _write(self, tmp_path, rel, source):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+
+    DIRECT_ACCESS = """
+    def probe(source):
+        return source.sorted_access()
+    """
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_allowlisted_path_recognized_in_all_spellings(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        # tests/* is on RL001's allowlist: the direct access is legal
+        # there no matter how the CLI names the file.
+        self._write(tmp_path, "tests/fixture.py", self.DIRECT_ACCESS)
+        monkeypatch.chdir(tmp_path)
+        arg = self._arg(tmp_path, "tests/fixture.py", spelling)
+        code = cli_main(["lint", arg])
+        assert code == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_violation_still_caught_in_all_spellings(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        self._write(tmp_path, "app/engine.py", self.DIRECT_ACCESS)
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["lint", self._arg(tmp_path, "app/engine.py", spelling)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "RL001" in out
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_project_rule_suppression_holds_in_all_spellings(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        # Whole-program findings are filtered by the same per-line table
+        # as per-module ones, whatever the path spelling.
+        source = """
+        import random
+
+        def make(seed):
+            return random.Random(seed)  # repro-lint: ignore[RL102] -- fixture
+        """
+        self._write(tmp_path, "app/rng.py", source)
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["lint", self._arg(tmp_path, "app/rng.py", spelling)])
+        assert code == 0, capsys.readouterr().out

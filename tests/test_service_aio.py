@@ -200,6 +200,23 @@ class TestAdmission:
             limit="max_pending",
         ) == 1
 
+    def test_started_session_frees_its_pending_place(self):
+        # max_pending bounds sessions admitted but not yet started. The
+        # place is returned in the same synchronous section that takes
+        # the execution slot, not after the session's first await.
+        server = make_server(concurrent_queries=1, max_pending=1)
+
+        async def main():
+            a = await server.submit_async(MIN_Q)
+            while server.session(a).status == "queued":
+                await asyncio.sleep(0)
+            assert server.session(a).status == "running"
+            b = await server.submit_async(AVG_Q)
+            return await server.wait(a), await server.wait(b)
+
+        sessions = asyncio.run(main())
+        assert [s.status for s in sessions] == ["done", "done"]
+
     def test_max_in_flight_counts_unretrieved_sessions(self):
         server = make_server(concurrent_queries=2, max_in_flight=2)
 
@@ -318,6 +335,21 @@ def scanned_open(server):
     return sum(1 for s in server._sessions.values() if s.open)
 
 
+def checkpoint(server):
+    """Open counts (kept, scanned); stats() bytes must equal the scan's.
+
+    ``completed`` and ``failed`` are counts bumped as each lifecycle
+    closes; recounting them over every session must change nothing.
+    """
+    snap = server.stats()
+    statuses = [s.status for s in server._sessions.values()]
+    scanned = dict(
+        snap, completed=statuses.count("done"), failed=statuses.count("failed")
+    )
+    assert json.dumps(snap, sort_keys=True) == json.dumps(scanned, sort_keys=True)
+    return server.open_sessions, scanned_open(server)
+
+
 class TestOpenSessionCount:
     def test_sync_server_count_equals_scan(self):
         server = make_server(QueryServer, degrade_on_budget=False)
@@ -325,17 +357,19 @@ class TestOpenSessionCount:
         a = server.submit(MIN_Q)
         b = server.submit(AVG_Q, budget=0.5)  # fails: budget exceeded
         c = server.submit(MIN3_Q)
-        counts.append((server.open_sessions, scanned_open(server)))
+        counts.append(checkpoint(server))
         assert server.result(b).status == "failed"
-        counts.append((server.open_sessions, scanned_open(server)))
+        counts.append(checkpoint(server))
         server.result(a)
         server.result(a)  # a second retrieval frees nothing more
-        counts.append((server.open_sessions, scanned_open(server)))
+        counts.append(checkpoint(server))
         server.query(MIN_Q)
-        counts.append((server.open_sessions, scanned_open(server)))
+        counts.append(checkpoint(server))
         server.result(c)
-        counts.append((server.open_sessions, scanned_open(server)))
+        counts.append(checkpoint(server))
         assert counts == [(3, 3), (2, 2), (1, 1), (1, 1), (0, 0)]
+        stats = server.stats()
+        assert (stats["completed"], stats["failed"]) == (3, 1)
 
     def test_async_server_count_equals_scan(self):
         server = make_server(concurrent_queries=1, degrade_on_budget=False)
@@ -347,22 +381,26 @@ class TestOpenSessionCount:
             a = await server.submit_async(MIN_Q)
             b = await server.submit_async(AVG_Q)
             d = await server.submit_async(AVG_Q)
-            counts.append((server.open_sessions, scanned_open(server)))
+            counts.append(checkpoint(server))
             assert (await server.cancel(d)).status == "cancelled"
-            counts.append((server.open_sessions, scanned_open(server)))
+            counts.append(checkpoint(server))
             await server.wait(a)
             await server.wait(a)
-            counts.append((server.open_sessions, scanned_open(server)))
+            counts.append(checkpoint(server))
             assert (await server.wait(c)).status == "failed"
-            counts.append((server.open_sessions, scanned_open(server)))
+            counts.append(checkpoint(server))
             await server.cancel(b)
             await server.query_async(MIN_Q)
-            counts.append((server.open_sessions, scanned_open(server)))
+            counts.append(checkpoint(server))
             server.query(AVG_Q)  # the sync API on the async server
-            counts.append((server.open_sessions, scanned_open(server)))
+            counts.append(checkpoint(server))
 
         asyncio.run(main())
         assert counts == [(4, 4), (3, 3), (2, 2), (1, 1), (0, 0), (0, 0)]
+        statuses = sorted(s.status for s in server._sessions.values())
+        assert statuses.count("cancelled") == 2
+        stats = server.stats()
+        assert (stats["completed"], stats["failed"]) == (3, 1)
 
 
 class _TcpClient:
