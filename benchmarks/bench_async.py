@@ -10,8 +10,9 @@ the regime the async runtime exists for. The acceptance bars:
 * every answer is identical to the single-client run's, and
 * 16 clients achieve at least **2x** the single-client throughput.
 
-``benchmarks/results/BENCH_async.json`` records throughput and latency
-percentiles per level so future runtime changes have a baseline to move.
+The repo-root ``BENCH_async.json`` records throughput and latency
+percentiles per level, under the shared ``command`` / ``experiment`` /
+``hardware`` header, so future runtime changes have a baseline to move.
 Wall-clock measurement lives only here, in the benchmark harness -- the
 engine itself never reads a real clock (RL104).
 """
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import pathlib
+import platform
 import time
 
 from bench_service import N, QUERY_BATCH, SCHEMA, SEED
@@ -30,8 +33,7 @@ from repro.data.generators import uniform
 from repro.service import AsyncQueryServer, ServerConfig, serve_tcp
 from repro.sources.cost import CostModel
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RESULT_FILE = RESULTS_DIR / "BENCH_async.json"
+RESULT_FILE = pathlib.Path(__file__).parent.parent / "BENCH_async.json"
 
 CLIENT_LEVELS = (1, 4, 16)
 TIME_SCALE = 0.002  # seconds of simulated source latency per cost unit
@@ -165,9 +167,12 @@ def test_async_throughput_scales_and_cost_is_invariant(report):
     )
     report("E22", "async multi-client serving", table)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
-        "experiment": "E22",
+        "command": "PYTHONPATH=src python -m pytest benchmarks/bench_async.py "
+        "-q --benchmark-disable",
+        "experiment": "E22 async multi-client serving",
+        "hardware": f"{os.cpu_count()}-core {platform.machine()}, "
+        f"Python {platform.python_version()}",
         "n": N,
         "m": len(SCHEMA),
         "queries": len(QUERY_BATCH),

@@ -167,6 +167,9 @@ class FrameworkNC:
         self._bound_only: dict[int, tuple[float, float]] = {}
         self._fault_events: list[str] = []
         self._unseen_abandoned = False
+        # target -> (record count, gate epoch, admitted choices): the
+        # inputs of Definition 2 the list was derived under.
+        self._choice_cache: dict[int, tuple[int, int, list[Access]]] = {}
 
     # ------------------------------------------------------------------
     # Engine plumbing (shared with the parallel executor)
@@ -226,8 +229,27 @@ class FrameworkNC:
             self._bounds.push(obj)
 
     def _alternatives(self, target: int) -> list[Access]:
-        """The choice set for this iteration: the task's necessary choices."""
-        return necessary_choices(self.state, target)
+        """The task's necessary choices on channels admitting accesses.
+
+        By Definition 2 the set changes only with the target's
+        undetermined predicates, the exhausted lists and the channels'
+        admission, so it is derived once per (record count, gate epoch)
+        and reused until either moves (docs/RUNTIME.md). The returned
+        list is shared with the cache: read it, never mutate it.
+        """
+        records = self.state.record_count(target)
+        epoch = self.middleware.gate_epoch
+        cached = self._choice_cache.get(target)
+        if cached is not None and cached[0] == records and cached[1] == epoch:
+            return cached[2]
+        allowed = self.middleware.access_allowed
+        choices = [
+            access
+            for access in necessary_choices(self.state, target)
+            if allowed(access.predicate, access.kind)
+        ]
+        self._choice_cache[target] = (records, epoch, choices)
+        return choices
 
     # ------------------------------------------------------------------
     # Fault handling and graceful degradation (docs/FAULTS.md)
@@ -246,11 +268,7 @@ class FrameworkNC:
         filtered out (cache hits charge nothing and always stay), so an
         exhausted budget degrades the answer exactly like a dead source.
         """
-        choices = [
-            access
-            for access in self._alternatives(target)
-            if self.middleware.access_allowed(access.predicate, access.kind)
-        ]
+        choices = self._alternatives(target)
         if self.degrade_on_budget and choices:
             remaining = self.middleware.remaining_budget()
             if remaining is not None:
@@ -530,7 +548,7 @@ class FrameworkNC:
                     TraceStep(
                         step=self._steps,
                         target=obj,
-                        alternatives=choices,
+                        alternatives=list(choices),
                         access=access,
                         result=result,
                     )
@@ -592,6 +610,11 @@ class FrameworkTG(FrameworkNC):
     """
 
     def _alternatives(self, target: int) -> list[Access]:
+        """Every currently-legal access on a channel admitting accesses.
+
+        Derived afresh on every call: the pool depends on every seen
+        object, not on one target, so NC's per-target cache cannot hold it.
+        """
         middleware = self.middleware
         state = self.state
         alts: list[Access] = []
@@ -610,7 +633,10 @@ class FrameworkTG(FrameworkNC):
             raise UnanswerableQueryError(
                 "no legal access remains but the query is not yet answered"
             )
-        return alts
+        allowed = middleware.access_allowed
+        return [
+            access for access in alts if allowed(access.predicate, access.kind)
+        ]
 
     def _label(self) -> str:
         return f"TG[{self.policy.describe()}]"

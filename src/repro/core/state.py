@@ -62,6 +62,8 @@ class ScoreState:
         self._m = middleware.m
         # obj -> list of known scores (None = undetermined).
         self._known: dict[int, list[Optional[float]]] = {}
+        # obj -> record() calls so far: moves whenever a row may change.
+        self._records: dict[int, int] = {}
         # Snapshot of l_1..l_m, valid while the version is unchanged.
         self._limits: list[float] = []
         self._limits_version = -1
@@ -86,10 +88,19 @@ class ScoreState:
             row = [None] * self._m
             self._known[obj] = row
         row[predicate] = score
+        self._records[obj] = self._records.get(obj, 0) + 1
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
+
+    def record_count(self, obj: int) -> int:
+        """How many scores of ``obj`` were recorded (0 if untracked).
+
+        Scores are only ever added, so an unchanged count means unchanged
+        undetermined predicates -- the engine's choice cache keys on it.
+        """
+        return self._records.get(obj, 0)
 
     def known_score(self, obj: int, predicate: int) -> Optional[float]:
         """The known score of ``obj`` on ``predicate``, or ``None``."""

@@ -25,6 +25,7 @@ from typing import Optional
 from repro.data.dataset import Dataset
 from repro.faults.breaker import (
     BreakerPolicy,
+    BreakerSignal,
     BreakerState,
     CircuitBreaker,
     breakers_for,
@@ -44,6 +45,7 @@ __all__ = [
     "faulty_sources_for",
     "RetryPolicy",
     "BreakerPolicy",
+    "BreakerSignal",
     "BreakerState",
     "CircuitBreaker",
     "breakers_for",

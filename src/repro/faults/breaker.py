@@ -18,6 +18,12 @@ the query performs work elsewhere and runs replay exactly.
 
 The degradation contract built on top of this state machine is specified
 in docs/FAULTS.md.
+
+Every breaker reports changes of its open/closed stamp to a
+:class:`BreakerSignal` it shares with the other breakers of its map, so a
+middleware can cache which channels admit accesses and re-read the
+breakers only after a transition (docs/RUNTIME.md, "Choice sets and the
+gate epoch").
 """
 
 from __future__ import annotations
@@ -63,13 +69,50 @@ class BreakerPolicy:
             raise ValueError(f"cooldown must be >= 1, got {self.cooldown}")
 
 
-class CircuitBreaker:
-    """Failure-counting state machine guarding one predicate's source."""
+class BreakerSignal:
+    """A transition counter shared by every breaker of one breaker map.
 
-    def __init__(self, policy: BreakerPolicy | None = None):
+    ``serial`` moves whenever any of those breakers' open/closed stamp
+    changes (opened, re-opened, closed or reset), wherever the change
+    came from -- another session's middleware included, since the
+    serving layer injects one map into every session. A reader that saw
+    the same ``serial`` twice knows no breaker of the map changed
+    between the reads; what the clock alone changes (an open breaker
+    reaching its half-open tick) is predictable from
+    :attr:`CircuitBreaker.half_open_at` instead.
+    """
+
+    __slots__ = ("serial",)
+
+    def __init__(self) -> None:
+        self.serial = 0
+
+
+class CircuitBreaker:
+    """Failure-counting state machine guarding one predicate's source.
+
+    Args:
+        policy: threshold and cooldown; the library default when ``None``.
+        signal: the :class:`BreakerSignal` this breaker reports its
+            transitions to; a private one when ``None``. Breakers of one
+            map share one signal (:func:`breakers_for` does this).
+    """
+
+    def __init__(
+        self,
+        policy: BreakerPolicy | None = None,
+        signal: BreakerSignal | None = None,
+    ):
         self.policy = policy if policy is not None else BreakerPolicy()
+        self.signal = signal if signal is not None else BreakerSignal()
         self._failures = 0
         self._opened_at: int | None = None
+
+    def _stamp(self, opened_at: int | None) -> None:
+        """Set the open/closed stamp, signalling when it changes."""
+        if opened_at != self._opened_at:
+            self._opened_at = opened_at
+            self.signal.serial += 1
 
     def state(self, now: int) -> BreakerState:
         """The breaker's state at attempt-count ``now``."""
@@ -83,10 +126,22 @@ class CircuitBreaker:
         """Whether an access may be attempted (closed or half-open trial)."""
         return self.state(now) is not BreakerState.OPEN
 
+    @property
+    def half_open_at(self) -> int | None:
+        """The tick from which an open breaker offers a trial (``None`` closed).
+
+        The one state change that needs no call on the breaker: until
+        this tick (or the next signalled transition) :meth:`allows`
+        answers the same at every clock value.
+        """
+        if self._opened_at is None:
+            return None
+        return self._opened_at + self.policy.cooldown
+
     def record_success(self) -> None:
         """A logical access succeeded: close and forget past failures."""
         self._failures = 0
-        self._opened_at = None
+        self._stamp(None)
 
     def record_failure(self, now: int, permanent: bool = False) -> bool:
         """A logical access failed; returns whether the breaker is now open.
@@ -102,7 +157,7 @@ class CircuitBreaker:
             or trial_failed
             or self._failures >= self.policy.failure_threshold
         ):
-            self._opened_at = now
+            self._stamp(now)
             return True
         return False
 
@@ -114,7 +169,7 @@ class CircuitBreaker:
     def reset(self) -> None:
         """Rewind to pristine closed state (middleware reset)."""
         self._failures = 0
-        self._opened_at = None
+        self._stamp(None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "closed" if self._opened_at is None else f"opened@{self._opened_at}"
@@ -130,12 +185,15 @@ def breakers_for(
     it into every per-query middleware (``Middleware(..., breakers=...)``)
     so that a source tripped by one session fails fast for every later
     session instead of each query rediscovering the outage at full price.
+    The map's breakers share one :class:`BreakerSignal`, so every
+    middleware holding the map sees a transition any session caused.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     chosen = policy if policy is not None else BreakerPolicy()
+    signal = BreakerSignal()
     return {
-        (i, kind): CircuitBreaker(chosen)
+        (i, kind): CircuitBreaker(chosen, signal)
         for i in range(m)
         for kind in AccessType
     }

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.core.choices import necessary_choices
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SelectPolicy
 from repro.core.tasks import UNSEEN
@@ -158,10 +157,9 @@ class ParallelExecutor(FrameworkNC):
                     break
                 alternatives = [
                     acc
-                    for acc in necessary_choices(self.state, target)
+                    for acc in self._alternatives(target)
                     if acc not in batch
                     and not (acc.is_sorted and acc.predicate in used_sorted)
-                    and self.middleware.access_allowed(acc.predicate, acc.kind)
                 ]
                 if not alternatives:
                     continue

@@ -26,7 +26,7 @@ of an exception, mirroring how dead sources degrade.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -62,6 +62,14 @@ from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
 from repro.sources.monitor import CostMonitor
 from repro.types import QueryResult
+
+
+#: Retrieved sessions a server still answers ``result`` / ``session`` for.
+#: Once a session has been retrieved and this many later sessions have
+#: been retrieved after it, the server forgets it (and its result); a
+#: later lookup gets the ``unknown session`` error. Open sessions are
+#: never forgotten.
+RETAINED_SESSIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -301,7 +309,11 @@ class QueryServer:
         self._warm_start_hits = 0
         self._replan_sample: Optional[Dataset] = None
         self._replan_outcomes: dict[str, int] = {}
+        # Open sessions plus the RETAINED_SESSIONS most recently
+        # retrieved ones (ids in retrieval order in _retrieved).
         self._sessions: dict[str, Session] = {}
+        self._retrieved: deque[str] = deque()
+        self._submitted = 0
         # Sessions not yet retrieved: kept at submit / _close_slot so
         # admission never scans every session ever submitted.
         self._open_count = 0
@@ -327,10 +339,22 @@ class QueryServer:
         return self._open_count
 
     def _close_slot(self, session: Session) -> None:
-        """Mark ``session`` retrieved, returning its admission slot once."""
+        """Mark ``session`` retrieved, returning its admission slot once.
+
+        The retrieved session joins the window of the
+        :data:`RETAINED_SESSIONS` most recently retrieved ones; the one
+        that falls out of the window is forgotten.
+        """
         if not session.retrieved:
             session.retrieved = True
             self._open_count -= 1
+            self._retrieved.append(session.id)
+            if len(self._retrieved) > RETAINED_SESSIONS:
+                self._forget(self._retrieved.popleft())
+
+    def _forget(self, session_id: str) -> None:
+        """Drop a retrieved session's record and result."""
+        del self._sessions[session_id]
 
     @property
     def trace(self) -> Optional[TraceRecorder]:
@@ -352,7 +376,7 @@ class QueryServer:
         )
 
     def session(self, session_id: str) -> Session:
-        """Look up a session record (raises on unknown ids)."""
+        """Look up a session record (raises on unknown or forgotten ids)."""
         try:
             return self._sessions[session_id]
         except KeyError:
@@ -372,7 +396,7 @@ class QueryServer:
         """
         return {
             "schema": list(self.schema),
-            "submitted": len(self._sessions),
+            "submitted": self._submitted,
             "completed": self._finished["done"],
             "failed": self._finished["failed"],
             "queued": len(self._queue),
@@ -502,6 +526,7 @@ class QueryServer:
             budget=budget if budget is not None else self.config.default_budget,
         )
         self._sessions[session_id] = session
+        self._submitted += 1
         self._open_count += 1
         return session
 

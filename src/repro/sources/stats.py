@@ -53,6 +53,9 @@ class AccessStats:
         self._faults_s = [0] * cost_model.m
         self._faults_r = [0] * cost_model.m
         self._backoff = 0.0
+        # Running sum of ns_i + nr_i: the middleware's breaker clock
+        # reads it on every gate check, so it must not re-sum the lists.
+        self._total = 0
         self._log: Optional[list[Access]] = [] if record_log else None
 
     @property
@@ -70,6 +73,7 @@ class AccessStats:
             self._ns[access.predicate] += 1
         else:
             self._nr[access.predicate] += 1
+        self._total += 1
         if self._log is not None:
             self._log.append(access)
 
@@ -135,7 +139,8 @@ class AccessStats:
 
     @property
     def total_accesses(self) -> int:
-        return self.total_sorted + self.total_random
+        """``sum_i ns_i + nr_i``, kept as a running total (O(1))."""
+        return self._total
 
     @property
     def cached_sorted_counts(self) -> tuple[int, ...]:
@@ -220,6 +225,7 @@ class AccessStats:
             self._faults_s[i] += other._faults_s[i]
             self._faults_r[i] += other._faults_r[i]
         self._backoff += other._backoff
+        self._total += other._total
         if self._log is not None and other._log is not None:
             self._log.extend(other._log)
 
