@@ -172,6 +172,11 @@ class SourceCache:
         self._trace = trace
         self._pins = 0
         self._sweep_pending = False
+        #: Moves each time a cached list is found exhausted: a view's
+        #: ``exhausted`` can turn true through another view's fetch, and
+        #: each middleware over views reads this to notice (its
+        #: ``gate_epoch``, docs/RUNTIME.md).
+        self.exhaustions = 0
 
     @classmethod
     def over(
@@ -450,10 +455,13 @@ class SourceCache:
         result = source.sorted_access()
         self._record_miss(predicate, "sorted")
         if result is None:
+            exhausted = True
+        else:
+            entry.prefix.append(result)
+            exhausted = source.exhausted
+        if exhausted and not entry.exhausted:
             entry.exhausted = True
-            return None
-        entry.prefix.append(result)
-        entry.exhausted = source.exhausted
+            self.exhaustions += 1
         return result
 
     def _fetch_random(self, predicate: int, obj: int) -> float:
