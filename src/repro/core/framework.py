@@ -496,7 +496,11 @@ class FrameworkNC:
         *before* performing it. The access yield is the only point where
         a driver may suspend (the async engine awaits the access's latency
         there); resuming performs the access and runs on to the next yield
-        without interruption.
+        without interruption. A sorted access whose list ran out during
+        the suspension (through a source cache shared with another
+        session) is not performed: its target goes back into the bound
+        index and is selected for again. Sync drivers never suspend, so
+        for them the check never fires.
 
         An object popped from the bound index *complete* is a confirmed
         answer: everything still live is bounded at or below it (the
@@ -542,6 +546,10 @@ class FrameworkNC:
                 continue
             access = self._select(obj, choices)
             yield access
+            if access.is_sorted and self.middleware.exhausted(access.predicate):
+                # Another session sharing the cache ran it out meanwhile.
+                self._bounds.push(obj)
+                continue
             result = self._perform(obj, access)
             if self.observer is not None:
                 self.observer(

@@ -17,17 +17,23 @@ no-wild-guess processing (Section 8, Figure 10).
 
 Bounds are computed against a snapshot of ``l_1..l_m`` that is refreshed
 whenever the middleware's :attr:`~repro.sources.middleware.Middleware.
-last_seen_version` moves (every sorted-access attempt and every reset),
-and ``F`` is evaluated through its compiled scalar form
-(:func:`~repro.scoring.functions.scalar_evaluator`), so a bound costs one
-call of ``F`` and no source reads (docs/RUNTIME.md).
+last_seen_version` moves (every sorted-access attempt and every reset).
+An object's bound is one call of
+:func:`~repro.scoring.functions.bound_evaluator`'s ``bound(row, l)`` on
+its live known-score row: a compiled query reads the row and the
+snapshot in place, so a bound builds no list and reads no source; other
+functions evaluate the composed row (docs/RUNTIME.md).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.scoring.functions import ScoringFunction, scalar_evaluator
+from repro.scoring.functions import (
+    ScoringFunction,
+    bound_evaluator,
+    scalar_evaluator,
+)
 from repro.sources.middleware import Middleware
 
 
@@ -59,11 +65,15 @@ class ScoreState:
         self._middleware = middleware
         self._fn = fn
         self._evaluate = scalar_evaluator(fn)
+        self._bound = bound_evaluator(fn)
         self._m = middleware.m
         # obj -> list of known scores (None = undetermined).
         self._known: dict[int, list[Optional[float]]] = {}
-        # obj -> record() calls so far: moves whenever a row may change.
-        self._records: dict[int, int] = {}
+        # obj -> number of determined predicates (non-None slots).
+        self._determined: dict[int, int] = {}
+        # The row of an untracked object and the F_min fill; never mutated.
+        self._blank: list[Optional[float]] = [None] * self._m
+        self._zeros = [0.0] * self._m
         # Snapshot of l_1..l_m, valid while the version is unchanged.
         self._limits: list[float] = []
         self._limits_version = -1
@@ -87,20 +97,21 @@ class ScoreState:
         if row is None:
             row = [None] * self._m
             self._known[obj] = row
+        if row[predicate] is None:
+            self._determined[obj] = self._determined.get(obj, 0) + 1
         row[predicate] = score
-        self._records[obj] = self._records.get(obj, 0) + 1
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
 
     def record_count(self, obj: int) -> int:
-        """How many scores of ``obj`` were recorded (0 if untracked).
+        """How many predicates of ``obj`` are determined (0 if untracked).
 
-        Scores are only ever added, so an unchanged count means unchanged
-        undetermined predicates -- the engine's choice cache keys on it.
+        Scores are only ever added, so the count moves exactly when the
+        undetermined predicates do -- the engine's choice cache keys on it.
         """
-        return self._records.get(obj, 0)
+        return self._determined.get(obj, 0)
 
     def known_score(self, obj: int, predicate: int) -> Optional[float]:
         """The known score of ``obj`` on ``predicate``, or ``None``."""
@@ -118,15 +129,13 @@ class ScoreState:
 
     def is_complete(self, obj: int) -> bool:
         """Whether every predicate score of ``obj`` is known."""
-        row = self._known.get(obj)
-        return row is not None and all(score is not None for score in row)
+        return self._determined.get(obj, 0) == self._m
 
     def exact_score(self, obj: int) -> float:
         """The exact overall score ``F(u)``; requires completeness."""
-        row = self._known.get(obj)
-        if row is None or any(score is None for score in row):
+        if not self.is_complete(obj):
             raise ValueError(f"object {obj} is not completely evaluated")
-        return self._evaluate(row)  # type: ignore[arg-type]
+        return self._evaluate(self._known[obj])  # type: ignore[arg-type]
 
     def known_row(self, obj: int) -> Optional[list[Optional[float]]]:
         """The live known-score row of ``obj`` (``None`` if untracked).
@@ -176,21 +185,13 @@ class ScoreState:
     def upper_bound(self, obj: int) -> float:
         """Maximal-possible score ``F_max(u)`` under the accesses so far."""
         row = self._known.get(obj)
-        limits = self.limits()
         self.bound_evaluations += 1
-        if row is None:
-            return self._evaluate(limits[:])
-        return self._evaluate(
-            [limits[i] if score is None else score for i, score in enumerate(row)]
-        )
+        return self._bound(self._blank if row is None else row, self.limits())
 
     def lower_bound(self, obj: int) -> float:
         """Minimal-possible score: unknown predicate scores as ``0``."""
         row = self._known.get(obj)
-        if row is None:
-            row = [None] * self._m
-        scores = [score if score is not None else 0.0 for score in row]
-        return self._evaluate(scores)
+        return self._bound(self._blank if row is None else row, self._zeros)
 
     def unseen_bound(self) -> float:
         """Bound of the virtual UNSEEN object: ``F(l_1, ..., l_m)``."""

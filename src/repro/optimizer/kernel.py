@@ -18,8 +18,10 @@ flat precomputed state instead:
   the search schemes submit;
 * :meth:`SampleIndex.simulate` replays the Figure 6 / Figure 10 loop with
   scalar state (cursors, last-seen bounds, known-score rows, the lazy
-  bound heap) and the scoring function's scalar fast form, charging the
-  same per-predicate access counts the engine would.
+  bound heap) and the scoring function's scalar and bound forms
+  (``scalar_evaluator``, ``bound_evaluator``: a known-score row is
+  bounded in place, never composed), charging the same per-predicate
+  access counts the engine would.
 
 **Exactness is by construction, not by approximation**: the kernel mirrors
 the engine's decision points -- lazy-heap verify-on-pop with the
@@ -45,7 +47,11 @@ from typing import Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.exceptions import UnanswerableQueryError
-from repro.scoring.functions import ScoringFunction, scalar_evaluator
+from repro.scoring.functions import (
+    ScoringFunction,
+    bound_evaluator,
+    scalar_evaluator,
+)
 from repro.sources.cost import CostModel
 from repro.sources.stats import eq1_cost
 
@@ -179,6 +185,7 @@ class SampleIndex:
             rank[pred] = pos
 
         evaluate = scalar_evaluator(fn)
+        bound = bound_evaluator(fn)
         rows = self.rows
         orders = self.orders
         sorted_scores = self.sorted_scores
@@ -212,9 +219,7 @@ class SampleIndex:
             if obj != _UNSEEN:
                 row = known[obj]
                 if row is not None:
-                    return evaluate(
-                        [li if s is None else s for s, li in zip(row, l)]
-                    )
+                    return bound(row, l)
             return unseen_bound
 
         # --- prepare (FrameworkNC._prepare) ---
@@ -268,12 +273,7 @@ class SampleIndex:
                 neg_priority, neg_obj = pop(heap)
                 obj = -neg_obj
                 row = known[obj] if obj != _UNSEEN else None
-                if row is None:
-                    current = unseen_bound
-                else:
-                    current = evaluate(
-                        [li if s is None else s for s, li in zip(row, l)]
-                    )
+                current = unseen_bound if row is None else bound(row, l)
                 if current >= -neg_priority:
                     popped_obj = obj
                     break

@@ -179,7 +179,8 @@ class ParallelExecutor(FrameworkNC):
         only point where a driver may suspend (the async engine awaits the
         wave's makespan there); resuming folds the whole wave through
         :meth:`_perform` and plans on to the next yield without
-        interruption.
+        interruption. As in the sequential core, a sorted access whose
+        list ran out during the suspension is dropped from the fold.
         """
         self._prepare()
         while True:
@@ -229,7 +230,13 @@ class ParallelExecutor(FrameworkNC):
             # Fold results in randoms-first: a concurrent sa_i may deliver
             # an object the same wave also probed on i, and applying the
             # probe after the delivery would look like a duplicate fetch.
+            # A list another session ran out during the wave is skipped;
+            # its target is pushed back and planned again.
             for access in sorted(batch, key=lambda acc: acc.is_sorted):
+                if access.is_sorted and self.middleware.exhausted(
+                    access.predicate
+                ):
+                    continue
                 self._perform(batch[access], access)
             self.clock.run_wave(durations, self.concurrency)
             self.waves += 1

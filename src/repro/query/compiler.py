@@ -6,7 +6,9 @@ function instead of walking the AST per call. The lowering keeps
 :meth:`Expr.evaluate`'s exact float semantics: it calls the same
 builtins on the same value sequence in the same order (``sum`` is never
 unrolled into ``a + b + c``, which rounds differently from CPython
-3.12's compensated ``sum``). Query text never reaches ``exec``: predicate
+3.12's compensated ``sum``). The same body also backs ``bound(r, l)``,
+the Eq. 3 bound of a partly known row, so no caller composes a row to
+evaluate it. Query text never reaches ``exec``: predicate
 names become indices ``s[i]`` and weights are bound as namespace
 constants ``c0, c1, ...``.
 """
@@ -18,7 +20,7 @@ from types import CodeType
 from typing import Callable, Optional, Sequence, cast
 
 from repro.query.ast import Aggregate, Expr, PredicateRef, QueryError, WeightedSum
-from repro.scoring.functions import Monotone, ScoringFunction
+from repro.scoring.functions import BoundFunction, Monotone, ScoringFunction
 
 #: The only builtins generated source may call.
 _BUILTINS = {"sum": sum, "min": min, "max": max, "sorted": sorted}
@@ -27,18 +29,32 @@ _BUILTINS = {"sum": sum, "min": min, "max": max, "sorted": sorted}
 def lower_expression(
     expr: Expr, order: Sequence[str]
 ) -> tuple[str, dict[str, float]]:
-    """Lower ``expr`` to ``(source, constants)`` over a score vector ``s``.
+    """Lower ``expr`` to ``(source, constants)`` defining two functions.
 
-    ``source`` defines ``evaluate(s)`` where ``s`` is aligned with
-    ``order``. Every nested aggregate or sum is bound to a local ``t<i>``,
-    so the source nests at most two calls deep whatever the expression's
-    depth. Names in ``source`` are only ``s``, ``t<i>``, the weight
-    constants ``c<i>`` (values in ``constants``) and the builtins
-    ``sum``/``min``/``max``/``sorted``.
+    The expression is lowered once to a straight-line body; ``source``
+    defines it twice, differing only in how a predicate is read:
+
+    * ``evaluate(s)`` reads predicate ``i`` as ``s[i]``, where ``s`` is a
+      score vector aligned with ``order``;
+    * ``bound(r, l)`` reads it as ``r[i]``, or ``l[i]`` when ``r[i] is
+      None`` -- Eq. 3's ``F_max`` of a known-score row ``r`` under the
+      last-seen bounds ``l`` (or ``F_min`` with ``l`` all zeros), without
+      composing the row. It equals, bitwise, ``evaluate`` on the composed
+      row, because the body and its values are the same.
+
+    Every nested aggregate or sum is bound to a local ``t<i>``, so the
+    body nests at most two calls deep whatever the expression's depth. A
+    single weighted term ``w*x`` is ``0.0 + c * x``: bitwise what
+    ``sum((c * x,))`` returns (``sum`` starts from the integer 0), one
+    builtin call fewer; sums of two or more terms stay ``sum``. Names in
+    ``source`` are only ``s``, ``r``, ``l``, the locals ``t<i>`` and
+    ``x<i>``, the weight constants ``c<i>`` (values in ``constants``)
+    and the builtins ``sum``/``min``/``max``/``sorted``.
     """
     index = {name: i for i, name in enumerate(order)}
     constants: dict[str, float] = {}
     lines: list[str] = []
+    referenced: set[int] = set()
 
     def call(node: Expr) -> str:
         if isinstance(node, WeightedSum):
@@ -47,6 +63,8 @@ def lower_expression(
                 name = f"c{len(constants)}"
                 constants[name] = weight
                 terms.append(f"{name} * {operand(sub)}")
+            if len(terms) == 1:
+                return f"0.0 + {terms[0]}"
             return f"sum(({', '.join(terms)},))"
         if not isinstance(node, Aggregate):
             raise QueryError(f"cannot compile {type(node).__name__} nodes")
@@ -64,14 +82,27 @@ def lower_expression(
 
     def operand(node: Expr) -> str:
         if isinstance(node, PredicateRef):
-            return f"s[{index[node.name]}]"
+            # The body is a template: predicate i is the field {i}, filled
+            # by each function's reader. Generated text has no other braces.
+            i = index[node.name]
+            referenced.add(i)
+            return f"{{{i}}}"
         value = call(node)
         name = f"t{len(lines)}"
         lines.append(f"    {name} = {value}\n")
         return name
 
     root = operand(expr) if isinstance(expr, PredicateRef) else call(expr)
-    return f"def evaluate(s):\n{''.join(lines)}    return {root}\n", constants
+    body = f"{''.join(lines)}    return {root}\n"
+    width = len(order)
+    direct = body.format(*(f"s[{i}]" for i in range(width)))
+    hoisted = body.format(*(f"x{i}" for i in range(width)))
+    reads = "".join(
+        f"    x{i} = r[{i}]\n    if x{i} is None:\n        x{i} = l[{i}]\n"
+        for i in sorted(referenced)
+    )
+    source = f"def evaluate(s):\n{direct}\n\ndef bound(r, l):\n{reads}{hoisted}"
+    return source, constants
 
 
 def min_terms(
@@ -125,12 +156,14 @@ def compile_expression(
     references are legal -- they simply do not influence the score (and a
     cost-based plan will learn not to access them).
 
-    ``fn`` is a :class:`Monotone` wrapping the straight-line function
+    ``fn`` is a :class:`Monotone` wrapping the straight-line ``evaluate``
     generated by :func:`lower_expression`; it returns bitwise the same
-    float as :meth:`Expr.evaluate` on the matching environment, and a
-    min-shaped expression also exposes its terms as ``fn.min_terms``
-    (:func:`min_terms`). All AST node types are monotone by construction,
-    so the compiled function honours the Section 3.1 contract.
+    float as :meth:`Expr.evaluate` on the matching environment. The
+    generated ``bound(r, l)`` is attached as ``fn.bound``
+    (:attr:`ScoringFunction.bound`), and a min-shaped expression also
+    exposes its terms as ``fn.min_terms`` (:func:`min_terms`). All AST
+    node types are monotone by construction, so the compiled function
+    honours the Section 3.1 contract.
     """
     referenced = tuple(expr.predicates())
     if schema is None:
@@ -151,5 +184,6 @@ def compile_expression(
     exec(_code(source), namespace)
     evaluate = cast(Callable[[Sequence[float]], float], namespace["evaluate"])
     fn = Monotone(evaluate, arity=len(order), name=str(expr))
+    fn.bound = cast(BoundFunction, namespace["bound"])
     fn.min_terms = min_terms(expr, order)
     return fn, order

@@ -133,7 +133,8 @@ class AsyncExecutor(ParallelExecutor):
             # The access is selected (on this query's private score
             # state) before the wait and performed after it, when the
             # core resumes: whether the cache serves it free is decided
-            # at perform time, exactly once, race-free.
+            # at perform time, exactly once, race-free. A shared list
+            # that ran out during the wait makes the core select again.
             duration = self.latency_model.duration(item)
             await self.pacer.wait(duration)
             self.clock.advance(duration)

@@ -22,6 +22,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+#: ``bound(r, l)``: ``F`` of the row reading ``r[i]``, or ``l[i]`` where
+#: ``r[i] is None`` (see :attr:`ScoringFunction.bound`).
+BoundFunction = Callable[[Sequence[Optional[float]], Sequence[float]], float]
+
 
 class ScoringFunction(ABC):
     """A monotone aggregate ``F: [0,1]^m -> [0,1]``.
@@ -47,10 +51,17 @@ class ScoringFunction(ABC):
             objects by ``F_max`` without re-evaluating ``F`` per object.
             Set by :class:`Min` and by compiled min-shaped queries; a
             plain :class:`Monotone` never sets it.
+        bound: a direct form of ``F`` over a partly known row, or
+            ``None``. ``bound(r, l)`` is bitwise ``F`` of the row reading
+            ``r[i]``, or ``l[i]`` where ``r[i] is None`` -- Eq. 3's
+            ``F_max`` with ``l`` the last-seen bounds, ``F_min`` with
+            ``l`` all zeros -- without building that row. Set by compiled
+            queries; read it through :func:`bound_evaluator`.
     """
 
     batch_exact: bool = True  # the default implementation *is* the loop
     min_terms: Optional[tuple[tuple[int, Optional[float]], ...]] = None
+    bound: Optional[BoundFunction] = None
 
     def __init__(self, arity: int, name: str):
         if arity < 1:
@@ -339,3 +350,22 @@ def scalar_evaluator(
     if kind is Monotone:
         return fn.function  # type: ignore[attr-defined]
     return fn.evaluate
+
+
+def bound_evaluator(fn: ScoringFunction) -> BoundFunction:
+    """``bound(r, l)``: ``fn`` of the row reading ``r[i]``, else ``l[i]``.
+
+    Every Eq. 3 bound in the engine and the plan-cost replay goes through
+    this: ``r`` is an object's known-score row (``None`` where
+    undetermined) and ``l`` the values standing in for the unknowns. A
+    compiled query hands over its generated :attr:`ScoringFunction.bound`,
+    which reads the row in place; any other function gets the composed
+    row evaluated by :func:`scalar_evaluator`. Either way the result is
+    bitwise that evaluator's on the composed row.
+    """
+    if fn.bound is not None:
+        return fn.bound
+    evaluate = scalar_evaluator(fn)
+    return lambda row, fill: evaluate(
+        [value if score is None else score for score, value in zip(row, fill)]
+    )

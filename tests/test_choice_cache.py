@@ -454,17 +454,17 @@ class TestListsRunningOut:
 
         A callback list reports exhaustion only once a fetch comes back
         empty, so a session sitting at the end of the shared prefix sees
-        its list run out when another session makes that fetch. The
-        middlewares are lenient: the cores are switched between selecting
-        an access and performing it, and a strict session that selected
-        ``sa_0`` just before the other session's fetch would raise on it
-        whatever its choice sets were.
+        its list run out when another session makes that fetch. The cores
+        are switched between selecting an access and performing it, so a
+        session may resume with an ``sa_0`` that was legal when selected
+        and has run out since; the middlewares are strict, so performing
+        it would raise instead of re-selecting.
         """
         dataset, sources = short_list(seed, n, short)
         cache = SourceCache(sources)
         model = CostModel.uniform(2, cs=1.0, cr=1.0)
         engines = [
-            CheckedNC(Middleware.warm(cache, model, n_objects=n, strict=False),
+            CheckedNC(Middleware.warm(cache, model, n_objects=n),
                       Avg(2), k, SRGPolicy((0.0, 1.0)))
             for _session in range(2)
         ]
@@ -473,6 +473,41 @@ class TestListsRunningOut:
         for engine, ranking in zip(engines, answers):
             assert engine.checks > 0
             assert score_multiset(ranking) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=6, max_value=30),
+        short=st.integers(min_value=0, max_value=4),
+        k=st.integers(min_value=1, max_value=3),
+        schedule=st.lists(st.integers(min_value=0, max_value=1),
+                          min_size=1, max_size=12),
+    )
+    def test_wave_sessions_sharing_a_cache(self, seed, n, short, k, schedule):
+        """The wave core, switched between planning a wave and folding it."""
+        dataset, sources = short_list(seed, n, short)
+        cache = SourceCache(sources)
+        model = CostModel.uniform(2, cs=1.0, cr=1.0)
+        engines = [
+            CheckedParallel(Middleware.warm(cache, model, n_objects=n),
+                            Avg(2), k, SRGPolicy((0.0, 1.0)), concurrency=2)
+            for _session in range(2)
+        ]
+        cores = [engine._waves() for engine in engines]
+        results = [None, None]
+        position = 0
+        while None in results:
+            index = schedule[position % len(schedule)]
+            position += 1
+            if results[index] is not None:
+                index = results.index(None)
+            try:
+                next(cores[index])
+            except StopIteration as done:
+                results[index] = done.value
+        want = score_multiset(dataset.topk(Avg(2), k))
+        for result in results:
+            assert score_multiset(result.result.ranking) == want
 
     def test_another_sessions_fetch_moves_the_epoch(self):
         _dataset, sources = short_list(3, 12, 2)

@@ -163,13 +163,20 @@ class TestCompiledSafety:
         vector = [0.25, 0.5, 0.75]
         assert fn.evaluate(vector) == expr.evaluate(dict(zip(schema, vector)))
 
+        row, fill = [None, 0.5, None], [0.25, 1.0, 0.75]
+        assert bits(fn.bound(row, fill)) == bits(fn.evaluate(vector))
+
         source, constants = lower_expression(expr, order)
         assert sorted(constants.values()) == [0.123456, 0.3, 0.5]
-        allowed = {"def", "evaluate", "return", "s", "sum", "min", "max", "sorted"}
+        assert "def bound(r, l):" in source
+        allowed = {
+            "def", "evaluate", "bound", "return", "if", "is", "None",
+            "s", "r", "l", "sum", "min", "max", "sorted",
+        }
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NAME:
                 assert token.string in allowed or re.fullmatch(
-                    r"[ct]\d+", token.string
+                    r"[ctx]\d+", token.string
                 ), token.string
             elif token.type == tokenize.NUMBER:
                 assert token.string == "1.0" or token.string.isdigit(), token.string
