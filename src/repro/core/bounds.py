@@ -2,7 +2,8 @@
 
 Theorem 1 has the NC engine find the highest-ranked object by
 maximal-possible score before every access. Both indexes here answer that
-with one contract -- :meth:`push` an object, :meth:`update` it when a
+with one contract -- :meth:`push` an object (optionally at a bound no lower
+than its current one), :meth:`update` it when a
 delivery changed its known scores while it sits in the index, and
 :meth:`pop_current` the entry of highest *current* ``F_max`` (ties to the
 higher object id; the virtual ``UNSEEN`` object, id ``-1``, loses every
@@ -52,9 +53,17 @@ class LazyBoundIndex:
         self._state = state
         self._heap = LazyMaxHeap()
 
-    def push(self, obj: int) -> None:
-        """Insert ``obj`` (not currently in the index) at its bound."""
-        self._heap.push(obj, self._state.upper_bound(obj))
+    def push(self, obj: int, bound: Optional[float] = None) -> None:
+        """Insert ``obj`` (not currently in the index) at its bound.
+
+        ``bound`` may stand in for the current one when it is no lower:
+        a bound ``obj`` was popped with earlier, say. Verify-on-pop then
+        re-evaluates the entry before trusting it, so every pop returns
+        the same ``(obj, F_max)`` as after a push at the current bound.
+        """
+        if bound is None:
+            bound = self._state.upper_bound(obj)
+        self._heap.push(obj, bound)
 
     def update(self, obj: int) -> None:
         """Nothing to do: a stale entry is re-verified when popped."""
@@ -143,8 +152,12 @@ class SaturatingBoundIndex:
         else:
             heappush(group.unsaturated, (-known, -obj))
 
-    def push(self, obj: int) -> None:
-        """Insert ``obj`` (not currently in the index)."""
+    def push(self, obj: int, bound: Optional[float] = None) -> None:
+        """Insert ``obj`` (not currently in the index); ``bound`` is unused.
+
+        An entry's place follows from its known scores alone, so a hint
+        has nothing to save here.
+        """
         mask, known = self._place(obj)
         self._enter(obj, mask, known)
 

@@ -216,17 +216,20 @@ class FrameworkNC:
         return popped
 
     def _push_back(self, entries: Sequence[tuple[int, float]]) -> None:
-        """Reinsert popped entries with refreshed bounds.
+        """Reinsert popped entries at the bounds they were popped with.
 
-        The UNSEEN entry is dropped once every object has been discovered
+        Bounds only fall, so a popped bound is at or above the current
+        one, and the index's verify-on-pop re-evaluates an entry before
+        trusting it: no pushed-back entry needs ``F`` evaluated now. The
+        UNSEEN entry is dropped once every object has been discovered
         (or discovery became impossible and it was abandoned).
         """
         all_seen = self.middleware.seen_count >= self.middleware.n_objects
-        for obj, _stale in entries:
+        for obj, bound in entries:
             if obj == UNSEEN and (all_seen or self._unseen_abandoned):
                 self._tracked.discard(UNSEEN)
                 continue
-            self._bounds.push(obj)
+            self._bounds.push(obj, bound)
 
     def _alternatives(self, target: int) -> list[Access]:
         """The task's necessary choices on channels admitting accesses.

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from repro.core.state import ScoreState
 from repro.determinism import derive_rng
 from repro.sources.middleware import Middleware
-from repro.types import Access
+from repro.types import Access, AccessType
 
 
 @dataclass
@@ -65,18 +65,60 @@ class SelectPolicy(ABC):
         return type(self).__name__
 
 
-def _deepest_sorted(
-    candidates: Sequence[Access], middleware: Middleware
-) -> Access:
-    """The sorted access with the highest last-seen score (ties: lowest i).
+_SORTED = AccessType.SORTED
 
-    Choosing the highest ``l_i`` descends lists evenly, so equal depths
-    reproduce TA/NRA-style equal-depth behaviour (Section 8.1).
+
+def _sr_select(
+    alternatives: Sequence[Access],
+    middleware: Middleware,
+    depths: Sequence[float],
+    rank: dict[int, int],
+    counted: bool = False,
+) -> Access:
+    """The SR/G choice (Figure 9) in one pass over the alternatives.
+
+    A sorted access on ``i`` is still *above its depth* while
+    ``l_i > depths[i]`` -- or, ``counted``, while fewer than
+    ``depths[i]`` sorted accesses were made on ``i``. The deepest such
+    access wins: the highest last-seen score ``l_i``, ties to the lowest
+    ``i``; choosing the highest ``l_i`` descends lists evenly, so equal
+    depths reproduce TA/NRA-style equal-depth behaviour (Section 8.1).
+    Failing that, the random access earliest in ``H`` (``rank``) wins,
+    ties to the first offered; failing that, the deepest sorted access.
+    Each sorted candidate's ``l_i`` is read once.
     """
-    return max(
-        candidates,
-        key=lambda acc: (middleware.last_seen(acc.predicate), -acc.predicate),
-    )
+    below: Optional[Access] = None
+    below_l = below_i = 0.0
+    deepest: Optional[Access] = None
+    deepest_l = deepest_i = 0.0
+    probe: Optional[Access] = None
+    probe_rank = 0
+    last_seen = middleware.last_seen
+    for acc in alternatives:
+        i = acc.predicate
+        if acc.kind is _SORTED:
+            l = last_seen(i)
+            if deepest is None or l > deepest_l or (
+                l == deepest_l and i < deepest_i
+            ):
+                deepest, deepest_l, deepest_i = acc, l, i
+            if (
+                middleware.depth(i) < depths[i] if counted else l > depths[i]
+            ) and (
+                below is None or l > below_l or (l == below_l and i < below_i)
+            ):
+                below, below_l, below_i = acc, l, i
+        elif probe is None or rank[i] < probe_rank:
+            probe, probe_rank = acc, rank[i]
+    if below is not None:
+        return below
+    if probe is not None:
+        return probe
+    if deepest is not None:
+        # Depths reached but sorted access is the only remaining means
+        # (e.g. random access impossible): completeness requires taking it.
+        return deepest
+    raise ValueError("alternatives must not be empty")
 
 
 class SRGPolicy(SelectPolicy):
@@ -91,6 +133,8 @@ class SRGPolicy(SelectPolicy):
     alternatives (they are necessary choices), so when the depth rule
     filters out every sorted access and no random access is available --
     or vice versa -- the policy takes what exists.
+
+    Ties resolve as :func:`_sr_select` sets out.
     """
 
     def __init__(
@@ -113,22 +157,7 @@ class SRGPolicy(SelectPolicy):
         self._rank = {pred: pos for pos, pred in enumerate(self.schedule)}
 
     def select(self, alternatives: Sequence[Access], ctx: SelectContext) -> Access:
-        sorted_cands = [acc for acc in alternatives if acc.is_sorted]
-        below_depth = [
-            acc
-            for acc in sorted_cands
-            if ctx.middleware.last_seen(acc.predicate) > self.depths[acc.predicate]
-        ]
-        if below_depth:
-            return _deepest_sorted(below_depth, ctx.middleware)
-        random_cands = [acc for acc in alternatives if acc.is_random]
-        if random_cands:
-            return min(random_cands, key=lambda acc: self._rank[acc.predicate])
-        if sorted_cands:
-            # Depths reached but sorted access is the only remaining means
-            # (e.g. random access impossible): completeness requires taking it.
-            return _deepest_sorted(sorted_cands, ctx.middleware)
-        raise ValueError("alternatives must not be empty")
+        return _sr_select(alternatives, ctx.middleware, self.depths, self._rank)
 
     def describe(self) -> str:
         depths = ",".join(f"{d:.2f}" for d in self.depths)
@@ -233,21 +262,13 @@ class RankDepthPolicy(SelectPolicy):
 
     def select(self, alternatives: Sequence[Access], ctx: SelectContext) -> Access:
         """Sorted while under the per-list count, then probe by schedule."""
-        sorted_cands = [acc for acc in alternatives if acc.is_sorted]
-        below_depth = [
-            acc
-            for acc in sorted_cands
-            if ctx.middleware.depth(acc.predicate)
-            < self.depth_counts[acc.predicate]
-        ]
-        if below_depth:
-            return _deepest_sorted(below_depth, ctx.middleware)
-        random_cands = [acc for acc in alternatives if acc.is_random]
-        if random_cands:
-            return min(random_cands, key=lambda acc: self._rank[acc.predicate])
-        if sorted_cands:
-            return _deepest_sorted(sorted_cands, ctx.middleware)
-        raise ValueError("alternatives must not be empty")
+        return _sr_select(
+            alternatives,
+            ctx.middleware,
+            self.depth_counts,
+            self._rank,
+            counted=True,
+        )
 
     def describe(self) -> str:
         """Short label for reports."""

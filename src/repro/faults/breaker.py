@@ -127,6 +127,15 @@ class CircuitBreaker:
         return self.state(now) is not BreakerState.OPEN
 
     @property
+    def healthy(self) -> bool:
+        """Closed with no failure counted: :meth:`record_success` is a no-op.
+
+        The state is then closed at every clock value, so a caller may
+        skip a success's before/after state reads.
+        """
+        return self._opened_at is None and not self._failures
+
+    @property
     def half_open_at(self) -> int | None:
         """The tick from which an open breaker offers a trial (``None`` closed).
 

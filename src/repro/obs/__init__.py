@@ -20,11 +20,12 @@ The metric name catalog and trace event schema live in
 docs/OBSERVABILITY.md.
 """
 
-from repro.obs.metrics import MetricsRegistry, render_series
+from repro.obs.metrics import CounterSeries, MetricsRegistry, render_series
 from repro.obs.timeline import Timeline, build_timeline, format_timeline
 from repro.obs.trace import TraceEvent, TraceRecorder, read_trace
 
 __all__ = [
+    "CounterSeries",
     "MetricsRegistry",
     "render_series",
     "TraceEvent",

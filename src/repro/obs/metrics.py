@@ -46,6 +46,44 @@ def render_series(name: str, labels: LabelSet) -> str:
     return f"{name}{{{rendered}}}"
 
 
+class CounterSeries:
+    """One counter series of a registry, with its label set resolved once.
+
+    :meth:`MetricsRegistry.counter` binds it; :meth:`inc` then adds to
+    the series without re-deriving the label set, so a hot path (the
+    middleware's per-access counters) pays one dict update per event.
+    Every registry read and export sees exactly what the equivalent
+    :meth:`MetricsRegistry.inc` calls would have left: binding creates
+    no series (a never-incremented series stays absent), and a series
+    bound before :meth:`MetricsRegistry.reset` keeps counting after it.
+    """
+
+    __slots__ = ("_registry", "_name", "_key", "_table", "_generation")
+
+    def __init__(self, registry: "MetricsRegistry", name: str, key: LabelSet):
+        self._registry = registry
+        self._name = name
+        self._key = key
+        self._table: Optional[dict[LabelSet, float]] = None
+        self._generation = -1
+
+    def inc(self, value: float = 1.0) -> None:
+        """Add ``value`` (>= 0) to the series."""
+        if value < 0:
+            raise ValueError(
+                f"counters only increase; got {value} for {self._name!r}"
+            )
+        registry = self._registry
+        table = self._table
+        if table is None or self._generation != registry._generation:
+            # First event, or the registry was reset since: find (or
+            # create, as inc would) the name's table in the live store.
+            table = self._table = registry._counters.setdefault(self._name, {})
+            self._generation = registry._generation
+        key = self._key
+        table[key] = table.get(key, 0.0) + value
+
+
 class MetricsRegistry:
     """Labeled counters and gauges with one deterministic snapshot.
 
@@ -66,6 +104,10 @@ class MetricsRegistry:
         # Call-site label items (with their value types, so 1, 1.0 and
         # True stay apart) -> the sorted LabelSet they render to.
         self._labelsets: dict[tuple, LabelSet] = {}
+        # Moves on every reset, so bound series drop their stale tables.
+        self._generation = 0
+        # (name, LabelSet) -> its bound series, shared by every binder.
+        self._bound: dict[tuple[str, LabelSet], CounterSeries] = {}
 
     def _labels(self, labels: Mapping[str, object]) -> LabelSet:
         """:func:`_labelset`, memoized per call-site keyword order."""
@@ -97,6 +139,20 @@ class MetricsRegistry:
         series = self._counters.setdefault(name, {})
         key = self._labels(labels)
         series[key] = series.get(key, 0.0) + value
+
+    def counter(self, name: str, **labels: object) -> CounterSeries:
+        """Bind one counter series, its label set resolved once.
+
+        ``counter(name, **labels).inc(value)`` is ``inc(name, value,
+        **labels)``. Every binding of one series returns the same
+        handle.
+        """
+        key = (name, self._labels(labels))
+        try:
+            return self._bound[key]
+        except KeyError:
+            series = self._bound[key] = CounterSeries(self, name, key[1])
+            return series
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set a gauge series to ``value``."""
@@ -171,6 +227,7 @@ class MetricsRegistry:
         """Zero every series (help text is kept)."""
         self._counters.clear()
         self._gauges.clear()
+        self._generation += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -359,13 +360,67 @@ def bound_evaluator(fn: ScoringFunction) -> BoundFunction:
     this: ``r`` is an object's known-score row (``None`` where
     undetermined) and ``l`` the values standing in for the unknowns. A
     compiled query hands over its generated :attr:`ScoringFunction.bound`,
-    which reads the row in place; any other function gets the composed
-    row evaluated by :func:`scalar_evaluator`. Either way the result is
-    bitwise that evaluator's on the composed row.
+    which reads the row in place; a library class (exactly that class,
+    not a subclass) gets a generated one too (:func:`_library_bound`);
+    any other function gets the composed row evaluated by
+    :func:`scalar_evaluator`. Every form is bitwise that evaluator's on
+    the composed row.
     """
     if fn.bound is not None:
         return fn.bound
+    generated = _library_bound(fn)
+    if generated is not None:
+        return generated
     evaluate = scalar_evaluator(fn)
     return lambda row, fill: evaluate(
         [value if score is None else score for score, value in zip(row, fill)]
     )
+
+
+def _library_bound(fn: ScoringFunction) -> Optional[BoundFunction]:
+    """A generated ``bound(r, l)`` for a library class, else ``None``.
+
+    The row is composed in straight-line code -- ``x_i = r[i]``, or
+    ``l[i]`` where that is ``None`` -- and the class's aggregate runs on
+    ``x_0..x_{m-1}`` with :func:`scalar_evaluator`'s float operations in
+    their order, so the result is bitwise that evaluator's on the
+    composed row. Weights and exponents enter as ``repr`` literals,
+    which round-trip exactly.
+    """
+    kind = type(fn)
+    m = fn.arity
+    xs = "".join(f"x{i}, " for i in range(m))
+    if kind is Min or kind is Max:
+        result = f"{kind.__name__.lower()}(({xs}))"
+    elif kind is Avg:
+        result = f"fsum(({xs})) / {m}"
+    elif kind is WeightedSum:
+        weights = fn.weights  # type: ignore[attr-defined]
+        result = "fsum((" + "".join(
+            f"{w!r} * x{i}, " for i, w in enumerate(weights)
+        ) + "))"
+    elif kind is Product or kind is Geometric:
+        result = "1.0" + "".join(f" * x{i}" for i in range(m))
+        if kind is Geometric:
+            result = f"({result}) ** {1.0 / m!r}"
+    elif kind is Median:
+        result = f"sorted(({xs}))[{(m - 1) // 2}]"
+    else:
+        return None
+    return _hoisted_bound(m, result)
+
+
+@lru_cache(maxsize=256)
+def _hoisted_bound(arity: int, result: str) -> BoundFunction:
+    """``bound(r, l)`` hoisting ``x_0..x_{arity-1}``, then ``result``."""
+    lines = ["def bound(r, l):"]
+    for i in range(arity):
+        lines += [
+            f"    x{i} = r[{i}]",
+            f"    if x{i} is None:",
+            f"        x{i} = l[{i}]",
+        ]
+    lines.append(f"    return {result}")
+    namespace: dict[str, object] = {"fsum": math.fsum}
+    exec(compile("\n".join(lines), "<library bound>", "exec"), namespace)
+    return namespace["bound"]  # type: ignore[return-value]

@@ -49,12 +49,12 @@ from typing import Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterSeries, MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.sources.base import Source
 from repro.sources.cost import CostModel
 from repro.sources.simulated import sources_for
-from repro.types import Access
+from repro.types import Access, AccessType
 
 
 class CacheStats:
@@ -170,6 +170,9 @@ class SourceCache:
         self._stats = CacheStats()
         self._metrics = metrics
         self._trace = trace
+        # (predicate, kind) -> bound hit / miss series, bound on first use.
+        self._hit_series: dict[tuple[int, str], CounterSeries] = {}
+        self._miss_series: dict[tuple[int, str], CounterSeries] = {}
         self._pins = 0
         self._sweep_pending = False
         #: Moves each time a cached list is found exhausted: a view's
@@ -253,6 +256,8 @@ class SourceCache:
         """
         if metrics is not None:
             self._metrics = metrics
+            self._hit_series.clear()
+            self._miss_series.clear()
         if trace is not None:
             self._trace = trace
 
@@ -401,6 +406,22 @@ class SourceCache:
                 records=records,
             )
 
+    def _series(
+        self,
+        bound: dict[tuple[int, str], CounterSeries],
+        name: str,
+        predicate: int,
+        kind: str,
+    ) -> CounterSeries:
+        """One channel's ``name`` series from ``bound``, bound on first use."""
+        series = bound.get((predicate, kind))
+        if series is None:
+            assert self._metrics is not None
+            series = bound[predicate, kind] = self._metrics.counter(
+                name, predicate=predicate, kind=kind
+            )
+        return series
+
     def _record_hit(self, predicate: int, kind: str) -> None:
         """Count one view-served (uncharged) access into stats + metrics."""
         if kind == "sorted":
@@ -408,9 +429,9 @@ class SourceCache:
         else:
             self._stats.random_hits += 1
         if self._metrics is not None:
-            self._metrics.inc(
-                "repro_cache_hits_total", predicate=predicate, kind=kind
-            )
+            self._series(
+                self._hit_series, "repro_cache_hits_total", predicate, kind
+            ).inc()
 
     def _record_miss(self, predicate: int, kind: str) -> None:
         """Count one fell-through (charged) access into stats + metrics."""
@@ -419,9 +440,9 @@ class SourceCache:
         else:
             self._stats.random_misses += 1
         if self._metrics is not None:
-            self._metrics.inc(
-                "repro_cache_misses_total", predicate=predicate, kind=kind
-            )
+            self._series(
+                self._miss_series, "repro_cache_misses_total", predicate, kind
+            ).inc()
 
     def invalidate(self, predicate: Optional[int] = None) -> None:
         """Drop cached state (one predicate, or everything) explicitly.
@@ -498,6 +519,8 @@ class CachedSource(Source):
         self._cache = cache
         self._predicate = predicate
         self._inner = cache._sources[predicate]
+        # The real source's capability never changes: read it once.
+        self._supports_sorted = self._inner.supports_sorted
         self._generation = cache._entries[predicate].generation
         self._cursor = 0
         self._last_duration: Optional[float] = None
@@ -534,7 +557,7 @@ class CachedSource(Source):
         records it as a free cache hit.
         """
         entry = self._live_entry()
-        if access.is_sorted:
+        if access.kind is AccessType.SORTED:
             return self._cursor < len(entry.prefix)
         assert access.obj is not None
         return access.obj in entry.memo
@@ -545,7 +568,7 @@ class CachedSource(Source):
 
     @property
     def supports_sorted(self) -> bool:
-        return self._inner.supports_sorted
+        return self._supports_sorted
 
     @property
     def supports_random(self) -> bool:
@@ -601,7 +624,7 @@ class CachedSource(Source):
     def exhausted(self) -> bool:
         entry = self._live_entry()
         return (
-            self.supports_sorted
+            self._supports_sorted
             and entry.exhausted
             and self._cursor >= len(entry.prefix)
         )

@@ -73,6 +73,34 @@ _serial = attrgetter("serial")
 _exhaustions = attrgetter("exhaustions")
 
 
+class _Channel:
+    """One source channel's per-access handles, bound at its first access.
+
+    The channel's breaker, its Eq. 1 unit cost and its three per-access
+    counter series (``None`` without a metrics registry), so an access
+    reads them instead of re-deriving them from ``(predicate, kind)``.
+    """
+
+    __slots__ = ("breaker", "cost", "accesses", "charged", "cached")
+
+    def __init__(self, middleware: "Middleware", predicate: int, kind: AccessType):
+        self.breaker = middleware._breakers[(predicate, kind)]
+        cost_model = middleware._cost_model
+        self.cost = (
+            cost_model.sorted_cost(predicate)
+            if kind is AccessType.SORTED
+            else cost_model.random_cost(predicate)
+        )
+        metrics = middleware._metrics
+        if metrics is None:
+            self.accesses = self.charged = self.cached = None
+            return
+        labels = {"predicate": predicate, "kind": kind.value}
+        self.accesses = metrics.counter("repro_accesses_total", **labels)
+        self.charged = metrics.counter("repro_access_cost_total", **labels)
+        self.cached = metrics.counter("repro_cached_accesses_total", **labels)
+
+
 class Middleware:
     """Metered, rule-enforcing access layer over a set of sources.
 
@@ -243,6 +271,22 @@ class Middleware:
             {id(cache): cache for cache in caches if cache is not None}.values()
         )
         self._invalidate_epoch()
+        # What every access reads and no access changes, resolved once
+        # (docs/RUNTIME.md, "The per-access path"): the capability flags,
+        # each source's free-serving hook, the sources with a sorted list,
+        # and per channel, at its first access, its breaker, unit cost and
+        # counter series.
+        self._sorted_ok = tuple(cost_model.sorted_capabilities)
+        self._random_ok = tuple(cost_model.random_capabilities)
+        self._serves_free = [
+            getattr(source, "serves_free", None) for source in self._sources
+        ]
+        self._listed = [
+            source if source.supports_sorted else None
+            for source in self._sources
+        ]
+        self._sorted_channels: list[Optional[_Channel]] = [None] * len(sources)
+        self._random_channels: list[Optional[_Channel]] = [None] * len(sources)
         self._retry_rng = (
             retry_policy.fresh_rng() if retry_policy is not None else None
         )
@@ -496,27 +540,32 @@ class Middleware:
         unit cost otherwise. Engines use this to keep affordable-only
         scheduling (``degrade_on_budget``) from discarding free hits.
         """
-        if self._served_from_cache(access):
+        serves_free = self._serves_free[access.predicate]
+        if serves_free is not None and serves_free(access):
             return 0.0
         return self._cost_model.access_cost(access)
 
     def _charge(self, access: Access, cost: float) -> None:
-        """Refuse an access whose cost would overrun the budget."""
-        if self._budget is None:
-            return
-        if self._stats.total_cost() + cost > self._budget + 1e-12:
+        """Refuse an access whose cost would overrun the budget.
+
+        Callers call it only when a budget is set.
+        """
+        budget = self._budget
+        assert budget is not None
+        if self._stats.total_cost() + cost > budget + 1e-12:
             if self._metrics is not None:
                 self._metrics.inc(
                     "repro_budget_rejections_total",
                     predicate=access.predicate,
                     kind=access.kind.value,
                 )
-            self._emit(
-                "budget_rejected",
-                access,
-                cost=cost,
-                remaining=self.remaining_budget(),
-            )
+            if self._trace is not None:
+                self._emit(
+                    "budget_rejected",
+                    access,
+                    cost=cost,
+                    remaining=self.remaining_budget(),
+                )
             raise BudgetExceededError(
                 f"access costing {cost:g} would exceed the remaining budget "
                 f"of {self.remaining_budget():g} (cap {self._budget:g})"
@@ -558,24 +607,24 @@ class Middleware:
 
     def exhausted(self, predicate: int) -> bool:
         """Whether a predicate's sorted list is fully consumed."""
-        source = self._sources[predicate]
-        return source.supports_sorted and source.exhausted
+        source = self._listed[predicate]
+        return source is not None and source.exhausted
 
     def supports_sorted(self, predicate: int) -> bool:
         """Whether sorted access is available on ``predicate``."""
-        return self._cost_model.supports_sorted(predicate)
+        return self._sorted_ok[predicate]
 
     def supports_random(self, predicate: int) -> bool:
         """Whether random access is available on ``predicate``."""
-        return self._cost_model.supports_random(predicate)
+        return self._random_ok[predicate]
 
     def sorted_predicates(self) -> list[int]:
         """Predicates with sorted access available."""
-        return [i for i in range(self.m) if self.supports_sorted(i)]
+        return [i for i, ok in enumerate(self._sorted_ok) if ok]
 
     def random_predicates(self) -> list[int]:
         """Predicates with random access available."""
-        return [i for i in range(self.m) if self.supports_random(i)]
+        return [i for i, ok in enumerate(self._random_ok) if ok]
 
     def object_ids(self) -> range:
         """The full object universe.
@@ -599,9 +648,12 @@ class Middleware:
     # ------------------------------------------------------------------
 
     def _emit(self, event: str, access: Access, **fields: object) -> None:
-        """Record one predicate-scoped trace event at the current tick."""
-        if self._trace is None:
-            return
+        """Record one predicate-scoped trace event at the current tick.
+
+        Callers test ``self._trace`` first, so no keyword dict is built
+        when nothing records.
+        """
+        assert self._trace is not None
         self._trace.emit(
             event,
             self._now(),
@@ -623,22 +675,22 @@ class Middleware:
                 kind=access.kind.value,
                 to=after.value,
             )
-        self._emit(
-            "breaker", access, from_state=before.value, to_state=after.value
-        )
+        if self._trace is not None:
+            self._emit(
+                "breaker", access, from_state=before.value, to_state=after.value
+            )
 
-    def _gate(self, access: Access) -> None:
+    def _gate(self, access: Access, breaker: CircuitBreaker) -> None:
         """Fail fast (uncharged) when the channel's breaker is open."""
-        if not self._breakers[(access.predicate, access.kind)].allows(
-            self._now()
-        ):
+        if not breaker.allows(self._now()):
             if self._metrics is not None:
                 self._metrics.inc(
                     "repro_breaker_rejections_total",
                     predicate=access.predicate,
                     kind=access.kind.value,
                 )
-            self._emit("breaker_rejected", access)
+            if self._trace is not None:
+                self._emit("breaker_rejected", access)
             if self._monitor is not None:
                 self._monitor.observe_unavailable(access)
             raise SourceUnavailableError(
@@ -676,21 +728,12 @@ class Middleware:
         if duration is not None:
             self._monitor.observe_failure(access, duration)
 
-    def _served_from_cache(self, access: Access) -> bool:
-        """Whether the source would serve this access from a shared cache.
-
-        Duck-typed on :meth:`CachedSource.serves_free
-        <repro.sources.cache.CachedSource.serves_free>`: cache hits never
-        reach a web source, so they bypass budget, charging, retries and
-        breakers entirely and are recorded as uncharged hits.
-        """
-        serves_free = getattr(
-            self._sources[access.predicate], "serves_free", None
-        )
-        return serves_free is not None and bool(serves_free(access))
-
     def _execute(
-        self, access: Access, attempt: Callable[[], object], cached: bool = False
+        self,
+        access: Access,
+        channel: _Channel,
+        attempt: Callable[[], object],
+        cached: bool = False,
     ) -> object:
         """Run one logical access under the retry policy and breaker.
 
@@ -710,18 +753,15 @@ class Middleware:
         if cached:
             result = attempt()
             self._stats.record_cached(access)
-            if self._metrics is not None:
-                self._metrics.inc(
-                    "repro_cached_accesses_total",
-                    predicate=access.predicate,
-                    kind=access.kind.value,
-                )
-            self._emit("cache_hit", access, obj=access.obj)
+            if channel.cached is not None:
+                channel.cached.inc()
+            if self._trace is not None:
+                self._emit("cache_hit", access, obj=access.obj)
             return result
-        breaker = self._breakers[(access.predicate, access.kind)]
+        breaker = channel.breaker
         policy = self._retry_policy
         max_attempts = policy.max_attempts if policy is not None else 1
-        cost = self._cost_model.access_cost(access)
+        cost = channel.cost
         last_error: Optional[Exception] = None
         for attempt_no in range(1, max_attempts + 1):
             if attempt_no > 1:
@@ -735,12 +775,16 @@ class Middleware:
                         predicate=access.predicate,
                         kind=access.kind.value,
                     )
-                self._emit("backoff", access, pause=pause, attempt=attempt_no)
-            self._charge(access, cost)
+                if self._trace is not None:
+                    self._emit(
+                        "backoff", access, pause=pause, attempt=attempt_no
+                    )
+            if self._budget is not None:
+                self._charge(access, cost)
             self._stats.record(access)
             if attempt_no > 1:
                 self._stats.record_retry(access)
-            self._record_charged(access, cost, attempt_no)
+            self._record_charged(access, channel, attempt_no)
             try:
                 result = attempt()
             except SourceUnavailableError:
@@ -756,10 +800,16 @@ class Middleware:
                 self._record_fault(access, attempt_no, permanent=False)
                 last_error = exc
                 continue
-            before = breaker.state(self._now())
-            breaker.record_success()
-            self._breaker_transition(access, before, breaker.state(self._now()))
-            self._observe(access)
+            if not breaker.healthy:
+                # A healthy breaker stays closed through a success, with
+                # nothing to record or publish; any other is walked.
+                before = breaker.state(self._now())
+                breaker.record_success()
+                self._breaker_transition(
+                    access, before, breaker.state(self._now())
+                )
+            if self._monitor is not None:
+                self._observe(access)
             return result
         before = breaker.state(self._now())
         tripped = breaker.record_failure(self._now())
@@ -775,30 +825,26 @@ class Middleware:
         )
 
     def _record_charged(
-        self, access: Access, cost: float, attempt_no: int
+        self, access: Access, channel: _Channel, attempt_no: int
     ) -> None:
         """Publish one charged attempt to the metrics and trace layers."""
-        if self._metrics is not None:
-            self._metrics.inc(
-                "repro_accesses_total",
-                predicate=access.predicate,
-                kind=access.kind.value,
-            )
-            self._metrics.inc(
-                "repro_access_cost_total",
-                cost,
-                predicate=access.predicate,
-                kind=access.kind.value,
-            )
+        if channel.accesses is not None:
+            channel.accesses.inc()
+            channel.charged.inc(channel.cost)
             if attempt_no > 1:
                 self._metrics.inc(
                     "repro_retries_total",
                     predicate=access.predicate,
                     kind=access.kind.value,
                 )
-        self._emit(
-            "access", access, obj=access.obj, cost=cost, attempt=attempt_no
-        )
+        if self._trace is not None:
+            self._emit(
+                "access",
+                access,
+                obj=access.obj,
+                cost=channel.cost,
+                attempt=attempt_no,
+            )
 
     def _record_fault(
         self, access: Access, attempt_no: int, permanent: bool
@@ -813,9 +859,10 @@ class Middleware:
                 kind=access.kind.value,
                 permanent=str(permanent).lower(),
             )
-        self._emit(
-            "fault", access, attempt=attempt_no, permanent=permanent
-        )
+        if self._trace is not None:
+            self._emit(
+                "fault", access, attempt=attempt_no, permanent=permanent
+            )
 
     def sorted_access(self, predicate: int) -> Optional[tuple[int, float]]:
         """Perform ``sa_i``: fetch the next object of predicate ``i``.
@@ -826,27 +873,33 @@ class Middleware:
         policy, transient source faults are retried (each attempt
         charged); an open circuit breaker refuses the access up front.
         """
-        if not self.supports_sorted(predicate):
+        if not self._sorted_ok[predicate]:
             raise CapabilityError(
                 f"predicate {predicate}: sorted access not in cost model"
             )
         self._last_seen_version += 1
         access = Access.sorted(predicate)
-        cached = self._served_from_cache(access)
+        channel = self._sorted_channels[predicate]
+        if channel is None:
+            channel = self._sorted_channels[predicate] = _Channel(
+                self, predicate, AccessType.SORTED
+            )
+        serves_free = self._serves_free[predicate]
+        cached = serves_free is not None and serves_free(access)
         if not cached:
-            self._gate(access)
+            self._gate(access, channel.breaker)
         source = self._sources[predicate]
         if source.exhausted:
-            cost = self._cost_model.sorted_cost(predicate)
-            self._charge(access, cost)
+            if self._budget is not None:
+                self._charge(access, channel.cost)
             if self._strict:
                 raise ExhaustedSourceError(
                     f"predicate {predicate}: sorted list exhausted"
                 )
             self._stats.record(access)
-            self._record_charged(access, cost, attempt_no=1)
+            self._record_charged(access, channel, attempt_no=1)
             return None
-        result = self._execute(access, source.sorted_access, cached=cached)
+        result = self._execute(access, channel, source.sorted_access, cached)
         if source.exhausted:
             self._gate_epoch = next(_EPOCHS)
         if result is None:  # pragma: no cover - guarded by exhaustion check
@@ -867,14 +920,20 @@ class Middleware:
         (each attempt charged); an open circuit breaker refuses the
         access up front.
         """
-        if not self.supports_random(predicate):
+        if not self._random_ok[predicate]:
             raise CapabilityError(
                 f"predicate {predicate}: random access not in cost model"
             )
         access = Access.random(predicate, obj)
-        cached = self._served_from_cache(access)
+        channel = self._random_channels[predicate]
+        if channel is None:
+            channel = self._random_channels[predicate] = _Channel(
+                self, predicate, AccessType.RANDOM
+            )
+        serves_free = self._serves_free[predicate]
+        cached = serves_free is not None and serves_free(access)
         if not cached:
-            self._gate(access)
+            self._gate(access, channel.breaker)
         if self._no_wild_guesses and obj not in self._seen:
             raise WildGuessError(
                 f"random access to object {obj} before it was seen from any "
@@ -885,10 +944,9 @@ class Middleware:
                 f"score of object {obj} on predicate {predicate} was already "
                 "retrieved; random accesses must not be repeated"
             )
+        source = self._sources[predicate]
         score = self._execute(
-            access,
-            lambda: self._sources[predicate].random_access(obj),
-            cached=cached,
+            access, channel, lambda: source.random_access(obj), cached
         )
         if self._contracts is not None:
             self._contracts.check_score(predicate, obj, float(score))  # type: ignore[arg-type]
@@ -898,8 +956,13 @@ class Middleware:
     def perform(self, access: Access):
         """Dispatch a descriptor to the right access method.
 
-        Returns whatever the underlying access returns: ``(obj, score)`` or
-        ``None`` for sorted accesses, a ``float`` score for random ones.
+        Every access, the engines' included, goes through
+        :meth:`sorted_access` or :meth:`random_access`: they are the
+        access layer's one entry point, where profilers and benchmarks
+        time it. ``sa_i`` descriptors are interned, so a sorted access
+        rebuilds nothing. Returns whatever the underlying access
+        returns: ``(obj, score)`` or ``None`` for sorted accesses, a
+        ``float`` score for random ones.
         """
         if access.kind is AccessType.SORTED:
             return self.sorted_access(access.predicate)

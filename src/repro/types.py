@@ -49,8 +49,18 @@ class Access:
 
     @staticmethod
     def sorted(predicate: int) -> "Access":
-        """Build an ``sa_i`` access descriptor."""
-        return Access(AccessType.SORTED, predicate)
+        """The ``sa_i`` access descriptor.
+
+        Descriptors are frozen, so one per predicate is built and shared
+        by every caller.
+        """
+        try:
+            return _SORTED_ACCESSES[predicate]
+        except KeyError:
+            access = _SORTED_ACCESSES[predicate] = Access(
+                AccessType.SORTED, predicate
+            )
+            return access
 
     @staticmethod
     def random(predicate: int, obj: int) -> "Access":
@@ -69,6 +79,10 @@ class Access:
         if self.is_sorted:
             return f"sa_{self.predicate}"
         return f"ra_{self.predicate}({self.obj})"
+
+
+#: The interned ``sa_i`` descriptors of :meth:`Access.sorted`.
+_SORTED_ACCESSES: dict[int, Access] = {}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import ParallelExecutor
 from repro.query.compiler import compile_expression
 from repro.query.parser import parse_query
-from repro.scoring.functions import Avg, Median, Min, Monotone
+from repro.core.state import ScoreState
+from repro.core.tasks import UNSEEN
+from repro.scoring.functions import (
+    Avg,
+    Max,
+    Median,
+    Min,
+    Monotone,
+    Product,
+    WeightedSum,
+)
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
 
@@ -252,3 +262,130 @@ class TestIndexUnit:
             (2, 1.0), (1, 1.0), (0, 0.9), (3, 0.1)
         ]
         assert index.pop_current() is None
+
+
+#: Non-min F: these run on the lazy heap, where a hint can save a call.
+PUSH_BACK_FUNCTIONS = [
+    Avg(3),
+    Max(3),
+    Product(3),
+    WeightedSum([0.2, 0.3, 0.5]),
+    compile_expression(
+        parse_query(
+            "SELECT * FROM r ORDER BY avg(0.9*a, max(b, c)) STOP AFTER 1"
+        ).expr,
+        schema=SCHEMA,
+    )[0],
+]
+
+
+def _deliver(middleware, state, op):
+    """One access, recorded the way the engine records it."""
+    kind, predicate, obj = op
+    if kind == "sorted":
+        if middleware.exhausted(predicate):
+            return
+        delivered, score = middleware.sorted_access(predicate)
+        state.record(predicate, delivered, score)
+    elif middleware.is_seen(obj) and state.known_score(obj, predicate) is None:
+        state.record(predicate, obj, middleware.random_access(predicate, obj))
+
+
+def _drain(index):
+    popped = []
+    while (entry := index.pop_current()) is not None:
+        popped.append((entry[0], struct.pack("<d", entry[1])))
+    return popped
+
+
+class TestPushBack:
+    """Pushing an entry back at the bound it was popped with is exact."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(PUSH_BACK_FUNCTIONS),
+        st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=3, max_size=3),
+            min_size=2,
+            max_size=12,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["sorted", "random"]),
+                st.integers(0, 2),
+                st.integers(0, 11),
+            ),
+            max_size=30,
+        ),
+        st.data(),
+    )
+    def test_popped_bounds_pop_like_current_ones(self, fn, rows, ops, data):
+        dataset = Dataset(np.array(rows, dtype=float))
+        middleware = Middleware.over(
+            dataset, CostModel.uniform(3), strict=False
+        )
+        state = ScoreState(middleware, fn)
+        split = data.draw(st.integers(0, len(ops)))
+        for op in ops[:split]:
+            _deliver(middleware, state, op)
+        # Each tracked object (and UNSEEN) at its bound before the rest
+        # of the accesses: at or above every later bound.
+        objects = [UNSEEN, *sorted(state.tracked())]
+        earlier = {obj: state.upper_bound(obj) for obj in objects}
+        for op in ops[split:]:
+            _deliver(middleware, state, op)
+        hinted = LazyBoundIndex(state)
+        current = LazyBoundIndex(state)
+        for obj in objects:
+            assert earlier[obj] >= state.upper_bound(obj)
+            hinted.push(obj, earlier[obj])
+            current.push(obj)
+        assert _drain(hinted) == _drain(current)
+
+    @pytest.mark.parametrize("fn", PUSH_BACK_FUNCTIONS + [Min(3)])
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_waves_replay_fresh_push_back(self, fn, concurrency, k):
+        class FreshPushBack(ParallelExecutor):
+            """The wave core as it was: F evaluated at every push-back."""
+
+            def _push_back(self, entries):
+                all_seen = self.middleware.seen_count >= self.middleware.n_objects
+                for obj, _stale in entries:
+                    if obj == UNSEEN and (all_seen or self._unseen_abandoned):
+                        self._tracked.discard(UNSEEN)
+                        continue
+                    self._bounds.push(obj)
+
+        def run(engine_cls):
+            middleware = Middleware.over(
+                uniform(120, 3, seed=11),
+                CostModel.uniform(3, cs=1.0, cr=4.0),
+                record_log=True,
+            )
+            engine = engine_cls(
+                middleware,
+                fn,
+                k,
+                SRGPolicy((0.5, 0.3, 0.6), (2, 0, 1)),
+                concurrency=concurrency,
+            )
+            outcome = engine.execute()
+            result = outcome.result
+            return {
+                "ranking": [
+                    (entry.obj, struct.pack("<d", entry.score))
+                    for entry in result.ranking
+                ],
+                "cost": middleware.stats.total_cost(),
+                "log": middleware.stats.log,
+                "metadata": result.metadata,
+                "waves": outcome.waves,
+            }, engine.bound_evaluations
+
+        new, new_evaluations = run(ParallelExecutor)
+        old, old_evaluations = run(FreshPushBack)
+        assert new == old
+        assert new_evaluations <= old_evaluations
+        if fn.min_terms is None and k > 1:
+            assert new_evaluations < old_evaluations

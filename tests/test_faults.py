@@ -278,6 +278,20 @@ class TestCircuitBreaker:
         assert not brk.record_failure(2)  # streak restarted
         assert brk.state(3) is BreakerState.CLOSED
 
+    def test_healthy_only_when_closed_without_failures(self):
+        brk = CircuitBreaker(BreakerPolicy(failure_threshold=2, cooldown=3))
+        assert brk.healthy
+        serial = brk.signal.serial
+        brk.record_success()  # what the middleware skips: a no-op
+        assert brk.healthy and brk.signal.serial == serial
+        brk.record_failure(1)
+        assert not brk.healthy and brk.state(1) is BreakerState.CLOSED
+        brk.record_failure(2)
+        assert not brk.healthy and brk.state(2) is BreakerState.OPEN
+        assert not brk.healthy and brk.state(5) is BreakerState.HALF_OPEN
+        brk.record_success()
+        assert brk.healthy and brk.state(5) is BreakerState.CLOSED
+
     def test_permanent_failure_opens_immediately(self):
         brk = CircuitBreaker(BreakerPolicy(failure_threshold=5, cooldown=10))
         assert brk.record_failure(1, permanent=True)

@@ -160,3 +160,45 @@ class TestScoreStateBounds:
         assert state.record_count(7) == 3
         assert state.is_complete(7)
         assert state.upper_bound(7) == state.lower_bound(7) == state.exact_score(7)
+
+
+class TestGeneratedLibraryBound:
+    """Library classes get a generated straight-line ``bound`` per arity."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_every_arity_matches_scalar_evaluator(self, arity, data):
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e3),
+                min_size=arity,
+                max_size=arity,
+            ).filter(lambda ws: sum(ws) > 0)
+        )
+        fn = data.draw(
+            st.sampled_from(
+                [
+                    Min(arity),
+                    Max(arity),
+                    Avg(arity),
+                    Product(arity),
+                    Geometric(arity),
+                    Median(arity),
+                    WeightedSum(weights),
+                ]
+            )
+        )
+        bound = bound_evaluator(fn)
+        evaluate = scalar_evaluator(fn)
+        for _ in range(5):
+            row = data.draw(st.lists(slots, min_size=arity, max_size=arity))
+            fill = data.draw(st.lists(scores, min_size=arity, max_size=arity))
+            assert bits(bound(row, fill)) == bits(evaluate(composed(row, fill)))
+
+    def test_subclasses_keep_the_composed_row(self):
+        class Doubled(Avg):
+            def evaluate(self, scores):
+                return 2 * super().evaluate(scores)
+
+        bound = bound_evaluator(Doubled(2))
+        assert bound([None, 0.5], [0.25, 1.0]) == 0.75

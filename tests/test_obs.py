@@ -157,6 +157,88 @@ class TestMetricsRegistry:
         assert "# HELP a_total help text" in reg.render_prometheus()
 
 
+class TestCounterSeries:
+    """A bound series leaves exactly what the equivalent ``inc`` calls do."""
+
+    EVENTS = [
+        ("repro_accesses_total", 1.0, {"predicate": 0, "kind": "sorted"}),
+        ("repro_access_cost_total", 2.5, {"predicate": 0, "kind": "sorted"}),
+        ("repro_accesses_total", 1.0, {"predicate": 1, "kind": "random"}),
+        ("repro_access_cost_total", 0.0, {"predicate": 1, "kind": "random"}),
+        ("repro_accesses_total", 1.0, {"predicate": 0, "kind": "sorted"}),
+        ("repro_cache_hits_total", 1.0, {"kind": "sorted", "predicate": 1}),
+        ("plain_total", 3.0, {}),
+    ]
+
+    def _feed(self, reg, bound):
+        series = {}
+        for name, value, labels in self.EVENTS:
+            if not bound:
+                reg.inc(name, value, **labels)
+                continue
+            key = (name, *sorted(labels.items()))
+            if key not in series:
+                series[key] = reg.counter(name, **labels)
+            series[key].inc(value)
+
+    def _exports(self, reg):
+        return (
+            json.dumps(reg.snapshot(), sort_keys=True),
+            reg.render_prometheus(),
+            reg.counter_names(),
+            [reg.total(name) for name in reg.counter_names()],
+        )
+
+    def test_same_events_same_bytes(self):
+        via_inc, via_series = MetricsRegistry(), MetricsRegistry()
+        for reg in (via_inc, via_series):
+            reg.describe("repro_accesses_total", "charged accesses")
+            reg.set_gauge("g", 2, predicate=0)
+        self._feed(via_inc, bound=False)
+        self._feed(via_series, bound=True)
+        assert self._exports(via_inc) == self._exports(via_series)
+
+    def test_binding_alone_creates_no_series(self):
+        reg = MetricsRegistry()
+        reg.counter("never_total", predicate=0)
+        assert reg.counter_names() == []
+        assert reg.snapshot() == {"counters": {}, "gauges": {}}
+        assert reg.render_prometheus() == ""
+
+    def test_bound_series_keeps_counting_after_reset(self):
+        reg = MetricsRegistry()
+        series = reg.counter("a_total", predicate=0)
+        series.inc()
+        series.inc(2.0)
+        reg.reset()
+        assert reg.counter_names() == []
+        series.inc()
+        assert reg.counter_value("a_total", predicate=0) == 1.0
+        assert reg.counter_names() == ["a_total"]
+        reference = MetricsRegistry()
+        reference.inc("a_total", predicate=0)
+        assert self._exports(reg) == self._exports(reference)
+
+    def test_reset_between_events_matches_inc(self):
+        via_inc, via_series = MetricsRegistry(), MetricsRegistry()
+        bound = via_series.counter("a_total", kind="sorted")
+        other = via_series.counter("b_total")
+        for step in range(6):
+            via_inc.inc("a_total", float(step), kind="sorted")
+            bound.inc(float(step))
+            if step % 2:
+                via_inc.inc("b_total")
+                other.inc()
+            if step == 3:
+                via_inc.reset()
+                via_series.reset()
+        assert self._exports(via_inc) == self._exports(via_series)
+
+    def test_negative_increment_raises(self):
+        with pytest.raises(ValueError):
+            MetricsRegistry().counter("a_total").inc(-1.0)
+
+
 class TestTraceRecorder:
     def test_emit_records_in_order(self):
         trace = TraceRecorder()

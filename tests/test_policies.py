@@ -1,9 +1,11 @@
 """Tests for the Select policies, chiefly SR/G (Figure 9)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import (
     RandomPolicy,
+    RankDepthPolicy,
     RoundRobinPolicy,
     SelectContext,
     SRGPolicy,
@@ -143,3 +145,114 @@ class TestRandomPolicy:
         policy.reset()
         second = [policy.select(alts, ctx) for _ in range(10)]
         assert first == second
+
+
+class _Bounds:
+    """A middleware stand-in: fixed ``l_i`` and depths, reads counted."""
+
+    def __init__(self, limits, depths):
+        self.limits = limits
+        self.depths = depths
+        self.reads = 0
+
+    def last_seen(self, predicate):
+        self.reads += 1
+        return self.limits[predicate]
+
+    def depth(self, predicate):
+        return self.depths[predicate]
+
+
+def _deepest(candidates, mw):
+    return max(
+        candidates, key=lambda acc: (mw.last_seen(acc.predicate), -acc.predicate)
+    )
+
+
+def _oracle(alternatives, mw, rank, open_list):
+    """The comprehension form SR/G selects had before the one-pass loop."""
+    sorted_cands = [acc for acc in alternatives if acc.is_sorted]
+    below_depth = [acc for acc in sorted_cands if open_list(acc.predicate)]
+    if below_depth:
+        return _deepest(below_depth, mw)
+    random_cands = [acc for acc in alternatives if acc.is_random]
+    if random_cands:
+        return min(random_cands, key=lambda acc: rank[acc.predicate])
+    if sorted_cands:
+        return _deepest(sorted_cands, mw)
+    raise ValueError("alternatives must not be empty")
+
+
+#: Few distinct values, so equal l_i (and l_i equal to a depth) are common.
+_LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0])
+
+
+@st.composite
+def select_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=4))
+    access = st.one_of(
+        st.builds(Access.sorted, st.integers(0, m - 1)),
+        st.builds(
+            Access.random, st.integers(0, m - 1), st.integers(0, 3)
+        ),
+    )
+    mix = draw(st.sampled_from(["mixed", "sorted-only", "random-only"]))
+    alternatives = draw(st.lists(access, min_size=1, max_size=8))
+    if mix == "sorted-only":
+        alternatives = [Access.sorted(acc.predicate) for acc in alternatives]
+    elif mix == "random-only":
+        alternatives = [
+            Access.random(acc.predicate, 0) if acc.is_sorted else acc
+            for acc in alternatives
+        ]
+    return {
+        "m": m,
+        "alternatives": alternatives,
+        "limits": draw(st.lists(_LEVELS, min_size=m, max_size=m)),
+        "depths": draw(st.lists(_LEVELS, min_size=m, max_size=m)),
+        "counts": draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+        "reached": draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+        "schedule": draw(st.permutations(range(m))),
+    }
+
+
+class TestOnePassSelect:
+    """The one-pass SR/G loop against the comprehension form it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(select_cases())
+    def test_srg_matches_the_comprehension_form(self, case):
+        policy = SRGPolicy(case["depths"], case["schedule"])
+        mw = _Bounds(case["limits"], case["reached"])
+        ctx = SelectContext(state=None, middleware=mw, target=0)
+        expected = _oracle(
+            case["alternatives"],
+            mw,
+            policy._rank,
+            lambda i: mw.last_seen(i) > policy.depths[i],
+        )
+        mw.reads = 0
+        chosen = policy.select(case["alternatives"], ctx)
+        assert chosen is expected
+        sorted_cands = sum(acc.is_sorted for acc in case["alternatives"])
+        assert mw.reads == sorted_cands
+
+    @settings(max_examples=200, deadline=None)
+    @given(select_cases())
+    def test_rank_depth_matches_the_comprehension_form(self, case):
+        policy = RankDepthPolicy(case["counts"], case["schedule"])
+        mw = _Bounds(case["limits"], case["reached"])
+        ctx = SelectContext(state=None, middleware=mw, target=0)
+        expected = _oracle(
+            case["alternatives"],
+            mw,
+            policy._rank,
+            lambda i: mw.depth(i) < policy.depth_counts[i],
+        )
+        assert policy.select(case["alternatives"], ctx) is expected
+
+    def test_empty_alternatives_still_rejected(self):
+        mw = _Bounds([1.0], [0])
+        ctx = SelectContext(state=None, middleware=mw, target=0)
+        with pytest.raises(ValueError):
+            RankDepthPolicy([1]).select([], ctx)

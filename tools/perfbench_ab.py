@@ -35,6 +35,11 @@ LAYERS = (
     "optimizer.plan_ms",
     "engine.self_ms",
     "replan.search_ms",
+    "sources.access_ms",
+    "service.self_ms",
+    "service.encode_ms",
+    "service.transport_ms",
+    "service.queue_wait_ms",
 )
 EXACT = (
     "access_cost_per_query",
