@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.algorithms.base import BoundTracker, TopKAlgorithm
+from repro.algorithms.base import BoundTracker, TopKAlgorithm, sorted_round
 from repro.core.tasks import UNSEEN
 from repro.scoring.functions import ScoringFunction
 from repro.sources.middleware import Middleware
@@ -57,23 +57,13 @@ class CA(TopKAlgorithm):
         self._require_random_all(middleware)
         h = self._ratio(middleware)
         tracker = BoundTracker(middleware, fn, k)
-        m = middleware.m
         rounds = 0
 
         while True:
             ranking = tracker.finished()
             if ranking is not None:
                 return self._result(ranking, middleware, h=h)
-            progressed = False
-            for i in range(m):
-                if middleware.exhausted(i):
-                    continue
-                delivered = middleware.sorted_access(i)
-                if delivered is None:  # pragma: no cover - non-strict mode
-                    continue
-                progressed = True
-                obj, score = delivered
-                tracker.record(i, obj, score)
+            progressed = sorted_round(middleware, tracker.record)
             rounds += 1
             if rounds % h == 0:
                 self._probe_best_candidate(tracker, middleware)
@@ -89,22 +79,16 @@ class CA(TopKAlgorithm):
     def _probe_best_candidate(
         self, tracker: BoundTracker, middleware: Middleware
     ) -> None:
-        """Fully evaluate the best incomplete *seen* candidate, if any."""
-        top = tracker.top_incomplete()
-        if top is None:
+        """Fully evaluate the best incomplete *seen* candidate, if any.
+
+        The virtual UNSEEN object cannot be probed; the best real
+        incomplete candidate below it is taken instead.
+        """
+        for obj, _bound in tracker.current_topk():
+            if obj != UNSEEN and not tracker.state.is_complete(obj):
+                break
+        else:
             return
-        obj, _bound = top
-        if obj == UNSEEN:
-            # The virtual object cannot be probed; pick the best real
-            # incomplete candidate below it instead.
-            candidate = None
-            for entry_obj, _b in tracker.current_topk():
-                if entry_obj != UNSEEN and not tracker.state.is_complete(entry_obj):
-                    candidate = entry_obj
-                    break
-            if candidate is None:
-                return
-            obj = candidate
         for i in tracker.state.undetermined(obj):
             score = middleware.random_access(i, obj)
             tracker.record(i, obj, score)

@@ -18,7 +18,7 @@ reference point.
 
 from __future__ import annotations
 
-from repro.algorithms.base import TopKAlgorithm
+from repro.algorithms.base import TopKAlgorithm, sorted_round
 from repro.core.state import ScoreState
 from repro.scoring.functions import ScoringFunction
 from repro.sources.middleware import Middleware
@@ -47,21 +47,14 @@ class FA(TopKAlgorithm):
                 common = common & seen
             return len(common)
 
+        def record(i: int, obj: int, score: float) -> None:
+            state.record(i, obj, score)
+            seen_per_list[i].add(obj)
+
         # Sorted phase: round-robin until k objects are in the intersection
         # (or every list is exhausted, in which case everything was seen).
         while intersection_size() < k:
-            progressed = False
-            for i in range(m):
-                if middleware.exhausted(i):
-                    continue
-                delivered = middleware.sorted_access(i)
-                if delivered is None:  # pragma: no cover - non-strict mode
-                    continue
-                obj, score = delivered
-                state.record(i, obj, score)
-                seen_per_list[i].add(obj)
-                progressed = True
-            if not progressed:
+            if not sorted_round(middleware, record):
                 break  # all lists exhausted; every object fully delivered
 
         # Random phase: complete every seen object.

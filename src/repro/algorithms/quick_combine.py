@@ -21,13 +21,11 @@ fall back to round-robin so no list starves.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.algorithms.base import TopKAlgorithm
+from repro.algorithms.base import BestK, DropIndicator, TopKAlgorithm
 from repro.core.state import ScoreState
 from repro.scoring.functions import ScoringFunction
 from repro.sources.middleware import Middleware
-from repro.types import QueryResult, RankedObject
+from repro.types import QueryResult
 
 
 class QuickCombine(TopKAlgorithm):
@@ -47,56 +45,25 @@ class QuickCombine(TopKAlgorithm):
             raise ValueError(f"k must be >= 1, got {k}")
         self._require_sorted_all(middleware)
         self._require_random_all(middleware)
-        m = middleware.m
         state = ScoreState(middleware, fn)
-        history: list[list[float]] = [[1.0] for _ in range(m)]
-        best: list[tuple[float, int]] = []
-        evaluated: set[int] = set()
-        tick = 0  # round-robin fallback cursor
-
-        def consider(obj: int) -> None:
-            if obj in evaluated:
-                return
-            for i in state.undetermined(obj):
-                state.record(i, obj, middleware.random_access(i, obj))
-            evaluated.add(obj)
-            key = (state.exact_score(obj), obj)
-            if len(best) < k:
-                heapq.heappush(best, key)
-            elif key > best[0]:
-                heapq.heapreplace(best, key)
-
-        def indicator(i: int) -> float:
-            trail = history[i]
-            back = min(self.window, len(trail) - 1)
-            drop = trail[-1 - back] - trail[-1] if back else 1.0 - trail[-1]
-            point = [middleware.last_seen(j) for j in range(m)]
-            return fn.partial_derivative(i, point) * max(drop, 0.0)
+        best = BestK(state, k)
+        indicator = DropIndicator(middleware, fn, self.window)
 
         while True:
-            live = [i for i in range(m) if not middleware.exhausted(i)]
+            live = [i for i in range(middleware.m) if not middleware.exhausted(i)]
             if not live:
                 break  # everything delivered and evaluated
-            scores = {i: indicator(i) for i in live}
-            peak = max(scores.values())
-            if peak > 0.0:
-                pred = max(live, key=lambda i: (scores[i], -i))
-            else:
-                # Degenerate indicator (flat lists or non-smooth F):
-                # round-robin over live lists to guarantee progress.
-                pred = live[tick % len(live)]
-                tick += 1
-            delivered = middleware.sorted_access(pred)
+            choice = indicator.best(live)
+            # A flat indicator (flat lists or non-smooth F) falls back to
+            # round-robin over live lists to guarantee progress.
+            pred = choice[1] if choice else indicator.round_robin(live)
+            delivered = indicator.descend(pred)
             if delivered is None:  # pragma: no cover - non-strict mode
                 continue
             obj, score = delivered
             state.record(pred, obj, score)
-            history[pred].append(middleware.last_seen(pred))
-            consider(obj)
-            threshold = fn([middleware.last_seen(i) for i in range(m)])
-            if len(best) >= k and best[0][0] >= threshold:
+            best.consider(obj)
+            if best.reached():
                 break
 
-        ordered = sorted(best, key=lambda key: (-key[0], -key[1]))
-        ranking = [RankedObject(obj, score) for score, obj in ordered]
-        return self._result(ranking, middleware, window=self.window)
+        return self._result(best.ranking(), middleware, window=self.window)

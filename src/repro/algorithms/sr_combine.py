@@ -24,7 +24,12 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from repro.algorithms.base import BoundTracker, TopKAlgorithm
+from repro.algorithms.base import (
+    BoundTracker,
+    DropIndicator,
+    TopKAlgorithm,
+    best_probe,
+)
 from repro.core.tasks import UNSEEN
 from repro.scoring.functions import ScoringFunction
 from repro.sources.middleware import Middleware
@@ -57,96 +62,60 @@ class SRCombine(TopKAlgorithm):
         if len(expected) != m:
             raise ValueError("expected_scores must cover every predicate")
         tracker = BoundTracker(middleware, fn, k)
-        history: list[list[float]] = [[1.0] for _ in range(m)]
-        tick = 0
+        indicator = DropIndicator(middleware, fn, self.window)
 
         while True:
             ranking = tracker.finished()
             if ranking is not None:
                 return self._result(ranking, middleware, window=self.window)
-            sorted_choice = self._best_sorted(middleware, fn, history)
-            probe_choice = self._best_probe(tracker, middleware, fn, expected)
+            live = [i for i in range(m) if not middleware.exhausted(i)]
+            sorted_choice = indicator.best(live, middleware.cost_model.sorted_cost)
+            probe_choice = self._best_probe(tracker, expected)
             if sorted_choice is None and probe_choice is None:
                 # Indicators flat (non-smooth function or stalled lists):
                 # fall back to round-robin descent to guarantee progress.
-                live = [i for i in range(m) if not middleware.exhausted(i)]
                 if not live:
                     ranking = tracker.finished()
                     assert ranking is not None
                     return self._result(ranking, middleware, window=self.window)
-                pred = live[tick % len(live)]
-                tick += 1
-                self._descend(middleware, tracker, history, pred)
-                continue
-            sorted_value = sorted_choice[0] if sorted_choice else -math.inf
-            probe_value = probe_choice[0] if probe_choice else -math.inf
-            if sorted_value >= probe_value:
-                assert sorted_choice is not None
-                self._descend(middleware, tracker, history, sorted_choice[1])
+                pred = indicator.round_robin(live)
+            elif probe_choice is None or (
+                sorted_choice is not None and sorted_choice[0] >= probe_choice[0]
+            ):
+                pred = sorted_choice[1]
             else:
-                assert probe_choice is not None
                 _value, obj, pred = probe_choice
-                score = middleware.random_access(pred, obj)
+                tracker.record(pred, obj, middleware.random_access(pred, obj))
+                continue
+            delivered = indicator.descend(pred)
+            if delivered is not None:
+                obj, score = delivered
                 tracker.record(pred, obj, score)
 
-    # ------------------------------------------------------------------
-    # Access valuation
-    # ------------------------------------------------------------------
-
-    def _best_sorted(self, middleware, fn, history):
-        """(value, predicate) of the best sorted access, or None if flat."""
-        m = middleware.m
-        point = [middleware.last_seen(j) for j in range(m)]
-        best = None
-        for i in range(m):
-            if middleware.exhausted(i):
-                continue
-            cs = middleware.cost_model.sorted_cost(i)
-            trail = history[i]
-            back = min(self.window, len(trail) - 1)
-            drop = trail[-1 - back] - trail[-1] if back else 1.0 - trail[-1]
-            value = fn.partial_derivative(i, point) * max(drop, 0.0)
-            if cs > 0:
-                value /= cs
-            elif value > 0:
-                value = math.inf
-            if value > 0 and (best is None or value > best[0]):
-                best = (value, i)
-        return best
-
-    def _best_probe(self, tracker, middleware, fn, expected):
-        """(value, obj, predicate) of the best probe, or None."""
-        top = tracker.top_incomplete()
-        if top is None:
-            return None
-        obj, _bound = top
-        if obj == UNSEEN:
-            return None
-        state = tracker.state
-        current = [state.predicate_upper(obj, j) for j in range(middleware.m)]
-        upper = fn(current)
-        best = None
-        for j in state.undetermined(obj):
-            if not middleware.supports_random(j):
-                continue
-            cr = middleware.cost_model.random_cost(j)
-            swapped = list(current)
-            swapped[j] = expected[j]
-            drop = upper - fn(swapped)
-            if cr > 0:
-                value = drop / cr
-            else:
-                value = math.inf if drop >= 0 else drop
-            if best is None or value > best[0]:
-                best = (value, obj, j)
-        if best is not None and best[0] <= 0 and not math.isinf(best[0]):
-            return None
-        return best
-
     @staticmethod
-    def _descend(middleware, tracker, history, pred):
-        delivered = middleware.sorted_access(pred)
-        if delivered is not None:
-            obj, score = delivered
-            tracker.record(pred, obj, score)
-        history[pred].append(middleware.last_seen(pred))
+    def _best_probe(
+        tracker: BoundTracker, expected: tuple[float, ...]
+    ) -> Optional[tuple[float, int, int]]:
+        """(value, obj, predicate) of the best probe, or None.
+
+        The probe goes to the highest-ranked incomplete candidate; a
+        non-positive finite gain is no better than waiting.
+        """
+        top = tracker.top_incomplete()
+        if top is None or top[0] == UNSEEN:
+            return None
+        obj = top[0]
+        middleware = tracker.middleware
+        best = best_probe(
+            tracker.state,
+            obj,
+            expected,
+            [
+                j
+                for j in tracker.state.undetermined(obj)
+                if middleware.supports_random(j)
+            ],
+        )
+        if best is None or (best[0] <= 0 and not math.isinf(best[0])):
+            return None
+        return best[0], obj, best[1]

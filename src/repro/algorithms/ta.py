@@ -18,13 +18,11 @@ wasteful, and NC departs from them (Figure 11b).
 
 from __future__ import annotations
 
-import heapq
-
-from repro.algorithms.base import TopKAlgorithm
+from repro.algorithms.base import BestK, TopKAlgorithm
 from repro.core.state import ScoreState
 from repro.scoring.functions import ScoringFunction
 from repro.sources.middleware import Middleware
-from repro.types import QueryResult, RankedObject
+from repro.types import QueryResult
 
 
 class TA(TopKAlgorithm):
@@ -39,32 +37,13 @@ class TA(TopKAlgorithm):
             raise ValueError(f"k must be >= 1, got {k}")
         self._require_sorted_all(middleware)
         self._require_random_all(middleware)
-        m = middleware.m
         state = ScoreState(middleware, fn)
-        # Min-heap of the best k evaluated objects, keyed like rank_key but
-        # inverted so the heap root is the current k-th best.
-        best: list[tuple[float, int]] = []
-        evaluated: set[int] = set()
-
-        def consider(obj: int) -> None:
-            if obj in evaluated:
-                return
-            for i in state.undetermined(obj):
-                state.record(i, obj, middleware.random_access(i, obj))
-            evaluated.add(obj)
-            key = (state.exact_score(obj), obj)
-            if len(best) < k:
-                heapq.heappush(best, key)
-            elif key > best[0]:
-                heapq.heapreplace(best, key)
-
-        def threshold() -> float:
-            return fn([middleware.last_seen(i) for i in range(m)])
+        best = BestK(state, k)
 
         done = False
         while not done:
             progressed = False
-            for i in range(m):
+            for i in range(middleware.m):
                 if middleware.exhausted(i):
                     continue
                 delivered = middleware.sorted_access(i)
@@ -73,15 +52,16 @@ class TA(TopKAlgorithm):
                 progressed = True
                 obj, score = delivered
                 state.record(i, obj, score)
-                consider(obj)
+                best.consider(obj)
                 # Early stop: the k-th best evaluated score has met the
                 # threshold, so no unseen object can exceed the answer.
-                if len(best) >= k and best[0][0] >= threshold():
+                if best.reached():
                     done = True
                     break
             if not progressed:
                 break  # all lists exhausted: every object evaluated
 
-        ordered = sorted(best, key=lambda key: (-key[0], -key[1]))
-        ranking = [RankedObject(obj, score) for score, obj in ordered]
-        return self._result(ranking, middleware, threshold=ordered and threshold())
+        ranking = best.ranking()
+        return self._result(
+            ranking, middleware, threshold=ranking and state.unseen_bound()
+        )

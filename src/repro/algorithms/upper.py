@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.algorithms.base import BoundTracker, TopKAlgorithm
+from repro.algorithms.base import BoundTracker, TopKAlgorithm, best_probe
 from repro.core.tasks import UNSEEN
 from repro.exceptions import CapabilityError
 from repro.scoring.functions import ScoringFunction
@@ -58,73 +58,48 @@ class Upper(TopKAlgorithm):
                 break
             obj, bound = popped
             if obj == UNSEEN:
-                self._explore(tracker, middleware)
-                if middleware.seen_count < middleware.n_objects:
-                    tracker.push(UNSEEN)
+                # Discover a new object: descend the highest-bound list.
+                self._descend(tracker, middleware.sorted_predicates())
+                tracker.push(UNSEEN)
                 continue
             if state.is_complete(obj):
                 answers.append(RankedObject(obj, bound))
                 continue
-            self._probe(tracker, middleware, fn, expected, obj)
+            self._probe(tracker, expected, obj)
             tracker.push(obj)
         return self._result(answers, middleware)
 
-    def _explore(self, tracker: BoundTracker, middleware: Middleware) -> None:
-        """Discover a new object: sorted access on the highest-bound list."""
-        candidates = [
-            i for i in middleware.sorted_predicates() if not middleware.exhausted(i)
-        ]
-        if not candidates:  # pragma: no cover - UNSEEN implies a live list
-            raise CapabilityError("unseen objects remain but no list is live")
-        pred = max(candidates, key=lambda i: (middleware.last_seen(i), -i))
+    @staticmethod
+    def _descend(tracker: BoundTracker, predicates: Sequence[int]) -> None:
+        """Sorted access on the live list of ``predicates`` with highest ``l_i``."""
+        middleware = tracker.middleware
+        live = [i for i in predicates if not middleware.exhausted(i)]
+        if not live:  # pragma: no cover - UNSEEN or an unknown implies a live list
+            raise CapabilityError("no live sorted list can refine the answer")
+        pred = max(live, key=lambda i: (middleware.last_seen(i), -i))
         delivered = middleware.sorted_access(pred)
         if delivered is not None:
             obj, score = delivered
             tracker.record(pred, obj, score)
 
     def _probe(
-        self,
-        tracker: BoundTracker,
-        middleware: Middleware,
-        fn: ScoringFunction,
-        expected: tuple[float, ...],
-        obj: int,
+        self, tracker: BoundTracker, expected: tuple[float, ...], obj: int
     ) -> None:
-        """Evaluate the most cost-effective undetermined predicate of obj."""
-        state = tracker.state
-        undetermined = state.undetermined(obj)
+        """Evaluate the most cost-effective undetermined predicate of obj.
+
+        When every missing predicate is sorted-only, the one of those
+        lists with the highest ``l_i`` is descended instead.
+        """
+        middleware = tracker.middleware
+        undetermined = tracker.state.undetermined(obj)
         probeable = [i for i in undetermined if middleware.supports_random(i)]
         if not probeable:
-            # Every missing predicate is sorted-only: descend the deepest
-            # relevant list instead.
-            live = [
-                i
-                for i in undetermined
-                if middleware.supports_sorted(i) and not middleware.exhausted(i)
-            ]
-            if not live:  # pragma: no cover - defensive
-                raise CapabilityError(
-                    f"object {obj} cannot be completed under the capabilities"
-                )
-            pred = max(live, key=lambda i: (middleware.last_seen(i), -i))
-            delivered = middleware.sorted_access(pred)
-            if delivered is not None:
-                seen_obj, score = delivered
-                tracker.record(pred, seen_obj, score)
+            self._descend(
+                tracker,
+                [i for i in undetermined if middleware.supports_sorted(i)],
+            )
             return
-
-        current = [state.predicate_upper(obj, i) for i in range(middleware.m)]
-        upper = fn(current)
-
-        def benefit(i: int) -> float:
-            swapped = list(current)
-            swapped[i] = expected[i]
-            drop = upper - fn(swapped)
-            cost = middleware.cost_model.random_cost(i)
-            if cost <= 0:
-                return float("inf") if drop >= 0 else drop
-            return drop / cost
-
-        pred = max(probeable, key=lambda i: (benefit(i), -i))
-        score = middleware.random_access(pred, obj)
-        tracker.record(pred, obj, score)
+        best = best_probe(tracker.state, obj, expected, probeable)
+        assert best is not None
+        pred = best[1]
+        tracker.record(pred, obj, middleware.random_access(pred, obj))

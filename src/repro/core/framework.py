@@ -157,7 +157,7 @@ class FrameworkNC:
         self._budget_blocked = False
         self.state = ScoreState(middleware, fn)
         self._bounds = bound_index(self.state)
-        # Every object ever pushed into the bound index (live or not).
+        # Every real object ever pushed into the bound index (live or not).
         self._tracked: set[int] = set()
         self._steps = 0
         self._prepared = False
@@ -188,31 +188,33 @@ class FrameworkNC:
                     "disallowed: no object can ever be discovered"
                 )
             self._bounds.push(UNSEEN)
-            self._tracked.add(UNSEEN)
         else:
             for obj in middleware.object_ids():
                 self._bounds.push(obj)
                 self._tracked.add(obj)
 
-    def _collect_topk(self) -> list[tuple[int, float]]:
-        """Pop the current top-k ``(obj, F_max)`` off the bound index.
+    def _retired(self, obj: int) -> bool:
+        """Whether ``obj`` is an UNSEEN entry that stands for nobody.
 
-        A stale UNSEEN entry is retired on pop once every object has been
-        discovered (Figure 10), so callers never see -- or target -- the
-        virtual object after it stopped representing anyone.
+        The virtual object retires (Figure 10) once every object has been
+        discovered, or once discovery became impossible and it was
+        abandoned; a retired entry is dropped wherever it turns up, so
+        callers never see -- or target -- it.
         """
+        return obj == UNSEEN and (
+            self._unseen_abandoned
+            or self.middleware.seen_count >= self.middleware.n_objects
+        )
+
+    def _collect_topk(self) -> list[tuple[int, float]]:
+        """Pop the current top-k ``(obj, F_max)`` off the bound index."""
         popped: list[tuple[int, float]] = []
         while len(popped) < self.k:
             entry = self._bounds.pop_current()
             if entry is None:
                 break
-            if entry[0] == UNSEEN and (
-                self._unseen_abandoned
-                or self.middleware.seen_count >= self.middleware.n_objects
-            ):
-                self._tracked.discard(UNSEEN)
-                continue
-            popped.append(entry)
+            if not self._retired(entry[0]):
+                popped.append(entry)
         return popped
 
     def _push_back(self, entries: Sequence[tuple[int, float]]) -> None:
@@ -220,16 +222,11 @@ class FrameworkNC:
 
         Bounds only fall, so a popped bound is at or above the current
         one, and the index's verify-on-pop re-evaluates an entry before
-        trusting it: no pushed-back entry needs ``F`` evaluated now. The
-        UNSEEN entry is dropped once every object has been discovered
-        (or discovery became impossible and it was abandoned).
+        trusting it: no pushed-back entry needs ``F`` evaluated now.
         """
-        all_seen = self.middleware.seen_count >= self.middleware.n_objects
         for obj, bound in entries:
-            if obj == UNSEEN and (all_seen or self._unseen_abandoned):
-                self._tracked.discard(UNSEEN)
-                continue
-            self._bounds.push(obj, bound)
+            if not self._retired(obj):
+                self._bounds.push(obj, bound)
 
     def _alternatives(self, target: int) -> list[Access]:
         """The task's necessary choices on channels admitting accesses.
@@ -300,11 +297,6 @@ class FrameworkNC:
             self.middleware.contracts.check_interval(obj, lower, upper)
         self._bound_only[obj] = (lower, upper)
         return RankedObject(obj, lower)
-
-    def _abandon_unseen(self) -> None:
-        """Give up on discovering new objects (all sorted sources down)."""
-        self._unseen_abandoned = True
-        self._tracked.discard(UNSEEN)
 
     # ------------------------------------------------------------------
     # Adaptive replanning checkpoint (docs/OPTIMIZER.md)
@@ -518,11 +510,7 @@ class FrameworkNC:
             if entry is None:
                 return
             obj, bound = entry
-            all_seen = self.middleware.seen_count >= self.middleware.n_objects
-            if obj == UNSEEN and (all_seen or self._unseen_abandoned):
-                # Every object has been discovered (or discovery became
-                # impossible); the virtual stand-in retires (Figure 10).
-                self._tracked.discard(UNSEEN)
+            if self._retired(obj):
                 continue
             if obj != UNSEEN and self.state.is_complete(obj):
                 # Confirmed: its exact score equals its bound, and no live
@@ -543,7 +531,8 @@ class FrameworkNC:
                 # Every remaining access for this target sits behind an
                 # open breaker: degrade instead of crashing or spinning.
                 if obj == UNSEEN:
-                    self._abandon_unseen()
+                    # Every sorted source is down: give up on discovery.
+                    self._unseen_abandoned = True
                     continue
                 yield self._degrade(obj)
                 continue

@@ -64,10 +64,3 @@ class LazyMaxHeap:
                 return obj, current
             heapq.heappush(self._entries, (-current, neg_obj))
         return None
-
-    def peek_stored(self) -> Optional[tuple[int, float]]:
-        """The top entry by *stored* (possibly stale) priority, not popped."""
-        if not self._entries:
-            return None
-        neg_priority, neg_obj = self._entries[0]
-        return -neg_obj, -neg_priority

@@ -15,14 +15,13 @@ Both are sound exactly because ``F`` is monotone. The state also computes
 the bound of the virtual ``UNSEEN`` object, ``F(l_1, ..., l_m)``, used for
 no-wild-guess processing (Section 8, Figure 10).
 
-Bounds are computed against a snapshot of ``l_1..l_m`` that is refreshed
-whenever the middleware's :attr:`~repro.sources.middleware.Middleware.
-last_seen_version` moves (every sorted-access attempt and every reset).
-An object's bound is one call of
-:func:`~repro.scoring.functions.bound_evaluator`'s ``bound(row, l)`` on
-its live known-score row: a compiled query reads the row and the
-snapshot in place, so a bound builds no list and reads no source; other
-functions evaluate the composed row (docs/RUNTIME.md).
+Bounds are computed against the middleware's snapshot of ``l_1..l_m``
+(:attr:`~repro.sources.middleware.Middleware.limits`), re-read after
+every sorted-access attempt and every reset. An object's bound is one
+call of :func:`~repro.scoring.functions.bound_evaluator`'s
+``bound(row, l)`` on its live known-score row: a compiled query reads
+the row and the snapshot in place, so a bound builds no list and reads
+no source; other functions evaluate the composed row (docs/RUNTIME.md).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ class ScoreState:
     """Known scores and score bounds for every tracked object.
 
     The state is fed by :meth:`record` calls as accesses complete, and
-    consults the middleware lazily for the current last-seen bounds, so
+    reads the middleware's current last-seen snapshot on every bound, so
     every bound it reports reflects all accesses performed so far.
 
     Attributes:
@@ -74,9 +73,6 @@ class ScoreState:
         # The row of an untracked object and the F_min fill; never mutated.
         self._blank: list[Optional[float]] = [None] * self._m
         self._zeros = [0.0] * self._m
-        # Snapshot of l_1..l_m, valid while the version is unchanged.
-        self._limits: list[float] = []
-        self._limits_version = -1
         self.bound_evaluations = 0
 
     @property
@@ -157,18 +153,12 @@ class ScoreState:
     # ------------------------------------------------------------------
 
     def limits(self) -> list[float]:
-        """The current ``l_1..l_m`` (a shared snapshot: do not mutate).
+        """The current ``l_1..l_m``: the middleware's shared snapshot.
 
-        Re-read from the middleware only when its ``last_seen_version``
-        moved; the list object is replaced on each refresh, so callers
-        can detect a change by identity.
+        Do not mutate it. The list object is replaced on each refresh,
+        so callers can detect a change by identity.
         """
-        version = self._middleware.last_seen_version
-        if version != self._limits_version:
-            last_seen = self._middleware.last_seen
-            self._limits = [last_seen(i) for i in range(self._m)]
-            self._limits_version = version
-        return self._limits
+        return self._middleware.limits
 
     def predicate_upper(self, obj: int, predicate: int) -> float:
         """Upper bound on one predicate score of one object.
@@ -180,13 +170,15 @@ class ScoreState:
         known = self.known_score(obj, predicate)
         if known is not None:
             return known
-        return self.limits()[predicate]
+        return self._middleware.limits[predicate]
 
     def upper_bound(self, obj: int) -> float:
         """Maximal-possible score ``F_max(u)`` under the accesses so far."""
         row = self._known.get(obj)
         self.bound_evaluations += 1
-        return self._bound(self._blank if row is None else row, self.limits())
+        return self._bound(
+            self._blank if row is None else row, self._middleware.limits
+        )
 
     def lower_bound(self, obj: int) -> float:
         """Minimal-possible score: unknown predicate scores as ``0``."""
@@ -196,7 +188,7 @@ class ScoreState:
     def unseen_bound(self) -> float:
         """Bound of the virtual UNSEEN object: ``F(l_1, ..., l_m)``."""
         self.bound_evaluations += 1
-        return self._evaluate(self.limits()[:])
+        return self._evaluate(self._middleware.limits[:])
 
     def snapshot(self, obj: int) -> tuple[Optional[float], ...]:
         """The known-score row of ``obj`` (``None`` for undetermined)."""

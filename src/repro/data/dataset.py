@@ -83,11 +83,7 @@ class Dataset:
             raise ValueError(
                 f"scoring function arity {fn.arity} != dataset width {self.m}"
             )
-        if fn.batch_exact:
-            return fn.evaluate_batch(self._scores)
-        # Inexact vectorized forms would perturb the oracle's bitwise
-        # scores (and hence tie-breaking); keep the scalar loop for those.
-        return np.array([fn(tuple(row)) for row in self._scores])
+        return fn.evaluate_batch(self._scores)
 
     def topk(self, fn: ScoringFunction, k: int) -> list[RankedObject]:
         """Brute-force top-k oracle (the correctness reference).

@@ -201,7 +201,7 @@ class ParallelExecutor(FrameworkNC):
                 else:
                     self._degrade(obj)
             if abandoned_unseen:
-                self._abandon_unseen()
+                self._unseen_abandoned = True
                 self._push_back(popped)
                 continue
             if not workable:

@@ -33,18 +33,11 @@ class ScoringFunction(ABC):
 
     Subclasses implement :meth:`evaluate`; the base class provides input
     validation, callable sugar, a numeric partial derivative fallback, and
-    a row-batched :meth:`evaluate_batch`.
+    a row-batched :meth:`evaluate_batch`, bitwise the scalar loop.
 
     Attributes:
         arity: the number of predicate inputs ``m``.
         name: a short human-readable label used in reports.
-        batch_exact: whether :meth:`evaluate_batch` is guaranteed
-            *bitwise-identical* to a Python loop over :meth:`evaluate`.
-            Ordering-only aggregates (min/max/median) vectorize exactly;
-            sum-based ones do not (NumPy's pairwise summation rounds
-            differently from ``math.fsum``), so exactness-critical callers
-            (the brute-force oracle, the simulation kernel) consult this
-            flag before taking a vectorized shortcut.
         min_terms: structure of a *min-shaped* ``F``, or ``None``. When
             set, ``F(s)`` equals, in value, the minimum over the terms
             ``(i, w)`` of ``s[i]`` (``w is None``) or ``w * s[i]``. The
@@ -60,7 +53,6 @@ class ScoringFunction(ABC):
             queries; read it through :func:`bound_evaluator`.
     """
 
-    batch_exact: bool = True  # the default implementation *is* the loop
     min_terms: Optional[tuple[tuple[int, Optional[float]], ...]] = None
     bound: Optional[BoundFunction] = None
 
@@ -94,8 +86,11 @@ class ScoringFunction(ABC):
         """Aggregate every row of an ``(n, m)`` score matrix at once.
 
         The base implementation loops :meth:`evaluate` row by row (exact
-        by construction); subclasses with a NumPy closed form override it
-        and declare their exactness via ``batch_exact``.
+        by construction). A subclass may override it only with a form
+        bitwise equal to that loop: ordering-only aggregates (min, max,
+        median) vectorize exactly, sum- and product-based ones do not
+        (NumPy's pairwise summation rounds differently from
+        ``math.fsum``).
         """
         arr = self._validate_batch(matrix)
         return np.array([self.evaluate(row) for row in arr.tolist()])
@@ -185,12 +180,6 @@ class Avg(ScoringFunction):
     def evaluate(self, scores: Sequence[float]) -> float:
         return math.fsum(scores) / self.arity
 
-    #: NumPy's pairwise summation rounds differently from ``math.fsum``.
-    batch_exact = False
-
-    def evaluate_batch(self, matrix: np.ndarray | Sequence) -> np.ndarray:
-        return self._validate_batch(matrix).sum(axis=1) / self.arity
-
     def _partial(
         self, index: int, point: Sequence[float], eps: float = 1e-6
     ) -> float:
@@ -219,12 +208,6 @@ class WeightedSum(ScoringFunction):
     def evaluate(self, scores: Sequence[float]) -> float:
         return math.fsum(w * s for w, s in zip(self.weights, scores))
 
-    #: The dot product's accumulation differs from ``math.fsum``.
-    batch_exact = False
-
-    def evaluate_batch(self, matrix: np.ndarray | Sequence) -> np.ndarray:
-        return self._validate_batch(matrix) @ np.asarray(self.weights)
-
     def _partial(
         self, index: int, point: Sequence[float], eps: float = 1e-6
     ) -> float:
@@ -242,12 +225,6 @@ class Product(ScoringFunction):
         for s in scores:
             out *= s
         return out
-
-    #: ``np.prod`` may reassociate the multiplication chain.
-    batch_exact = False
-
-    def evaluate_batch(self, matrix: np.ndarray | Sequence) -> np.ndarray:
-        return self._validate_batch(matrix).prod(axis=1)
 
     def _partial(
         self, index: int, point: Sequence[float], eps: float = 1e-6
@@ -270,12 +247,6 @@ class Geometric(ScoringFunction):
         for s in scores:
             out *= s
         return out ** (1.0 / self.arity)
-
-    #: Inherits ``np.prod``'s reassociation (see :class:`Product`).
-    batch_exact = False
-
-    def evaluate_batch(self, matrix: np.ndarray | Sequence) -> np.ndarray:
-        return self._validate_batch(matrix).prod(axis=1) ** (1.0 / self.arity)
 
 
 class Median(ScoringFunction):

@@ -39,8 +39,9 @@ longer a global condition -- one session finishing (and ticking) can
 overlap another session's live views. :meth:`retain` / :meth:`release`
 close that hole: each in-flight query pins the cache for its lifetime,
 ticks taken while pinned still advance the TTL clock but *defer* the
-eviction sweep, and the last release runs the pending sweep. The sync
-server never pins, so its behaviour is unchanged.
+eviction sweep, and the last release runs the pending sweep. Both
+servers pin every session (``QueryServer._lifecycle`` ticks before it
+releases), so a served tick's sweep always runs at the last release.
 """
 
 from __future__ import annotations
@@ -341,10 +342,11 @@ class SourceCache:
         """Advance the logical clock and run eviction; returns evictions.
 
         The serving layer calls this once per completed query. Eviction
-        is safe only while no query is in flight: unpinned, the sweep
-        runs immediately (the sync server's between-queries guarantee);
-        pinned, it is deferred to the last :meth:`release`, and this
-        call reports ``0`` evictions.
+        is safe only while no query is in flight: pinned, the sweep is
+        deferred to the last :meth:`release`, and this call reports
+        ``0`` evictions; unpinned (a direct caller between queries), it
+        runs immediately. The servers tick while still pinned, so their
+        sweeps always run at the last release.
         """
         self._clock += 1
         if self._pins > 0:

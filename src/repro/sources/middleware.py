@@ -230,7 +230,7 @@ class Middleware:
         self._stats = AccessStats(cost_model, record_log=record_log)
         self._seen: set[int] = set()
         self._delivered: set[tuple[int, int]] = set()
-        self._last_seen_version = 0
+        self._read_limits()
         if clock_base < 0:
             raise ValueError(f"clock_base must be >= 0, got {clock_base}")
         self._clock_base = clock_base
@@ -590,16 +590,22 @@ class Middleware:
         return self._sources[predicate].last_seen
 
     @property
-    def last_seen_version(self) -> int:
-        """A counter that moves whenever any ``l_i`` may have moved.
+    def limits(self) -> list[float]:
+        """The snapshot ``[l_1, ..., l_m]`` of every last-seen bound.
 
-        Bumped on every sorted-access attempt and on :meth:`reset` --
-        the only events that advance or rewind this middleware's sorted
-        cursors -- so a reader may cache ``l_1..l_m`` for as long as the
-        counter is unchanged (:class:`~repro.core.state.ScoreState`
-        does, docs/RUNTIME.md).
+        Re-read in full after every sorted-access attempt, on every exit
+        path, and on :meth:`reset` -- the only events that advance or
+        rewind this middleware's sorted cursors. All ``m`` values are
+        re-read, not only the accessed one, because a shared cache's late
+        exhaustion can move another predicate's ``l``. Each refresh
+        builds a new list and none is ever mutated, so a reader can tell
+        a refresh by identity (:class:`~repro.core.state.ScoreState` and
+        the bound indexes read it, docs/RUNTIME.md). Do not mutate it.
         """
-        return self._last_seen_version
+        return self._limits
+
+    def _read_limits(self) -> None:
+        self._limits = [source.last_seen for source in self._sources]
 
     def depth(self, predicate: int) -> int:
         """Sorted accesses performed on one predicate."""
@@ -717,8 +723,7 @@ class Middleware:
         (often the full deadline, for timeouts); a monitor that only saw
         successes would under-estimate exactly the sources that are
         misbehaving. Duck-typed on ``last_fault_duration`` (set by
-        :class:`~repro.faults.FaultInjectingSource`); monitors may opt
-        out via ``CostMonitor(observe_failures=False)``.
+        :class:`~repro.faults.FaultInjectingSource`).
         """
         if self._monitor is None:
             return
@@ -877,39 +882,41 @@ class Middleware:
             raise CapabilityError(
                 f"predicate {predicate}: sorted access not in cost model"
             )
-        self._last_seen_version += 1
-        access = Access.sorted(predicate)
-        channel = self._sorted_channels[predicate]
-        if channel is None:
-            channel = self._sorted_channels[predicate] = _Channel(
-                self, predicate, AccessType.SORTED
-            )
-        serves_free = self._serves_free[predicate]
-        cached = serves_free is not None and serves_free(access)
-        if not cached:
-            self._gate(access, channel.breaker)
-        source = self._sources[predicate]
-        if source.exhausted:
-            if self._budget is not None:
-                self._charge(access, channel.cost)
-            if self._strict:
-                raise ExhaustedSourceError(
-                    f"predicate {predicate}: sorted list exhausted"
+        try:
+            access = Access.sorted(predicate)
+            channel = self._sorted_channels[predicate]
+            if channel is None:
+                channel = self._sorted_channels[predicate] = _Channel(
+                    self, predicate, AccessType.SORTED
                 )
-            self._stats.record(access)
-            self._record_charged(access, channel, attempt_no=1)
-            return None
-        result = self._execute(access, channel, source.sorted_access, cached)
-        if source.exhausted:
-            self._gate_epoch = next(_EPOCHS)
-        if result is None:  # pragma: no cover - guarded by exhaustion check
-            return None
-        obj, score = result
-        if self._contracts is not None:
-            self._contracts.observe_sorted(predicate, score, source.last_seen)
-        self._seen.add(obj)
-        self._delivered.add((predicate, obj))
-        return obj, score
+            serves_free = self._serves_free[predicate]
+            cached = serves_free is not None and serves_free(access)
+            if not cached:
+                self._gate(access, channel.breaker)
+            source = self._sources[predicate]
+            if source.exhausted:
+                if self._budget is not None:
+                    self._charge(access, channel.cost)
+                if self._strict:
+                    raise ExhaustedSourceError(
+                        f"predicate {predicate}: sorted list exhausted"
+                    )
+                self._stats.record(access)
+                self._record_charged(access, channel, attempt_no=1)
+                return None
+            result = self._execute(access, channel, source.sorted_access, cached)
+            if source.exhausted:
+                self._gate_epoch = next(_EPOCHS)
+            if result is None:  # pragma: no cover - guarded by exhaustion check
+                return None
+            obj, score = result
+            if self._contracts is not None:
+                self._contracts.observe_sorted(predicate, score, source.last_seen)
+            self._seen.add(obj)
+            self._delivered.add((predicate, obj))
+            return obj, score
+        finally:
+            self._read_limits()
 
     def random_access(self, predicate: int, obj: int) -> float:
         """Perform ``ra_i(u)``: fetch the exact score of ``u`` on ``i``.
@@ -986,7 +993,7 @@ class Middleware:
         """
         for source in self._sources:
             source.reset()
-        self._last_seen_version += 1
+        self._read_limits()
         self._stats = AccessStats(self._cost_model, record_log=self._record_log)
         self._seen.clear()
         self._delivered.clear()

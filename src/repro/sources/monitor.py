@@ -64,27 +64,21 @@ class CostMonitor:
         assumed: the cost model drift is measured against.
         min_observations: observations required per (predicate, kind)
             cell before its estimate is trusted.
-        observe_failures: whether :meth:`observe_failure` folds the time
-            burned by *failed* attempts (timeouts waiting out the full
-            deadline, transient errors) into the running means. On by
-            default: a monitor that only saw successes systematically
-            under-estimated exactly the sources that were misbehaving --
-            a source failing slowly on every attempt looked perfectly
-            healthy because no success ever reported a duration.
+
+    The time burned by *failed* attempts (timeouts waiting out the full
+    deadline, transient errors) counts into the running means too
+    (:meth:`observe_failure`): a monitor that only saw successes would
+    under-estimate exactly the sources that misbehave -- a source failing
+    slowly on every attempt would look perfectly healthy, because no
+    success ever reported a duration.
     """
 
-    def __init__(
-        self,
-        assumed: CostModel,
-        min_observations: int = 5,
-        observe_failures: bool = True,
-    ):
+    def __init__(self, assumed: CostModel, min_observations: int = 5):
         if min_observations < 1:
             raise ValueError("min_observations must be >= 1")
         self.assumed = assumed
         self._initial_assumed = assumed
         self.min_observations = min_observations
-        self.observe_failures = observe_failures
         self._sorted = [_RunningMean() for _ in range(assumed.m)]
         self._random = [_RunningMean() for _ in range(assumed.m)]
         self._sorted_unavailable = [0] * assumed.m
@@ -147,10 +141,7 @@ class CostMonitor:
         Counted into the same per-cell running means as successes -- an
         attempt that waited out a nine-unit deadline before timing out
         occupied the connection for nine units regardless of the outcome.
-        No-op when ``observe_failures`` is off.
         """
-        if not self.observe_failures:
-            return
         self._failure_observations += 1
         self.observe(access, duration)
 

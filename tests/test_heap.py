@@ -37,12 +37,6 @@ class TestBasics:
             heap.push(obj, p)
         assert heap.pop_current(priorities.__getitem__)[0] == 0
 
-    def test_peek_stored_does_not_pop(self):
-        heap = LazyMaxHeap()
-        heap.push(1, 0.4)
-        assert heap.peek_stored() == (1, 0.4)
-        assert len(heap) == 1
-
 
 class TestStaleness:
     def test_stale_entry_reinserted_with_fresh_priority(self):

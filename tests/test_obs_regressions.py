@@ -154,17 +154,6 @@ class TestMonitorObservesFailures:
         assert monitor.estimated_cost(0, AccessType.SORTED) == pytest.approx(9.0)
         assert monitor.drifted(tolerance=2.0)
 
-    def test_observe_failures_flag_opts_out(self):
-        monitor = CostMonitor(
-            CostModel.uniform(2), min_observations=3, observe_failures=False
-        )
-        middleware = self._chaos(monitor)
-        with pytest.raises(RetryExhaustedError):
-            middleware.sorted_access(0)
-        assert monitor.failure_observations == 0
-        assert monitor.observations(0, AccessType.SORTED) == 0
-        assert not monitor.drifted(tolerance=2.0)
-
     def test_reset_clears_failure_observations(self):
         monitor = CostMonitor(CostModel.uniform(2), min_observations=1)
         middleware = self._chaos(monitor)

@@ -28,14 +28,17 @@ from repro.optimizer.kernel import (
 from repro.optimizer.sampling import dummy_uniform_sample
 from repro.scoring.functions import (
     Avg,
+    Geometric,
     Max,
     Median,
     Min,
+    Monotone,
     Product,
     WeightedSum,
 )
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
+from repro.types import rank_key
 
 # Deliberately includes exact ties and the interval endpoints.
 score_value = st.one_of(
@@ -378,17 +381,27 @@ class TestBatchEvaluation:
         dataset, fn, _k, _d, _s, _model, _nwg = instance
         batch = fn.evaluate_batch(dataset.matrix)
         loop = [fn.evaluate(list(row)) for row in dataset.matrix.tolist()]
-        if fn.batch_exact:
-            assert list(batch) == loop
-        else:
-            assert np.allclose(batch, loop, atol=1e-12)
+        assert list(batch) == loop
 
     def test_overall_scores_unchanged_by_batching(self):
         dataset = dummy_uniform_sample(3, 40, seed=2)
-        for fn in [Min(3), Max(3), Median(3), Avg(3), Product(3)]:
+        for fn in [
+            Min(3),
+            Max(3),
+            Median(3),
+            Avg(3),
+            WeightedSum([0.2, 0.3, 0.5]),
+            Product(3),
+            Geometric(3),
+            Monotone(lambda s: min(s), arity=3),
+        ]:
             scores = dataset.overall_scores(fn)
             loop = [fn(tuple(row)) for row in dataset.matrix.tolist()]
             assert list(scores) == loop
+            # The oracle ranks on exactly those floats.
+            assert [(r.obj, r.score) for r in dataset.topk(fn, 7)] == sorted(
+                enumerate(loop), key=lambda pair: rank_key(pair[1], pair[0])
+            )[:7]
 
     def test_batch_shape_validated(self):
         with pytest.raises(ValueError):
