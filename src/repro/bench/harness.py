@@ -110,22 +110,14 @@ def nc_with_dummy_planner(
     scheme: Optional[SearchScheme] = None,
     sample_size: int = 100,
     seed: int = 0,
-    vectorized: bool | str = "auto",
     clock: Optional[Callable[[], float]] = None,
 ) -> NC:
     """The paper's worst-case NC: optimize on dummy uniform samples.
 
-    ``vectorized`` configures the plan-cost estimator's execution path
-    (see :class:`~repro.optimizer.CostEstimator`); it never changes the
-    chosen plan, only how fast it is found. ``clock`` (e.g.
-    ``time.perf_counter``) opts into per-phase wall-time reporting in
-    plan notes.
+    ``clock`` (e.g. ``time.perf_counter``) opts into per-phase wall-time
+    reporting in plan notes.
     """
-    optimizer = NCOptimizer(
-        scheme=scheme,
-        vectorized=vectorized,
-        clock=clock,
-    )
+    optimizer = NCOptimizer(scheme=scheme, clock=clock)
     return NC(optimizer=optimizer, sample_size=sample_size, seed=seed)
 
 
@@ -135,7 +127,6 @@ def nc_with_true_sample_planner(
     sample_size: int = 100,
     seed: int = 0,
     min_sample_k: Optional[int] = None,
-    vectorized: bool | str = "auto",
     clock: Optional[Callable[[], float]] = None,
 ) -> NC:
     """NC planning on a true-distribution sample of the scenario's data.
@@ -143,11 +134,7 @@ def nc_with_true_sample_planner(
     ``min_sample_k`` opts into bootstrap amplification against the
     small-``k_s`` distortion of proportional sample scaling.
     """
-    optimizer = NCOptimizer(
-        scheme=scheme,
-        vectorized=vectorized,
-        clock=clock,
-    )
+    optimizer = NCOptimizer(scheme=scheme, clock=clock)
     sample = sample_from_dataset(scenario.dataset, sample_size, seed=seed)
 
     def planner(middleware, fn, k):

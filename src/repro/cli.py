@@ -231,12 +231,9 @@ def _cmd_optimize(args) -> int:
         )
     import time
 
-    on_off = {"auto": "auto", "on": True, "off": False}
-    vectorized: bool | str = on_off[args.vectorized]
     nc = nc_with_dummy_planner(
         scheme=_SCHEMES[scheme_key](),
         sample_size=args.sample_size,
-        vectorized=vectorized,
         clock=time.perf_counter,
     )
     plan = nc.resolve_plan(scenario.middleware(), scenario.fn, scenario.k)
@@ -258,9 +255,8 @@ def _cmd_optimize(args) -> int:
         print(f"timing   : {rendered}")
     if fallbacks:
         print(
-            f"warning  : fast plan costing abandoned {fallbacks} time(s); "
-            "plan costing degraded to the reference engine "
-            "(results unaffected)",
+            f"warning  : the fast plan replay failed on {fallbacks} plan(s); "
+            "each was priced by the reference engine (results unaffected)",
             file=sys.stderr,
         )
     return 0
@@ -544,14 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt_parser.add_argument("--scenario", required=True)
     opt_parser.add_argument("--scheme", default="hclimb")
     opt_parser.add_argument("--sample-size", type=int, default=150)
-    opt_parser.add_argument(
-        "--vectorized",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="plan-cost estimator path: fast replay with reference "
-        "spot-checks (auto), fast replay only (on), or reference engine "
-        "only (off)",
-    )
 
     query_parser = sub.add_parser("query", help="execute an SQL-like query")
     query_parser.add_argument("text", help="the query text")

@@ -18,7 +18,12 @@ unifies):
 * **interval sanity** -- every proven interval satisfies
   ``0 <= lower <= upper <= 1``;
 * **scoring-function monotonicity** -- ``F`` is probed with the
-  randomized falsifier before any access is spent.
+  randomized falsifier before any access is spent;
+* **plan-cost replay** -- every outcome of the optimizer's per-plan
+  replay (:class:`~repro.optimizer.estimator.CostEstimator`), box
+  answers included, equals the reference engine's
+  (:func:`~repro.optimizer.estimator.reference_cost`); a wrong replay
+  would misprice plans, not fail.
 
 Checking is off by default (the checks sit on the per-access hot path)
 and is enabled per middleware::
@@ -27,7 +32,8 @@ and is enabled per middleware::
 
 or globally with ``REPRO_CONTRACTS=1`` in the environment -- the switch
 the chaos fuzz suite uses to run every fault-injection test under full
-contract checking. Violations raise
+contract checking. The plan-cost replay check follows that switch
+alone, read when an estimator is built. Violations raise
 :class:`~repro.exceptions.ContractViolationError`.
 """
 

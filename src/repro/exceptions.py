@@ -69,19 +69,6 @@ class OptimizationError(ReproError):
     """The optimizer was configured inconsistently or failed to search."""
 
 
-class KernelMismatchError(OptimizationError):
-    """The vectorized plan-cost kernel disagreed with the reference engine.
-
-    Raised only when an estimator runs with ``verify=True`` and
-    ``vectorized=True``: every fast-path simulation is cross-checked
-    against the object-by-object :class:`~repro.core.framework.FrameworkNC`
-    replay, and any cost discrepancy -- the two are specified to agree
-    bitwise -- is surfaced instead of silently mispricing plans. In
-    ``vectorized="auto"`` mode the mismatch falls back to the reference
-    result and is counted, not raised.
-    """
-
-
 class ContractViolationError(ReproError):
     """A runtime contract of the cost model or bound machinery failed.
 

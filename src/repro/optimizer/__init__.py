@@ -8,7 +8,9 @@ estimated access cost for the query and cost scenario at hand:
   subsamples or the paper's worst-case "dummy" uniform samples);
 * :mod:`repro.optimizer.estimator` -- simulation-based cost estimation
   (Section 7.3): run the plan on the sample with retrieval size scaled
-  proportionally, then scale the cost back up;
+  proportionally, then scale the cost back up; its
+  :func:`~repro.optimizer.estimator.reference_cost` runs the engine
+  itself as the replay's oracle;
 * :mod:`repro.optimizer.kernel` -- the flat fast-path replay of the SR/G
   engine the estimator uses to simulate plans without instantiating the
   middleware stack (bitwise-identical costs, docs/PERF.md);
@@ -24,7 +26,7 @@ estimated access cost for the query and cost scenario at hand:
   checkpoints and switch plans on projected-remaining-cost improvement.
 """
 
-from repro.optimizer.estimator import CostEstimator
+from repro.optimizer.estimator import CostEstimator, reference_cost
 from repro.optimizer.kernel import SampleIndex, SimulationCounts
 from repro.optimizer.optimizer import NCOptimizer
 from repro.optimizer.plan import SRGPlan
@@ -53,6 +55,7 @@ from repro.optimizer.search import (
 __all__ = [
     "SRGPlan",
     "CostEstimator",
+    "reference_cost",
     "SampleIndex",
     "SimulationCounts",
     "NCOptimizer",

@@ -12,59 +12,57 @@ therefore *executes* each candidate SR/G plan on a small sample database:
   ``k_s = max(1, round(k * s / n))``;
 * the measured sample cost is scaled back by ``n / s``.
 
-Two kinds of execution produce that sample cost:
+Each plan is priced by replaying the algorithm on a
+:class:`~repro.optimizer.kernel.SampleIndex` built once per estimator
+(:meth:`SampleIndex.simulate`): per-plan access counts, or the exception
+the engine would raise, bitwise-identical by construction to stepping
+:class:`~repro.core.framework.FrameworkNC` object by object over a fresh
+:class:`~repro.sources.middleware.Middleware`. That engine run is
+:func:`reference_cost`, the replay's oracle, with three uses:
 
-* the **reference engine** builds a fresh
-  :class:`~repro.sources.middleware.Middleware` and steps
-  :class:`~repro.core.framework.FrameworkNC` object-by-object -- the
-  engine itself, trivially correct, but re-sorting the sample and paying
-  the full access-layer machinery on every call. It is the
-  differential-test oracle and the only fallback;
-* the **fast path** replays the same algorithm plan by plan on a
-  :class:`~repro.optimizer.kernel.SampleIndex` built once per estimator
-  (:meth:`SampleIndex.simulate`), bitwise-identical by construction.
+* the differential tests and benchmarks compare the replay against it;
+* when the replay raises an internal error (a kernel bug, not a plan
+  the engine rejects too), that one plan is priced by the reference
+  engine and counted (:attr:`CostEstimator.fallbacks`,
+  ``repro_estimator_fallbacks_total{reason="internal_error"}``); the
+  next plan tries the replay again;
+* with contracts armed (``REPRO_CONTRACTS``, :mod:`repro.contracts`)
+  every replay outcome, box answers and errors included, is priced by
+  the reference engine too, and any disagreement raises
+  :class:`~repro.exceptions.ContractViolationError`. Unarmed, the
+  estimator never runs the reference engine but for a fallback.
 
-The fast path yields per-plan access counts or the exception the engine
-would raise, under one trust ladder. ``vectorized`` selects the mode:
-``False`` is reference-only; ``"auto"`` (the default) replays the first
-:data:`AUTO_VERIFY_RUNS` fast-path outcomes against the reference engine
-and *permanently falls back* to it on a disagreement or an internal
-kernel error; ``True`` trusts the fast path and turns a disagreement
-into :class:`~repro.exceptions.KernelMismatchError`. Every fallback is
-counted (:attr:`CostEstimator.fallbacks`, and
-``repro_estimator_fallbacks_total`` labelled ``reason=verify_mismatch``
-or ``internal_error``), never silent.
+Results are memoized per ``(Delta, H)`` in an LRU of
+:data:`CACHE_SIZE` entries so search schemes revisiting a configuration
+(hill-climbing does constantly) pay once; the run counter still reports
+*distinct* simulation runs, the optimization-overhead metric of the
+scheme-comparison experiment.
 
-Results are memoized per ``(Delta, H)`` in a bounded LRU so search
-schemes revisiting a configuration (hill-climbing does constantly) pay
-once; the run counter still reports *distinct* simulation runs, the
-optimization-overhead metric of the scheme-comparison experiment.
-
-Behind that exact-key memo sits a **comparison-box memo**. The fast
-path reads the depths only through the SR tests ``l_i > delta_i``, and
-each replay returns the box of depths that answer every test it made
-alike (:attr:`SimulationCounts.box`). On an exact-key miss the estimator
+Behind that exact-key memo sits a **comparison-box memo**. The replay
+reads the depths only through the SR tests ``l_i > delta_i``, and each
+replay returns the box of depths that answer every test it made alike
+(:attr:`SimulationCounts.box`). On an exact-key miss the estimator
 scans the boxes stored for the same schedule, newest first; a plan
 inside one takes that replay's counts without replaying (docs/PERF.md
-gives the exactness argument). Such a *box answer* is a fast-path
-outcome in every respect: it counts as a distinct run and a ``kernel``
-run and uses up the ``"auto"`` verify budget exactly like a fresh
-replay, so it is cross-checked under the same trust ladder. Only fresh
-fast-path replays that returned and passed any cross-check store a box;
-the reference engine stores none. Box answers are counted
-(:attr:`CostEstimator.box_hits`, ``repro_estimator_box_hits_total``),
-and the stored boxes share the memo's ``cache_size`` cap.
+gives the exactness argument). Such a *box answer* counts as a distinct
+run and a ``kernel`` run, exactly like a fresh replay, and is
+cross-checked like one under armed contracts. Only fresh replays that
+returned (and passed any cross-check) store a box; a fallback stores
+none. Box answers are counted (:attr:`CostEstimator.box_hits`,
+``repro_estimator_box_hits_total``), and at most :data:`CACHE_SIZE`
+boxes are kept, oldest dropped first.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
+from repro.contracts import env_enabled
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
-from repro.exceptions import KernelMismatchError, ReproError
+from repro.exceptions import ContractViolationError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.kernel import SampleIndex, SimulationCounts, check_depths
 from repro.scoring.functions import ScoringFunction
@@ -77,9 +75,9 @@ from repro.sources.middleware import Middleware
 #: rounded to 6 digits) collides distinct fine-step hill-climb depths.
 PlanKey = tuple[tuple[float, ...], tuple[int, ...]]
 
-#: How many fast-path outcomes ``vectorized="auto"`` cross-checks
-#: against the reference engine before trusting it outright.
-AUTO_VERIFY_RUNS = 3
+#: Capacity of the plan-cost memo, and separately the cap on stored
+#: comparison boxes; the oldest entry goes first.
+CACHE_SIZE = 65536
 
 
 class CostEstimator:
@@ -92,17 +90,6 @@ class CostEstimator:
         n_total: the full database size the estimate scales to.
         cost_model: the scenario's access costs.
         no_wild_guesses: mirror of the real middleware's setting.
-        vectorized: ``True`` | ``False`` | ``"auto"`` -- see the module
-            docstring. ``"auto"`` is the default.
-        verify: cross-check policy for fast-path outcomes. ``None``
-            (default) verifies the first :data:`AUTO_VERIFY_RUNS`
-            fast-path outcomes in ``"auto"`` mode and none in
-            ``True`` mode; ``True`` verifies every outcome; ``False``
-            verifies none.
-        cache_size: LRU capacity of the plan-cost memo, and separately
-            the cap on stored comparison boxes, oldest dropped first
-            (``None`` = unbounded, the pre-bounding behaviour; serving
-            processes should keep the default cap).
         metrics: optional :class:`~repro.obs.MetricsRegistry` fed with
             run/cache/fallback counters (``repro_estimator_*``,
             docs/OBSERVABILITY.md).
@@ -118,9 +105,6 @@ class CostEstimator:
         no_wild_guesses: bool = True,
         min_sample_k: Optional[int] = None,
         max_amplified_size: int = 5000,
-        vectorized: Union[bool, str] = "auto",
-        verify: Optional[bool] = None,
-        cache_size: Optional[int] = 65536,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if k < 1:
@@ -131,12 +115,6 @@ class CostEstimator:
             raise ValueError("sample width and cost model width differ")
         if fn.arity != sample.m:
             raise ValueError("scoring function arity and sample width differ")
-        if vectorized not in (True, False, "auto"):
-            raise ValueError(
-                f'vectorized must be True, False or "auto", got {vectorized!r}'
-            )
-        if cache_size is not None and cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         if min_sample_k is not None:
             if min_sample_k < 1:
                 raise ValueError(f"min_sample_k must be >= 1, got {min_sample_k}")
@@ -162,9 +140,6 @@ class CostEstimator:
         self.no_wild_guesses = no_wild_guesses
         self.sample_k = max(1, round(k * sample.n / n_total))
         self.scale = n_total / sample.n
-        self.vectorized = vectorized
-        self.verify = verify
-        self.cache_size = cache_size
         self._cache: OrderedDict[PlanKey, float] = OrderedDict()
         # Comparison boxes per schedule (oldest first), and the schedules
         # in storing order for eviction.
@@ -177,13 +152,7 @@ class CostEstimator:
         self._path_runs = {"kernel": 0, "reference": 0}
         self._fallbacks = 0
         self._index: Optional[SampleIndex] = None
-        self._kernel_enabled = vectorized in (True, "auto")
-        if verify is True:
-            self._verify_remaining = float("inf")
-        elif verify is None and vectorized == "auto":
-            self._verify_remaining = float(AUTO_VERIFY_RUNS)
-        else:
-            self._verify_remaining = 0.0
+        self._armed = env_enabled()
         self._metrics = metrics
 
     def _m_inc(self, name: str, value: float = 1.0, **labels: object) -> None:
@@ -198,8 +167,8 @@ class CostEstimator:
     def runs(self) -> int:
         """Distinct simulation runs performed (the optimizer's overhead).
 
-        One per distinct plan simulated, independent of execution path;
-        verification replays do not add to it.
+        One per distinct plan simulated, however it was priced; armed
+        cross-checks do not add to it.
         """
         return self._runs
 
@@ -223,31 +192,28 @@ class CostEstimator:
 
     @property
     def kernel_runs(self) -> int:
-        """Simulations executed on the per-plan fast-path replay."""
+        """Plans priced by the per-plan replay, box answers included."""
         return self._path_runs["kernel"]
 
     @property
     def reference_runs(self) -> int:
-        """Simulations executed on the reference engine (incl. cross-checks)."""
+        """Reference engine runs: fallbacks, and armed cross-checks.
+
+        Zero unless the replay raised an internal error or contracts are
+        armed, where it equals :attr:`kernel_runs` plus the fallbacks.
+        """
         return self._path_runs["reference"]
 
     @property
     def fallbacks(self) -> int:
-        """Times the fast path was abandoned for the reference engine.
+        """Plans priced by the reference engine after an internal error.
 
-        Non-zero means a spot-check disagreed or a kernel raised an
-        internal error in ``"auto"`` mode; results stay identical (the
-        reference engine takes over for good), only wall-clock suffers,
-        so each abandonment is counted here, labelled by reason in
-        ``repro_estimator_fallbacks_total``, and surfaced in
+        Each is a kernel bug: the plan's cost is still exact, only
+        wall-clock suffers, and the next plan tries the replay again.
+        Counted in ``repro_estimator_fallbacks_total`` and surfaced in
         ``NCOptimizer`` plan notes.
         """
         return self._fallbacks
-
-    @property
-    def kernel_active(self) -> bool:
-        """Whether new simulations currently take the fast path."""
-        return self._kernel_enabled
 
     def cache_info(self) -> dict:
         """Memo statistics: hits, misses, current size, and the cap."""
@@ -255,7 +221,7 @@ class CostEstimator:
             "hits": self._cache_hits,
             "misses": self._cache_misses,
             "size": len(self._cache),
-            "cap": self.cache_size,
+            "cap": CACHE_SIZE,
         }
 
     # ------------------------------------------------------------------
@@ -279,9 +245,8 @@ class CostEstimator:
     def _cache_put(self, key: PlanKey, cost: float) -> None:
         self._cache[key] = cost
         self._cache.move_to_end(key)
-        if self.cache_size is not None:
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+        if len(self._cache) > CACHE_SIZE:
+            self._cache.popitem(last=False)
 
     def _box_get(
         self, depths: tuple[float, ...], schedule: tuple[int, ...]
@@ -303,7 +268,7 @@ class CostEstimator:
             return
         self._boxes.setdefault(schedule, []).append(counts)
         self._box_order.append(schedule)
-        if self.cache_size is not None and len(self._box_order) > self.cache_size:
+        if len(self._box_order) > CACHE_SIZE:
             oldest = self._box_order.popleft()
             boxes = self._boxes[oldest]
             del boxes[0]
@@ -314,24 +279,28 @@ class CostEstimator:
     # Simulation
     # ------------------------------------------------------------------
 
-    def _reference_cost(
-        self, depths: tuple[float, ...], schedule: tuple[int, ...]
-    ) -> float:
-        middleware = Middleware.over(
-            self.sample,
-            self.cost_model,
-            no_wild_guesses=self.no_wild_guesses,
-        )
-        policy = SRGPolicy(depths, schedule)
-        engine = FrameworkNC(middleware, self.fn, self.sample_k, policy)
-        engine.run()
+    def _reference(self, plan: PlanKey) -> float:
+        cost = reference_cost(self, *plan)
         self._path_runs["reference"] += 1
         self._m_inc("repro_estimator_runs_total", path="reference")
-        return middleware.stats.total_cost() * self.scale
+        return cost
 
-    def _reference_run(self, plan: PlanKey) -> float:
-        self._runs += 1
-        return self._reference_cost(*plan)
+    def _cross_check(self, plan: PlanKey, outcome: object) -> None:
+        """Armed contracts: the reference engine must reach ``outcome``.
+
+        ``outcome`` is the replay's cost, or the type of its error.
+        """
+        try:
+            reference: object = self._reference(plan)
+        except (ReproError, ValueError) as exc:
+            reference = type(exc)
+        if reference != outcome:
+            depths, schedule = plan
+            raise ContractViolationError(
+                f"plan-cost replay disagrees with the reference engine for "
+                f"plan depths={depths} schedule={schedule}: kernel cost "
+                f"{outcome!r}, reference cost {reference!r}"
+            )
 
     def _ensure_index(self) -> SampleIndex:
         if self._index is None:
@@ -342,62 +311,42 @@ class CostEstimator:
             )
         return self._index
 
-    def _fall_back(self, reason: str) -> None:
-        self._fallbacks += 1
-        self._m_inc("repro_estimator_fallbacks_total", reason=reason)
-        self._kernel_enabled = False
-
     def _simulate(self, plan: PlanKey) -> float:
-        """Cost of one uncached plan under the trust ladder.
+        """Cost of one uncached plan: box memo, then a fresh replay.
 
-        A plan the engine itself would reject raises its error, counted
-        in ``runs`` but not in a path counter. A rejected fast-path
-        attempt still counts as a ``kernel`` run; the reference engine's
-        cost is returned in its place. A plan inside a stored comparison
-        box takes that replay's counts instead of replaying.
+        Every call counts one run. A plan the engine itself would reject
+        raises its error. A plan inside a stored comparison box takes that
+        replay's counts instead of replaying. An internal replay error
+        prices this plan on the reference engine instead.
         """
-        if not self._kernel_enabled:
-            return self._reference_run(plan)
         depths, schedule = plan
-        try:
-            # Range-checked first: a box may extend past [0, 1].
-            counts = self._box_get(
-                check_depths(depths, self.sample.m), schedule
-            )
-            replayed = counts is None
-            if counts is None:
+        self._runs += 1
+        # Range-checked first: a box may extend past [0, 1].
+        counts = self._box_get(check_depths(depths, self.sample.m), schedule)
+        replayed = counts is None
+        if counts is None:
+            try:
                 counts = self._ensure_index().simulate(
                     self.fn, self.sample_k, depths, schedule
                 )
-        except (ReproError, ValueError):
-            # Conditions the reference engine raises too (unanswerable
-            # query, bad plan): genuine errors, not kernel faults.
-            self._runs += 1
-            raise
-        except Exception:
-            if self.vectorized is True:
+            except (ReproError, ValueError) as exc:
+                # Conditions the reference engine raises too (unanswerable
+                # query, bad plan): genuine errors, not kernel faults.
+                if self._armed:
+                    self._cross_check(plan, type(exc))
                 raise
-            self._fall_back("internal_error")
-            return self._reference_run(plan)
+            except Exception:
+                self._fallbacks += 1
+                self._m_inc("repro_estimator_fallbacks_total", reason="internal_error")
+                return self._reference(plan)
         cost = counts.cost(self.cost_model) * self.scale
-        self._runs += 1
         self._path_runs["kernel"] += 1
         self._m_inc("repro_estimator_runs_total", path="kernel")
         if not replayed:
             self._box_hits += 1
             self._m_inc("repro_estimator_box_hits_total")
-        if self._verify_remaining > 0:
-            self._verify_remaining -= 1
-            reference = self._reference_cost(depths, schedule)
-            if reference != cost:
-                if self.vectorized is True:
-                    raise KernelMismatchError(
-                        f"kernel cost {cost!r} != reference cost "
-                        f"{reference!r} for plan depths={depths} "
-                        f"schedule={schedule}"
-                    )
-                self._fall_back("verify_mismatch")
-                return reference
+        if self._armed:
+            self._cross_check(plan, cost)
         if replayed:
             self._box_put(schedule, counts)
         return cost
@@ -425,3 +374,28 @@ class CostEstimator:
         cost = self._simulate(key)
         self._cache_put(key, cost)
         return cost
+
+
+def reference_cost(
+    estimator: CostEstimator,
+    depths: Sequence[float],
+    schedule: Optional[Sequence[int]] = None,
+) -> float:
+    """The reference engine's price of one SR/G plan on ``estimator``'s sample.
+
+    Steps :class:`~repro.core.framework.FrameworkNC` over a fresh
+    :class:`~repro.sources.middleware.Middleware` on the sample, with the
+    estimator's function, scaled retrieval size, cost model and
+    wild-guess setting, and scales the Eq. 1 cost back exactly as
+    :meth:`CostEstimator.estimate` does. It raises what the engine raises
+    and touches none of the estimator's memos or counters. This is the
+    per-plan replay's oracle (module docstring).
+    """
+    middleware = Middleware.over(
+        estimator.sample,
+        estimator.cost_model,
+        no_wild_guesses=estimator.no_wild_guesses,
+    )
+    policy = SRGPolicy(depths, schedule)
+    FrameworkNC(middleware, estimator.fn, estimator.sample_k, policy).run()
+    return middleware.stats.total_cost() * estimator.scale

@@ -37,8 +37,6 @@ class NCOptimizer:
             the paper's pick.
         schedule_optimizer: how ``H`` is chosen; defaults to the
             benefit/cost heuristic.
-        vectorized: estimator execution path (``True`` / ``False`` /
-            ``"auto"``); see :class:`CostEstimator`.
         metrics: optional :class:`~repro.obs.MetricsRegistry` threaded
             into every estimator this optimizer builds.
         trace: optional :class:`~repro.obs.TraceRecorder` receiving
@@ -56,7 +54,6 @@ class NCOptimizer:
         self,
         scheme: Optional[SearchScheme] = None,
         schedule_optimizer: Optional[ScheduleOptimizer] = None,
-        vectorized: bool | str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceRecorder] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -67,7 +64,6 @@ class NCOptimizer:
             if schedule_optimizer is not None
             else ScheduleOptimizer(mode="heuristic")
         )
-        self.vectorized = vectorized
         self.metrics = metrics
         self.trace = trace
         self.clock = clock
@@ -110,7 +106,6 @@ class NCOptimizer:
             cost_model,
             no_wild_guesses=no_wild_guesses,
             min_sample_k=min_sample_k,
-            vectorized=self.vectorized,
             metrics=self.metrics,
         )
         clock = self.clock

@@ -24,7 +24,7 @@ def eq1_cost(
     """Price per-predicate access counts under Eq. 1.
 
     The single implementation of ``sum_i ns_i*cs_i + sum_i nr_i*cr_i``,
-    shared by :meth:`AccessStats.total_cost` and the vectorized plan-cost
+    shared by :meth:`AccessStats.total_cost` and the plan-cost
     kernel (:mod:`repro.optimizer.kernel`) so both paths accumulate terms
     in the identical order and agree bitwise.
     """

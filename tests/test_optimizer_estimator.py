@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.optimizer.estimator as estimator_module
 from repro.data.generators import uniform, zipf_skewed
 from repro.optimizer.estimator import CostEstimator
 from repro.optimizer.sampling import dummy_uniform_sample, sample_from_dataset
@@ -93,11 +94,10 @@ class TestEstimatorCaching:
         est.estimate([0.5, 0.5])
         assert est.runs == 2
 
-    def test_cache_is_bounded_lru(self):
+    def test_cache_is_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(estimator_module, "CACHE_SIZE", 2)
         sample = dummy_uniform_sample(2, 30, seed=0)
-        est = CostEstimator(
-            sample, Min(2), 5, 300, CostModel.uniform(2), cache_size=2
-        )
+        est = CostEstimator(sample, Min(2), 5, 300, CostModel.uniform(2))
         est.estimate([0.1, 0.1])
         est.estimate([0.2, 0.2])
         est.estimate([0.1, 0.1])  # refresh recency of the first entry
