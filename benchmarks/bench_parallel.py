@@ -9,17 +9,18 @@ c in {1, 2, 4, 8, 16}, in both speculation modes:
 * ``eager`` -- waves are packed with second-choice accesses; elapsed time
   keeps dropping with c, at a measured total-cost premium.
 
-Elapsed time is virtual (unit-cost latencies), so at c = 1 elapsed equals
-Eq. 1 total cost -- the paper's sequential equivalence.
+Elapsed time is virtual (unit-cost latencies), so at c = 1 -- where the
+engine runs its sequential core -- elapsed equals Eq. 1 total cost: the
+paper's sequential equivalence.
 """
 
 from repro.bench.reporting import ascii_table
 from repro.bench.scenarios import s2
+from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.optimizer.optimizer import NCOptimizer
 from repro.optimizer.sampling import dummy_uniform_sample
 from repro.optimizer.search import NaiveGrid
-from repro.parallel.executor import ParallelExecutor
 
 CONCURRENCIES = (1, 2, 4, 8, 16)
 
@@ -39,7 +40,7 @@ def optimized_policy(scenario):
 def run_sweep(scenario, make_policy, speculation):
     outcomes = []
     for c in CONCURRENCIES:
-        executor = ParallelExecutor(
+        engine = FrameworkNC(
             scenario.middleware(),
             scenario.fn,
             scenario.k,
@@ -47,7 +48,7 @@ def run_sweep(scenario, make_policy, speculation):
             concurrency=c,
             speculation=speculation,
         )
-        outcomes.append(executor.execute())
+        outcomes.append(engine.execute())
     return outcomes
 
 

@@ -122,7 +122,7 @@ from repro.analysis import (
     offline_optimal,
     summarize_trace,
 )
-from repro.parallel import ParallelExecutor, ParallelResult
+from repro.parallel import ParallelResult
 from repro.query import ParsedQuery, QueryError, parse_query, run_query
 from repro.service import QueryServer, ServerConfig, Session
 from repro.scoring import (
@@ -231,7 +231,6 @@ __all__ = [
     "dummy_uniform_sample",
     "bootstrap_sample",
     # parallel
-    "ParallelExecutor",
     "ParallelResult",
     # query front end
     "parse_query",

@@ -40,6 +40,7 @@ alone, read when an estimator is built. Violations raise
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.exceptions import ContractViolationError, NotMonotoneError
@@ -51,6 +52,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 EPSILON = 1e-9
 
 _ENV_FLAG = "REPRO_CONTRACTS"
+
+#: Scoring functions that passed the monotonicity probe, process-wide,
+#: with the trial count they passed at. Every estimator cross-check runs
+#: a fresh middleware, and so a fresh checker, over the same ``F``; the
+#: memo keeps that from re-probing it. A failed probe is never recorded.
+_PROBED: weakref.WeakKeyDictionary[ScoringFunction, int] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def env_enabled() -> bool:
@@ -83,7 +92,6 @@ class ContractChecker:
         self._last_seen: dict[int, float] = {}
         self._sorted_scores: dict[int, float] = {}
         self._threshold: Optional[float] = None
-        self._probed: set[str] = set()
         self.checks = 0
 
     # ------------------------------------------------------------------
@@ -173,12 +181,11 @@ class ContractChecker:
 
         Runs before any access is spent: a non-monotone ``F`` makes every
         upper bound -- and therefore the whole run -- meaningless, so it
-        must fail here, not in the answer.
+        must fail here, not in the answer. A function object that passed
+        a probe of at least ``probe_trials`` trials (in any checker) is
+        not probed again; one that failed is probed, and fails, each time.
         """
-        if self.probe_trials == 0:
-            return
-        key = f"{type(fn).__module__}.{type(fn).__qualname__}:{fn.name}"
-        if key in self._probed:
+        if self.probe_trials == 0 or _PROBED.get(fn, 0) >= self.probe_trials:
             return
         from repro.scoring.monotonicity import check_monotone
 
@@ -190,14 +197,13 @@ class ContractChecker:
                 f"probe: {exc}; upper-bound reasoning (Theorem 1) is "
                 "unsound for this function"
             ) from exc
-        self._probed.add(key)
+        _PROBED[fn] = self.probe_trials
 
     def reset(self) -> None:
         """Clear all history for a fresh (replayed) run."""
         self._last_seen.clear()
         self._sorted_scores.clear()
         self._threshold = None
-        self._probed.clear()
         self.checks = 0
 
 

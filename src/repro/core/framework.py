@@ -30,13 +30,65 @@ This is NRA-style scheduling localized to the dead predicate: interval
 loop and stopping rule, but Select ranges over *all* currently-legal
 accesses rather than one task's necessary choices. It exists to make the
 generality/specificity contrast of Section 4 executable (and testable).
+
+**Execution shapes** (Section 9.1.1, docs/RUNTIME.md): parallel execution
+builds on the access-minimizing loop rather than replacing it, so the
+shape is a property of one engine, chosen by its ``concurrency`` bound.
+At ``concurrency == 1`` the engine runs the sequential core, one access per
+iteration; above it, the *wave core* collects up to ``c`` distinct
+compatible accesses the sequential schedule wants next -- the
+policy-selected necessary choices of the current top-k's incomplete
+objects (a sorted stream can be advanced only once per wave) -- issues
+them concurrently under a virtual clock and folds in all results at the
+barrier. Each core has a sync driver (:meth:`FrameworkNC.run`,
+:meth:`FrameworkNC.execute`) and an async one
+(:meth:`FrameworkNC.run_async`, :meth:`FrameworkNC.execute_async`,
+:meth:`FrameworkNC.stream`) whose latency waits yield to the event loop
+through a :class:`~repro.runtime.pacing.Pacer`.
+
+Two speculation modes trade elapsed time against total cost:
+
+* ``"none"`` (default): a target joins a wave only with the exact access
+  the sequential policy picks for it. Total cost is *boundedly* above the
+  sequential plan's -- equal whenever ``c == 1`` or ``k == 1``, and
+  otherwise within ``(min(c, k) - 1) * c_max`` extra per wave: every wave
+  access is Theorem-1-justified for *its* target, but positions 2..k of
+  the top-k can be proven unnecessary by position 1's outcome, which the
+  wave has already paid for (see ``tests/test_parallel.py``'s pinned
+  counterexample: an extra ``ra_0(0)`` at ``c=2``, cost 5.0 -> 6.0). The
+  speedup is bounded by the plan's natural width (concurrent streams
+  plus independent probes).
+* ``"eager"``: leftover slots are packed with second-choice accesses of
+  the same targets. Elapsed time keeps dropping with ``c``, at the price
+  of accesses the sequential plan may prove unnecessary.
+
+Atomicity discipline of the async drivers: the **only** suspension points
+are the pacer waits at the core's pending-access (or pending-wave) yield.
+Everything that touches shared structures -- the middleware's
+charge-and-fetch against the cross-query SourceCache, breaker
+bookkeeping, metrics, trace emission -- runs after the core resumes, in
+one synchronous section per access (or per wave), so two sessions can
+never interleave *inside* an access: the ``serves_free`` cache check and
+the Eq. 1 charge it guards are always observed together. Cancellation
+therefore only ever lands on a wait, between consistent states, which is
+what keeps the obs reconciliation invariant (charged + cached ==
+recorded) intact for cancelled queries.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    AsyncIterator,
+    Callable,
+    Generator,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.core.bounds import bound_index
 from repro.core.choices import necessary_choices
@@ -50,12 +102,16 @@ from repro.exceptions import (
     SourceUnavailableError,
     UnanswerableQueryError,
 )
+from repro.parallel.clock import VirtualClock
 from repro.scoring.functions import ScoringFunction
+from repro.sources.latency import ConstantLatency, LatencyModel
 from repro.sources.middleware import Middleware
-from repro.types import Access, QueryResult, RankedObject
+from repro.types import Access, ParallelResult, QueryResult, RankedObject
 
 if TYPE_CHECKING:  # pragma: no cover - optimizer imports this module
     from repro.optimizer.replan import ReplanController
+    from repro.runtime.engine import AnswerCallback
+    from repro.runtime.pacing import Pacer
 
 
 @dataclass
@@ -110,6 +166,17 @@ class FrameworkNC:
             ``(Delta, H)``, the engine swaps its Select policy for the new
             plan's and continues -- score state, bounds and middleware
             accounting carry over untouched.
+        concurrency: accesses issued concurrently *within* this query
+            (keyword-only, like the three below). ``1`` runs the
+            sequential core; above it the wave core, which supports
+            neither ``theta > 1`` nor an ``observer``.
+        latency_model: virtual per-access durations for the elapsed-time
+            clock (defaults to cost-proportional, :class:`ConstantLatency`).
+        speculation: wave-packing mode at ``concurrency > 1``, ``"none"``
+            or ``"eager"`` (module docstring).
+        pacer: maps virtual durations onto real ``await``\\ s in the async
+            drivers; the default never sleeps (scale 0), so a standalone
+            async run is as fast as the sync one.
     """
 
     def __init__(
@@ -123,13 +190,43 @@ class FrameworkNC:
         theta: float = 1.0,
         degrade_on_budget: bool = False,
         replan: Optional["ReplanController"] = None,
+        *,
+        concurrency: int = 1,
+        latency_model: Optional[LatencyModel] = None,
+        speculation: str = "none",
+        pacer: Optional[Pacer] = None,
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if theta < 1.0:
             raise ValueError(f"theta must be >= 1.0, got {theta}")
+        if concurrency < 1:
+            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+        if speculation not in ("none", "eager"):
+            raise ValueError(f"speculation must be 'none' or 'eager', got {speculation!r}")
+        if concurrency > 1 and (theta > 1.0 or observer is not None):
+            raise ValueError(
+                "the wave core (concurrency > 1) supports neither theta > 1 "
+                "nor an observer"
+            )
         if middleware.stats.total_accesses:
             raise ValueError("middleware has already been used; pass a fresh one")
+        if pacer is None:
+            # Imported late: the repro.runtime package aliases this class.
+            from repro.runtime.pacing import Pacer
+
+            pacer = Pacer()
+        self.concurrency = concurrency
+        self.speculation = speculation
+        if latency_model is None:
+            latency_model = ConstantLatency(middleware.cost_model)
+        self.latency_model = latency_model
+        self.pacer = pacer
+        # Elapsed-time accounting: the virtual clock and the waves issued
+        # (accesses, at concurrency 1) of the sync execute() and async
+        # drivers; run() at concurrency 1 leaves both untouched.
+        self.clock = VirtualClock()
+        self.waves = 0
         self.middleware = middleware
         self.fn = fn
         self.k = k
@@ -172,7 +269,7 @@ class FrameworkNC:
         self._choice_cache: dict[int, tuple[int, int, list[Access]]] = {}
 
     # ------------------------------------------------------------------
-    # Engine plumbing (shared with the parallel executor)
+    # Engine plumbing (shared by both cores)
     # ------------------------------------------------------------------
 
     def _prepare(self) -> None:
@@ -481,7 +578,7 @@ class FrameworkNC:
         return result
 
     # ------------------------------------------------------------------
-    # The sequential core (Figure 6 / Figure 10) and its sync drivers
+    # The sequential core (Figure 6 / Figure 10)
     # ------------------------------------------------------------------
 
     def _sequential(self) -> Iterator[Union[RankedObject, Access]]:
@@ -489,7 +586,7 @@ class FrameworkNC:
 
         Yields each confirmed answer, best first, and each selected access
         *before* performing it. The access yield is the only point where
-        a driver may suspend (the async engine awaits the access's latency
+        a driver may suspend (the async drivers await the access's latency
         there); resuming performs the access and runs on to the next yield
         without interruption. A sorted access whose list ran out during
         the suspension (through a source cache shared with another
@@ -584,6 +681,168 @@ class FrameworkNC:
         self._bounds.push(runner_up[0])
         return self.theta * self.state.lower_bound(obj) >= runner_up[1]
 
+    # ------------------------------------------------------------------
+    # The wave core (Section 9.1.1)
+    # ------------------------------------------------------------------
+
+    def _plan_wave(
+        self, workable: list[tuple[int, list[Access]]]
+    ) -> dict[Access, int]:
+        """Choose up to ``c`` distinct compatible accesses for this wave.
+
+        ``workable`` pairs each refinable incomplete top-k object with its
+        usable choices; the wave maps each chosen access to the target it
+        refines. Each target contributes at most one access -- the one the
+        sequential policy would pick for it. Every access in the wave is
+        therefore individually justified by Theorem 1 (its target's task
+        must be worked on eventually); the only speculation is ordering,
+        which keeps the total-cost overhead of concurrency small.
+        """
+        batch: dict[Access, int] = {}
+        used_sorted: set[int] = set()
+        for target, choices in workable:
+            if len(batch) >= self.concurrency:
+                break
+            access = self._select(target, choices)
+            if access in batch or (
+                access.is_sorted and access.predicate in used_sorted
+            ):
+                # The access this target actually wants is already in the
+                # wave (a shared sorted stream, typically). Issuing its
+                # second choice instead would be speculation the sequential
+                # plan never performs; skip the target until the next wave.
+                continue
+            batch[access] = target
+            if access.is_sorted:
+                used_sorted.add(access.predicate)
+        if self.speculation == "eager":
+            self._fill_speculatively(
+                [target for target, _choices in workable], batch, used_sorted
+            )
+        return batch
+
+    def _fill_speculatively(
+        self,
+        targets: list[int],
+        batch: dict[Access, int],
+        used_sorted: set[int],
+    ) -> None:
+        """Eager mode: pack remaining slots with second-choice accesses.
+
+        Trades extra total cost (accesses the sequential plan may prove
+        unnecessary) for lower elapsed time at high concurrency bounds --
+        the knob the parallel experiment ablates.
+        """
+        progressed = True
+        while len(batch) < self.concurrency and progressed:
+            progressed = False
+            for target in targets:
+                if len(batch) >= self.concurrency:
+                    break
+                alternatives = [
+                    acc
+                    for acc in self._alternatives(target)
+                    if acc not in batch
+                    and not (acc.is_sorted and acc.predicate in used_sorted)
+                ]
+                if not alternatives:
+                    continue
+                access = self._select(target, alternatives)
+                batch[access] = target
+                if access.is_sorted:
+                    used_sorted.add(access.predicate)
+                progressed = True
+
+    def _waves(self) -> Generator[list[float], None, ParallelResult]:
+        """The wave loop: plan a wave, yield its durations, fold it.
+
+        Each round pops the current top-k and degrades unrefinable
+        targets. Then it either returns the finished
+        :class:`ParallelResult` or plans the next wave and yields the
+        wave's access durations *before* performing it. That yield is the
+        only point where a driver may suspend (the async drivers await
+        the wave's makespan there); resuming folds the whole wave through
+        :meth:`_perform` and plans on to the next yield without
+        interruption. As in the sequential core, a sorted access whose
+        list ran out during the suspension is dropped from the fold.
+        """
+        self._prepare()
+        while True:
+            # Wave boundary == safe checkpoint: no access is in flight,
+            # the previous wave is fully folded in.
+            self._replan_checkpoint()
+            popped = self._collect_topk()
+            workable: list[tuple[int, list[Access]]] = []
+            abandoned_unseen = False
+            for obj, _bound in popped:
+                if obj != UNSEEN and self.state.is_complete(obj):
+                    continue
+                choices = self._usable_choices(obj)
+                if choices is not None:
+                    workable.append((obj, choices))
+                elif obj == UNSEEN:
+                    abandoned_unseen = True
+                else:
+                    self._degrade(obj)
+            if abandoned_unseen:
+                self._unseen_abandoned = True
+                self._push_back(popped)
+                continue
+            if not workable:
+                ranking = [
+                    RankedObject(
+                        obj,
+                        self._bound_only[obj][0]
+                        if obj in self._bound_only
+                        else bound,
+                    )
+                    for obj, bound in popped
+                ]
+                result = self._finish(ranking, self._label())
+                result.metadata["waves"] = self.waves
+                result.metadata["concurrency"] = self.concurrency
+                return self._outcome(result)
+            batch = self._plan_wave(workable)
+            assert batch, "refinable top-k objects always admit an access"
+            durations = [self.latency_model.duration(acc) for acc in batch]
+            yield durations
+            # Fold results in randoms-first: a concurrent sa_i may deliver
+            # an object the same wave also probed on i, and applying the
+            # probe after the delivery would look like a duplicate fetch.
+            # A list another session ran out during the wave is skipped;
+            # its target is pushed back and planned again.
+            for access in sorted(batch, key=lambda acc: acc.is_sorted):
+                if access.is_sorted and self.middleware.exhausted(
+                    access.predicate
+                ):
+                    continue
+                self._perform(batch[access], access)
+            self.clock.run_wave(durations, self.concurrency)
+            self.waves += 1
+            self._push_back(popped)
+
+    # ------------------------------------------------------------------
+    # Drivers: the core the concurrency bound picks, sync or async
+    # ------------------------------------------------------------------
+
+    def _pending(self, access: Access) -> float:
+        """Book one pending access of the sequential core on the clock."""
+        duration = self.latency_model.duration(access)
+        self.clock.advance(duration)
+        self.waves += 1
+        return duration
+
+    def _outcome(self, result: QueryResult) -> ParallelResult:
+        return ParallelResult(result, self.clock.now, self.waves, self.concurrency)
+
+    def _timed(self) -> Iterator[RankedObject]:
+        """:meth:`answers`, booking each access's duration on the clock."""
+        for item in self._sequential():
+            if isinstance(item, RankedObject):
+                yield item
+            else:
+                self._pending(item)
+
     def run(self) -> QueryResult:
         """Process the query to completion and return the top-k.
 
@@ -591,10 +850,100 @@ class FrameworkNC:
         theta-approximation and reported scores of approximately-confirmed
         objects are their proven lower bounds.
         """
+        if self.concurrency > 1:
+            return self.execute().result
         ranking = list(itertools.islice(self.answers(), self.k))
         return self._finish(ranking, self._label())
 
+    def execute(self) -> ParallelResult:
+        """Run to completion; full :class:`ParallelResult` accounting.
+
+        At concurrency 1 the query result is :meth:`run`'s and the
+        elapsed time is the sum of the access durations. Source outages
+        degrade the run instead of crashing it, in both cores
+        (docs/FAULTS.md).
+        """
+        if self.concurrency == 1:
+            ranking = list(itertools.islice(self._timed(), self.k))
+            return self._outcome(self._finish(ranking, self._label()))
+        waves = self._waves()
+        while True:
+            try:
+                next(waves)
+            except StopIteration as done:
+                return done.value
+
+    async def _run_paced(
+        self, on_answer: Optional[AnswerCallback]
+    ) -> ParallelResult:
+        if self.concurrency == 1:
+            ranking: list[RankedObject] = []
+            answers = self.stream()
+            try:
+                async for answer in answers:
+                    ranking.append(answer)
+                    if on_answer is not None:
+                        await on_answer(answer)
+                    if len(ranking) >= self.k:
+                        break
+            finally:
+                await answers.aclose()
+            return self._outcome(self._finish(ranking, self._label()))
+        waves = self._waves()
+        while True:
+            try:
+                durations = next(waves)
+            except StopIteration as done:
+                outcome: ParallelResult = done.value
+                break
+            await self.pacer.wave(durations)
+        if on_answer is not None:
+            for answer in outcome.result.ranking:
+                await on_answer(answer)
+        return outcome
+
+    async def execute_async(self) -> ParallelResult:
+        """:meth:`execute`, with each wait paced on the event loop."""
+        return await self._run_paced(None)
+
+    async def run_async(
+        self, on_answer: Optional[AnswerCallback] = None
+    ) -> QueryResult:
+        """:meth:`run` on the event loop; optionally streams answers.
+
+        ``on_answer`` is awaited once per ranked answer. At concurrency 1
+        answers arrive progressively, as each is confirmed; at higher
+        concurrency the Theorem-1 stopping test confirms the whole top-k
+        at once, so the callbacks fire together at the end, still in rank
+        order.
+        """
+        return (await self._run_paced(on_answer)).result
+
+    async def stream(self) -> AsyncIterator[RankedObject]:
+        """Stream confirmed answers progressively, best first.
+
+        :meth:`answers` on the event loop, awaiting one pacer wait at
+        each pending access. Only defined at concurrency 1 -- the wave
+        shape has no per-answer confirmation order until the Theorem-1
+        test passes for the whole top-k; use :meth:`run_async` there.
+        """
+        if self.concurrency != 1:
+            raise ReproError(
+                f"progressive streaming requires concurrency 1, not {self.concurrency}"
+            )
+        for item in self._sequential():
+            if isinstance(item, RankedObject):
+                yield item
+            else:
+                # Selected (on this query's private score state) before
+                # the wait, performed after it when the core resumes:
+                # whether the cache serves it free is decided at perform
+                # time, exactly once, race-free.
+                await self.pacer.wait(self._pending(item))
+
     def _label(self) -> str:
+        if self.concurrency > 1:
+            return f"NC-parallel[c={self.concurrency},{self.speculation}]"
         return f"NC[{self.policy.describe()}]"
 
 
@@ -606,8 +955,14 @@ class FrameworkTG(FrameworkNC):
     non-exhausted sorted access plus every non-duplicate random access on
     a discovered (or, with wild guesses, any) object. The pool's size is
     what makes TG useless for optimization (Section 4); it is retained as
-    an executable reference point and for tests.
+    an executable reference point and for tests. It runs the sequential
+    core only: ``concurrency > 1`` raises :class:`ValueError`.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.concurrency > 1:
+            raise ValueError("FrameworkTG runs sequentially; concurrency must be 1")
 
     def _alternatives(self, target: int) -> list[Access]:
         """Every currently-legal access on a channel admitting accesses.

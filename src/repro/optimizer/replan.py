@@ -10,8 +10,8 @@ adapting to the data actually seen, not the data assumed.
 :class:`ReplanController` closes that loop. An engine calls
 :meth:`ReplanController.maybe_replan` at *safe checkpoints* -- between
 iterations of :meth:`FrameworkNC.answers
-<repro.core.framework.FrameworkNC.answers>`, between access waves of the
-parallel and async executors -- and the controller:
+<repro.core.framework.FrameworkNC.answers>`, between access waves of its
+wave core, whichever driver runs it -- and the controller:
 
 1. **Folds observed reality back into the cost model**: per-channel unit
    costs observed by the :class:`~repro.sources.monitor.CostMonitor`

@@ -1,6 +1,6 @@
 """A minimal virtual clock for simulated concurrent execution.
 
-The parallel executor issues accesses in waves; each access occupies one
+The engine's wave core issues accesses in waves; each access occupies one
 of ``c`` connections for its latency. The clock advances by each wave's
 makespan, so elapsed time reflects what a real bounded-concurrency client
 would observe, without any real sleeping.

@@ -19,8 +19,8 @@ amortizes it over a query *stream*. The pieces:
   results, graceful drain.
 
 The cross-query substrate itself -- the cache and its metering
-integration -- lives in :mod:`repro.sources.cache`; the async engine in
-:mod:`repro.runtime`.
+integration -- lives in :mod:`repro.sources.cache`; the pacer of the
+engine's async drivers in :mod:`repro.runtime`.
 """
 
 from repro.service.aio import AsyncQueryServer, StreamQueryService, serve_tcp

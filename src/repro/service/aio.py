@@ -6,7 +6,8 @@ network server:
 * :class:`AsyncQueryServer` -- the :class:`~repro.service.server.QueryServer`
   lifted onto the asyncio event loop: up to ``concurrent_queries``
   sessions *execute* at once (each on its own
-  :class:`~repro.runtime.AsyncExecutor` over the shared
+  :class:`~repro.core.framework.FrameworkNC`, driven through its async
+  entry points, over the shared
   :class:`~repro.sources.cache.SourceCache`), with backpressure
   (``max_pending``), mid-flight cancellation, and graceful drain.
 * :class:`StreamQueryService` -- the JSON-lines protocol of ``repro

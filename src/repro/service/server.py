@@ -13,7 +13,7 @@ The execution model is deliberately deterministic: sessions are admitted
 up to ``max_in_flight`` open at once, queued, and *executed in submission
 order* when their results are demanded (or :meth:`run_pending` is
 called). Parallelism lives where the paper puts it -- inside a query, via
-the bounded-concurrency :class:`~repro.parallel.ParallelExecutor`
+the wave core of :class:`~repro.core.framework.FrameworkNC`
 (``query_concurrency > 1``) -- so a serve run replays bit-for-bit under a
 fixed seed (session ids come from :func:`repro.determinism.derive_rng`,
 never from OS entropy).
@@ -51,11 +51,9 @@ from repro.optimizer.replan import (
     plan_fingerprint,
 )
 from repro.optimizer.sampling import dummy_uniform_sample
-from repro.parallel.executor import ParallelExecutor
 from repro.query.ast import ParsedQuery, QueryError
 from repro.query.compiler import compile_expression
 from repro.query.parser import parse_query
-from repro.runtime.engine import AsyncExecutor
 from repro.runtime.pacing import Pacer
 from repro.sources.cache import SourceCache
 from repro.sources.cost import CostModel
@@ -81,9 +79,9 @@ class ServerConfig:
             and not yet retrieved). Submissions beyond it raise
             :class:`~repro.exceptions.ServiceOverloadError`.
         query_concurrency: accesses issued concurrently *within* one
-            query; ``1`` runs the sequential NC engine, larger values the
-            bounded-concurrency executor (Section 9.1.1).
-        speculation: the parallel executor's speculation mode (``"none"``
+            query; ``1`` runs the engine's sequential core, larger values
+            its bounded-concurrency wave core (Section 9.1.1).
+        speculation: the wave core's speculation mode (``"none"``
             or ``"eager"``); ignored at concurrency 1.
         default_budget: per-session cost cap applied when a submission
             names none; ``None`` leaves those sessions unbounded.
@@ -692,33 +690,28 @@ class QueryServer:
         session: Session,
         pacer: Optional[Pacer] = None,
     ) -> FrameworkNC:
-        """The per-session engine: compile, plan, then build the shape.
+        """The per-session engine: compile, plan, then build it.
 
         The plan depends only on ``(m, fn, k, n_objects, cost model)`` --
         the planner samples a seeded dummy distribution, not live source
         state -- so planning is interleaving-invariant and identical for
-        both servers. Without a ``pacer`` the engine is the sync one
-        (sequential at concurrency 1, waves above it); with one it is
-        the :class:`~repro.runtime.AsyncExecutor` over that pacer.
+        both servers. The configured concurrency picks the engine's core
+        (sequential at 1, waves above it); the async server passes its
+        ``pacer`` and drives the engine's async entry points.
         """
         fn, _order = compile_expression(session.query.expr, schema=self.schema)
         plan = self._session_plan(middleware, fn, session)
-        args = (middleware, fn, session.query.k, SRGPolicy(plan.depths, plan.schedule))
-        shared = dict(
+        engine = FrameworkNC(
+            middleware,
+            fn,
+            session.query.k,
+            SRGPolicy(plan.depths, plan.schedule),
             degrade_on_budget=self.config.degrade_on_budget,
             replan=self._replan_controller(middleware, fn, session.query.k, plan),
-        )
-        shape = dict(
             concurrency=self.config.query_concurrency,
             speculation=self.config.speculation,
+            pacer=pacer,
         )
-        engine: FrameworkNC
-        if pacer is not None:
-            engine = AsyncExecutor(*args, pacer=pacer, **shape, **shared)
-        elif self.config.query_concurrency == 1:
-            engine = FrameworkNC(*args, **shared)
-        else:
-            engine = ParallelExecutor(*args, **shape, **shared)
         engine.plan_id = plan_fingerprint(plan)
         return engine
 

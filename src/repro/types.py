@@ -160,6 +160,30 @@ class QueryResult:
         return len(self.ranking)
 
 
+@dataclass
+class ParallelResult:
+    """A query result with its elapsed-time accounting (Section 9.1.1).
+
+    Attributes:
+        result: the (exact) query answer with total-cost accounting.
+        elapsed: virtual elapsed time: the sum of wave makespans, or of
+            access durations at concurrency 1.
+        waves: number of concurrent waves issued (accesses at
+            concurrency 1).
+        concurrency: the bound ``c`` the run respected.
+    """
+
+    result: QueryResult
+    elapsed: float
+    waves: int
+    concurrency: int
+
+    @property
+    def total_cost(self) -> float:
+        """Total access cost of the run (Eq. 1)."""
+        return self.result.total_cost()
+
+
 def rank_key(score: float, obj: int) -> tuple[float, int]:
     """Sort key implementing the library-wide deterministic tie-breaker.
 

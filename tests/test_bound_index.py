@@ -19,7 +19,6 @@ from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
 from repro.data.generators import uniform
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.executor import ParallelExecutor
 from repro.query.compiler import compile_expression
 from repro.query.parser import parse_query
 from repro.core.state import ScoreState
@@ -113,7 +112,7 @@ def run_engine(fn, case):
             theta=case["theta"],
         )
     else:
-        engine = ParallelExecutor(
+        engine = FrameworkNC(
             middleware,
             fn,
             case["k"],
@@ -343,10 +342,10 @@ class TestPushBack:
         assert _drain(hinted) == _drain(current)
 
     @pytest.mark.parametrize("fn", PUSH_BACK_FUNCTIONS + [Min(3)])
-    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    @pytest.mark.parametrize("concurrency", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 10])
     def test_waves_replay_fresh_push_back(self, fn, concurrency, k):
-        class FreshPushBack(ParallelExecutor):
+        class FreshPushBack(FrameworkNC):
             """The wave core as it was: F evaluated at every push-back."""
 
             def _push_back(self, entries):
@@ -383,9 +382,13 @@ class TestPushBack:
                 "waves": outcome.waves,
             }, engine.bound_evaluations
 
-        new, new_evaluations = run(ParallelExecutor)
+        new, new_evaluations = run(FrameworkNC)
         old, old_evaluations = run(FreshPushBack)
         assert new == old
         assert new_evaluations <= old_evaluations
-        if fn.min_terms is None and k > 1:
+        if concurrency == 1:
+            # Concurrency 1 runs the sequential core, which pushes no
+            # popped entry back: the override never runs.
+            assert new_evaluations == old_evaluations
+        elif fn.min_terms is None and k > 1:
             assert new_evaluations < old_evaluations

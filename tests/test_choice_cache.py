@@ -33,8 +33,6 @@ from repro.data.generators import uniform
 from repro.faults.breaker import BreakerPolicy, BreakerState, breakers_for
 from repro.faults.injector import FaultInjectingSource, FaultProfile
 from repro.faults.retry import RetryPolicy
-from repro.parallel.executor import ParallelExecutor
-from repro.runtime.engine import AsyncExecutor
 from repro.scoring.functions import Avg, Min
 from repro.sources.cache import SourceCache
 from repro.sources.callback import CallbackSource
@@ -113,39 +111,31 @@ class CheckedTG(Checked, FrameworkTG):
     pass
 
 
-class CheckedParallel(Checked, ParallelExecutor):
-    pass
-
-
-class CheckedAsync(Checked, AsyncExecutor):
-    pass
-
-
 #: (label, engine factory) for every execution shape the cache serves.
 SHAPES = [
     ("sequential", lambda mw, fn, k, pol, deg: CheckedNC(
         mw, fn, k, pol, degrade_on_budget=deg)),
-    ("wave-2-none", lambda mw, fn, k, pol, deg: CheckedParallel(
+    ("wave-2-none", lambda mw, fn, k, pol, deg: CheckedNC(
         mw, fn, k, pol, concurrency=2, degrade_on_budget=deg)),
-    ("wave-4-none", lambda mw, fn, k, pol, deg: CheckedParallel(
+    ("wave-4-none", lambda mw, fn, k, pol, deg: CheckedNC(
         mw, fn, k, pol, concurrency=4, degrade_on_budget=deg)),
-    ("wave-2-eager", lambda mw, fn, k, pol, deg: CheckedParallel(
+    ("wave-2-eager", lambda mw, fn, k, pol, deg: CheckedNC(
         mw, fn, k, pol, concurrency=2, speculation="eager",
         degrade_on_budget=deg)),
-    ("wave-4-eager", lambda mw, fn, k, pol, deg: CheckedParallel(
+    ("wave-4-eager", lambda mw, fn, k, pol, deg: CheckedNC(
         mw, fn, k, pol, concurrency=4, speculation="eager",
         degrade_on_budget=deg)),
-    ("async-1", lambda mw, fn, k, pol, deg: CheckedAsync(
+    ("async-1", lambda mw, fn, k, pol, deg: CheckedNC(
         mw, fn, k, pol, degrade_on_budget=deg)),
-    ("async-2", lambda mw, fn, k, pol, deg: CheckedAsync(
+    ("async-2", lambda mw, fn, k, pol, deg: CheckedNC(
         mw, fn, k, pol, concurrency=2, degrade_on_budget=deg)),
 ]
 SHAPE_NAMES = [name for name, _factory in SHAPES]
 
 
-def run(engine: FrameworkNC):
+def run(engine: FrameworkNC, shape: str):
     """Run any engine shape to completion; returns the query result."""
-    if isinstance(engine, AsyncExecutor):
+    if shape.startswith("async"):
         return asyncio.run(engine.run_async())
     return engine.run()
 
@@ -216,7 +206,7 @@ class TestCachedChoicesEqualFresh:
         degrade = case["budget"] is not None
         engine = factory(middleware, case["fn"], case["k"],
                          SRGPolicy(case["depths"]), degrade)
-        result = run(engine)
+        result = run(engine, shape)
         assert engine.checks > 0
         if not result.partial:
             assert score_multiset(result.ranking) == score_multiset(
@@ -394,7 +384,7 @@ class TestListsRunningOut:
         engine = dict(SHAPES)[shape](
             middleware, Avg(2), k, SRGPolicy((0.0, 1.0)), False
         )
-        result = run(engine)
+        result = run(engine, shape)
         assert engine.checks > 0
         assert score_multiset(result.ranking) == score_multiset(
             dataset.topk(Avg(2), k)
@@ -489,7 +479,7 @@ class TestListsRunningOut:
         cache = SourceCache(sources)
         model = CostModel.uniform(2, cs=1.0, cr=1.0)
         engines = [
-            CheckedParallel(Middleware.warm(cache, model, n_objects=n),
+            CheckedNC(Middleware.warm(cache, model, n_objects=n),
                             Avg(2), k, SRGPolicy((0.0, 1.0)), concurrency=2)
             for _session in range(2)
         ]

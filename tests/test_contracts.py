@@ -18,7 +18,11 @@ from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.data.generators import uniform
 from repro.exceptions import ContractViolationError
-from repro.parallel.executor import ParallelExecutor
+from repro.optimizer.optimizer import NCOptimizer
+from repro.optimizer.sampling import dummy_uniform_sample
+from repro.query.compiler import compile_expression
+from repro.query.parser import parse_query
+from repro.scoring import monotonicity
 from repro.scoring.functions import Avg, Min, ScoringFunction
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -178,7 +182,7 @@ class TestHealthyRuns:
 
     @pytest.mark.parametrize(
         "engine",
-        [FrameworkNC, lambda *args: ParallelExecutor(*args, concurrency=2)],
+        [FrameworkNC, lambda *args: FrameworkNC(*args, concurrency=2)],
         ids=["sequential", "wave-c2"],
     )
     def test_engine_checks_every_access(self, engine):
@@ -235,3 +239,42 @@ class TestBrokenComponentsAreCaught:
         # still apply); NonMonotone stays within [0, 1] here so the run
         # completes -- wrongly, which is why the probe defaults to on.
         TA().run(mw, NonMonotone(2), 3)
+
+
+class TestProbeMemo:
+    """The monotonicity probe runs once per function object, process-wide."""
+
+    def test_armed_plan_probes_each_function_once(self, monkeypatch):
+        # Every cross-checked plan runs the reference engine over a fresh
+        # middleware, so a fresh checker; none may re-probe the same F.
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+        probed = []
+        check_monotone = monotonicity.check_monotone
+
+        def counting(fn, *args, **kwargs):
+            probed.append(fn)
+            return check_monotone(fn, *args, **kwargs)
+
+        monkeypatch.setattr(monotonicity, "check_monotone", counting)
+        text = "SELECT * FROM r ORDER BY min(0.89*p0, 0.96*p1, 0.99*p2) STOP AFTER 5"
+        fn, _order = compile_expression(
+            parse_query(text).expr, schema=("p0", "p1", "p2")
+        )
+        plan = NCOptimizer().plan(
+            dummy_uniform_sample(3, 50, 0),
+            fn,
+            5,
+            400,
+            CostModel((1.0, 1.0, 2.0), (4.0, 10.0, 6.0)),
+        )
+        assert plan.notes["reference_runs"] == plan.notes["kernel_runs"] > 1
+        assert probed.count(fn) == 1
+        assert all(probed.count(each) == 1 for each in probed)
+
+    def test_failed_probe_is_never_memoized(self):
+        fn = NonMonotone(2)
+        for _ in range(2):
+            mw = _middleware(uniform(50, 2, seed=9))
+            with pytest.raises(ContractViolationError, match="monotonicity"):
+                TA().run(mw, fn, 5)
+            assert mw.stats.total_accesses == 0

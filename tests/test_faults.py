@@ -31,7 +31,6 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.obs import MetricsRegistry
-from repro.parallel.executor import ParallelExecutor
 from repro.scoring.functions import Min
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -535,7 +534,7 @@ class TestGracefulDegradation:
 
     def test_parallel_executor_degrades_identically(self):
         mw = self.degraded_middleware()
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw, self.fn(), 5, RoundRobinPolicy(), concurrency=4
         ).execute()
         assert outcome.result.partial

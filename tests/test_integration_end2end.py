@@ -16,7 +16,6 @@ from repro.core.policies import SRGPolicy
 from repro.optimizer.optimizer import NCOptimizer
 from repro.optimizer.sampling import dummy_uniform_sample, sample_from_dataset
 from repro.optimizer.search import HillClimb, NaiveGrid, Strategies
-from repro.parallel.executor import ParallelExecutor
 from repro.query import parse_query, run_query
 from repro.serialization import plan_from_json, plan_to_json
 
@@ -98,7 +97,7 @@ class TestSequentialParallelAgreement:
             mw_seq, scenario.fn, scenario.k, SRGPolicy(plan.depths, plan.schedule)
         ).run()
         mw_par = scenario.middleware()
-        par = ParallelExecutor(
+        par = FrameworkNC(
             mw_par,
             scenario.fn,
             scenario.k,

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.framework import FrameworkNC
+from repro.core.framework import FrameworkNC, FrameworkTG
 from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
 from repro.data.generators import uniform
 from repro.parallel.clock import VirtualClock
-from repro.parallel.executor import ParallelExecutor
 from repro.scoring.functions import Avg, Min
 from repro.sources.cost import CostModel
 from repro.sources.latency import NoisyLatency
@@ -46,17 +45,18 @@ class TestExecutorCorrectness:
     @pytest.mark.parametrize("c", [1, 2, 4, 8])
     def test_exact_answer_at_any_concurrency(self, small_uniform, c):
         mw = mw_over(small_uniform)
-        executor = ParallelExecutor(
+        engine = FrameworkNC(
             mw, Min(2), 3, SRGPolicy([0.7, 0.7]), concurrency=c
         )
-        outcome = executor.execute()
+        outcome = engine.execute()
         assert_valid_topk(outcome.result, small_uniform, Min(2), 3)
         assert outcome.result.metadata["iterations"] == mw.stats.total_accesses
 
     def test_concurrency_validated(self, small_uniform):
         with pytest.raises(ValueError):
-            ParallelExecutor(
-                mw_over(small_uniform), Min(2), 1, SRGPolicy([0.5, 0.5]), 0
+            FrameworkNC(
+                mw_over(small_uniform), Min(2), 1, SRGPolicy([0.5, 0.5]),
+                concurrency=0,
             )
 
     def test_k_exceeds_n_with_full_exhaustion(self, ds1):
@@ -64,7 +64,7 @@ class TestExecutorCorrectness:
         UNSEEN entry must never become a wave target (it used to surface
         via _collect_topk when k > n and lists exhausted)."""
         mw = mw_over(ds1)
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw, Min(2), 10, SRGPolicy([0.0, 0.0]), concurrency=4
         ).execute()
         assert len(outcome.result.ranking) == 3
@@ -73,17 +73,42 @@ class TestExecutorCorrectness:
 
     def test_run_returns_query_result(self, small_uniform):
         mw = mw_over(small_uniform)
-        result = ParallelExecutor(
+        result = FrameworkNC(
             mw, Avg(2), 2, SRGPolicy([0.5, 0.5]), concurrency=2
         ).run()
         assert_valid_topk(result, small_uniform, Avg(2), 2)
+
+
+class TestShapeValidation:
+    """What the wave core does not support raises at construction."""
+
+    def test_tg_runs_sequentially_only(self, small_uniform):
+        with pytest.raises(ValueError):
+            FrameworkTG(
+                mw_over(small_uniform), Min(2), 2, SRGPolicy([0.5, 0.5]),
+                concurrency=2,
+            )
+
+    def test_theta_needs_the_sequential_core(self, small_uniform):
+        with pytest.raises(ValueError):
+            FrameworkNC(
+                mw_over(small_uniform), Min(2), 2, SRGPolicy([0.5, 0.5]),
+                theta=1.5, concurrency=2,
+            )
+
+    def test_observer_needs_the_sequential_core(self, small_uniform):
+        with pytest.raises(ValueError):
+            FrameworkNC(
+                mw_over(small_uniform), Min(2), 2, SRGPolicy([0.5, 0.5]),
+                observer=lambda step: None, concurrency=2,
+            )
 
 
 class TestElapsedVsCost:
     def test_c1_elapsed_equals_total_cost(self, small_uniform):
         """At c=1 with unit-cost latencies, elapsed == Eq. 1 total cost."""
         mw = mw_over(small_uniform)
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw, Min(2), 3, SRGPolicy([0.6, 0.6]), concurrency=1
         ).execute()
         assert outcome.elapsed == pytest.approx(outcome.total_cost)
@@ -94,7 +119,7 @@ class TestElapsedVsCost:
         elapsed = {}
         for c in (1, 4):
             mw = Middleware.over(data, CostModel.uniform(2))
-            outcome = ParallelExecutor(
+            outcome = FrameworkNC(
                 mw, Min(2), 10, SRGPolicy([0.6, 1.0]), concurrency=c
             ).execute()
             elapsed[c] = outcome.elapsed
@@ -107,7 +132,7 @@ class TestElapsedVsCost:
         costs = {}
         for c in (1, 8):
             mw = Middleware.over(data, CostModel.uniform(2))
-            outcome = ParallelExecutor(
+            outcome = FrameworkNC(
                 mw, Min(2), 10, SRGPolicy([0.6, 0.6]), concurrency=c
             ).execute()
             costs[c] = outcome.total_cost
@@ -120,7 +145,7 @@ class TestElapsedVsCost:
 
         def run(mode):
             mw = Middleware.over(data, CostModel.uniform(2))
-            return ParallelExecutor(
+            return FrameworkNC(
                 mw, Min(2), 10, SRGPolicy([0.6, 0.6]), concurrency=8,
                 speculation=mode,
             ).execute()
@@ -132,22 +157,22 @@ class TestElapsedVsCost:
 
     def test_speculation_mode_validated(self, small_uniform):
         with pytest.raises(ValueError):
-            ParallelExecutor(
-                mw_over(small_uniform), Min(2), 1, SRGPolicy([0.5, 0.5]), 2,
-                speculation="wild",
+            FrameworkNC(
+                mw_over(small_uniform), Min(2), 1, SRGPolicy([0.5, 0.5]),
+                concurrency=2, speculation="wild",
             )
 
     def test_elapsed_bounded_below_by_cost_over_c(self, small_uniform):
         mw = mw_over(small_uniform)
         c = 4
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw, Min(2), 3, SRGPolicy([0.6, 0.6]), concurrency=c
         ).execute()
         assert outcome.elapsed >= outcome.total_cost / c - 1e-9
 
     def test_noisy_latency_model(self, small_uniform):
         mw = mw_over(small_uniform)
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw,
             Min(2),
             3,
@@ -183,7 +208,7 @@ class TestNoneModeCostParity:
         mw_seq = Middleware.over(dataset, CostModel.uniform(2))
         seq = FrameworkNC(mw_seq, fn, k, policy).run()
         mw_par = Middleware.over(dataset, CostModel.uniform(2))
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw_par, fn, k, SRGPolicy((0.0, 0.0)), concurrency=2
         ).execute()
         # The answers agree; the parallel run pays one extra ra_0(0) the
@@ -199,7 +224,7 @@ class TestNoneModeCostParity:
         mw_seq = Middleware.over(dataset, CostModel.uniform(2))
         FrameworkNC(mw_seq, fn, k, policy).run()
         mw_par = Middleware.over(dataset, CostModel.uniform(2))
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw_par, fn, k, SRGPolicy((0.0, 0.0)), concurrency=2
         ).execute()
         slack = (min(2, 2) - 1) * 1.0 * outcome.waves
@@ -212,7 +237,7 @@ class TestNoneModeCostParity:
         mw_seq = Middleware.over(dataset, CostModel.uniform(2))
         FrameworkNC(mw_seq, fn, 1, policy).run()
         mw_par = Middleware.over(dataset, CostModel.uniform(2))
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw_par, fn, 1, SRGPolicy((0.0, 0.0)), concurrency=c
         ).execute()
         assert outcome.total_cost == mw_seq.stats.total_cost()
@@ -221,10 +246,10 @@ class TestNoneModeCostParity:
 class TestWavePlanning:
     def test_waves_never_exceed_concurrency(self, small_uniform):
         mw = mw_over(small_uniform)
-        executor = ParallelExecutor(
+        engine = FrameworkNC(
             mw, Min(2), 5, SRGPolicy([0.5, 0.5]), concurrency=3
         )
-        original = executor._plan_wave
+        original = engine._plan_wave
 
         def checked(popped):
             batch = original(popped)
@@ -236,13 +261,13 @@ class TestWavePlanning:
             )
             return batch
 
-        executor._plan_wave = checked
-        outcome = executor.execute()
+        engine._plan_wave = checked
+        outcome = engine.execute()
         assert_valid_topk(outcome.result, small_uniform, Min(2), 5)
 
     def test_metadata_reports_waves(self, small_uniform):
         mw = mw_over(small_uniform)
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw, Min(2), 2, SRGPolicy([0.5, 0.5]), concurrency=2
         ).execute()
         assert outcome.result.metadata["waves"] == outcome.waves
@@ -252,7 +277,7 @@ class TestWavePlanning:
         """Example 2 costs: probes are free, so waves mix sorted + probes."""
         model = CostModel.uniform(2, cs=1.0, cr=0.0)
         mw = Middleware.over(small_uniform, model)
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw, Min(2), 3, SRGPolicy([0.3, 1.0]), concurrency=4
         ).execute()
         assert_valid_topk(outcome.result, small_uniform, Min(2), 3)

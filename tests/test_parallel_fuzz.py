@@ -1,4 +1,4 @@
-"""Property-based checks of the parallel executor's contracts."""
+"""Property-based checks of the engine's bounded-concurrency contracts."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
-from repro.parallel.executor import ParallelExecutor
 from repro.scoring.functions import Avg, Min
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -58,7 +57,7 @@ class TestParallelContractsFuzz:
         seq = FrameworkNC(mw_seq, fn, k, SRGPolicy(depths)).run()
 
         mw_par = Middleware.over(dataset, CostModel.uniform(2))
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw_par, fn, k, SRGPolicy(depths), concurrency=c
         ).execute()
 
@@ -85,7 +84,7 @@ class TestParallelContractsFuzz:
     def test_eager_mode_still_exact(self, instance):
         dataset, fn, k, c, depths = instance
         mw = Middleware.over(dataset, CostModel.uniform(2))
-        outcome = ParallelExecutor(
+        outcome = FrameworkNC(
             mw, fn, k, SRGPolicy(depths), concurrency=c, speculation="eager"
         ).execute()
         oracle = dataset.topk(fn, k)

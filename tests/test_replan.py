@@ -29,7 +29,6 @@ from repro.optimizer.replan import (
     plan_fingerprint,
 )
 from repro.optimizer.sampling import dummy_uniform_sample
-from repro.runtime.engine import AsyncExecutor
 from repro.scoring.functions import WeightedSum
 from repro.serialization import result_to_dict
 from repro.sources.cost import CostModel
@@ -197,7 +196,7 @@ class TestOffMode:
             drift_middleware(), FN, K, SRGPolicy(plan.depths, plan.schedule)
         ).run()
         ctrl = controller(plan, ReplanConfig(mode="off"))
-        engine = AsyncExecutor(
+        engine = FrameworkNC(
             drift_middleware(),
             FN,
             K,
@@ -452,7 +451,7 @@ class TestProperties:
         assert result_to_dict(off_sync) == result_to_dict(baseline)
         mw_c, ctrl_c = build(True)
         off_async = asyncio.run(
-            AsyncExecutor(
+            FrameworkNC(
                 mw_c,
                 fn,
                 3,

@@ -11,12 +11,13 @@ from repro.exceptions import ReproError
 from repro.faults.injector import FaultProfile, faulty_sources_for
 from repro.faults.retry import RetryPolicy
 from repro.optimizer.replan import ReplanConfig
-from repro.parallel.executor import ParallelExecutor
-from repro.runtime import AsyncExecutor, Pacer
+from repro.runtime import Pacer
 from repro.scoring.functions import Avg, Min
 from repro.serialization import result_to_dict
 from repro.sources.cost import CostModel
+from repro.sources.latency import NoisyLatency
 from repro.sources.middleware import Middleware
+from repro.types import QueryResult
 from tests.conftest import assert_valid_topk
 from tests.test_replan import FN, K, controller, drift_middleware, misspecified_plan
 
@@ -108,7 +109,7 @@ class TestSequentialShadow:
     def test_result_identical_to_framework_nc(self):
         data = uniform(200, 2, seed=3)
         seq = FrameworkNC(_mw(data), Min(2), 5, SRGPolicy([0.6, 0.6])).run()
-        engine = AsyncExecutor(
+        engine = FrameworkNC(
             _mw(data), Min(2), 5, SRGPolicy([0.6, 0.6]), concurrency=1
         )
         result = asyncio.run(engine.run_async())
@@ -118,7 +119,7 @@ class TestSequentialShadow:
         """A positive time scale changes wall time, never the answer."""
         data = uniform(60, 2, seed=5)
         seq = FrameworkNC(_mw(data), Avg(2), 3, SRGPolicy([0.5, 1.0])).run()
-        engine = AsyncExecutor(
+        engine = FrameworkNC(
             _mw(data),
             Avg(2),
             3,
@@ -130,7 +131,7 @@ class TestSequentialShadow:
 
     def test_progressive_answers_match_final_ranking(self):
         data = uniform(150, 2, seed=7)
-        engine = AsyncExecutor(_mw(data), Min(2), 4, SRGPolicy([0.7, 0.7]))
+        engine = FrameworkNC(_mw(data), Min(2), 4, SRGPolicy([0.7, 0.7]))
         seen = []
 
         async def on_answer(answer):
@@ -145,7 +146,7 @@ class TestSequentialShadow:
         """At c=1 with unit costs, elapsed == Eq. 1 cost, waves == accesses."""
         data = uniform(100, 2, seed=11)
         mw = _mw(data)
-        engine = AsyncExecutor(mw, Min(2), 3, SRGPolicy([0.6, 0.6]))
+        engine = FrameworkNC(mw, Min(2), 3, SRGPolicy([0.6, 0.6]))
         outcome = asyncio.run(engine.execute_async())
         assert outcome.concurrency == 1
         assert outcome.elapsed == pytest.approx(outcome.total_cost)
@@ -156,14 +157,14 @@ class TestSequentialShadow:
         mw, fn, k, policy, kwargs = _scenario(scenario)
         seq = FrameworkNC(mw, fn, k, policy, **kwargs).run()
         mw, fn, k, policy, kwargs = _scenario(scenario)
-        engine = AsyncExecutor(mw, fn, k, policy, **kwargs)
+        engine = FrameworkNC(mw, fn, k, policy, **kwargs)
         outcome = asyncio.run(engine.execute_async())
         assert result_to_dict(outcome.result) == result_to_dict(seq)
         assert outcome.waves == seq.metadata["iterations"]
 
     def test_stream_requires_concurrency_one(self):
         data = uniform(30, 2, seed=1)
-        engine = AsyncExecutor(
+        engine = FrameworkNC(
             _mw(data), Min(2), 2, SRGPolicy([0.5, 0.5]), concurrency=2
         )
 
@@ -175,16 +176,72 @@ class TestSequentialShadow:
             asyncio.run(consume())
 
 
+class TestConcurrencyOne:
+    """concurrency == 1: every entry point drives the sequential core."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_entry_point_byte_identical(self, scenario):
+        def fresh():
+            mw, fn, k, policy, kwargs = _scenario(scenario)
+            return mw, FrameworkNC(mw, fn, k, policy, concurrency=1, **kwargs)
+
+        async def collect(engine):
+            answers = []
+            stream = engine.stream()
+            async for answer in stream:
+                answers.append(answer)
+                if len(answers) == engine.k:
+                    break
+            await stream.aclose()
+            return answers
+
+        expected = result_to_dict(fresh()[1].run())
+        assert result_to_dict(fresh()[1].execute().result) == expected
+        assert result_to_dict(asyncio.run(fresh()[1].run_async())) == expected
+        outcome = asyncio.run(fresh()[1].execute_async())
+        assert result_to_dict(outcome.result) == expected
+        mw, engine = fresh()
+        streamed = QueryResult(
+            ranking=asyncio.run(collect(engine)),
+            stats=mw.stats,
+            algorithm=expected["algorithm"],
+            metadata=expected["metadata"],
+        )
+        assert result_to_dict(streamed) == expected
+
+    def test_execute_elapsed_sums_durations(self):
+        """Elapsed is the sum of the access durations; one wave per access."""
+        durations = []
+
+        class Recording(NoisyLatency):
+            def duration(self, access):
+                durations.append(super().duration(access))
+                return durations[-1]
+
+        mw = _mw(uniform(100, 2, seed=11))
+        outcome = FrameworkNC(
+            mw,
+            Min(2),
+            3,
+            SRGPolicy([0.6, 0.6]),
+            latency_model=Recording(mw.cost_model, sigma=0.5, seed=1),
+        ).execute()
+        assert outcome.concurrency == 1
+        assert outcome.elapsed == sum(durations)
+        assert outcome.waves == len(durations) == mw.stats.total_accesses
+
+
 class TestWaveShadow:
-    """concurrency > 1: decision-for-decision the parallel executor."""
+    """concurrency > 1: the async drivers replay the sync wave core."""
 
     @pytest.mark.parametrize("c", [2, 4, 8])
     def test_outcome_identical_to_parallel_executor(self, c):
+        """The async driver replays the sync driver of the wave core."""
         data = uniform(200, 2, seed=3)
-        par = ParallelExecutor(
+        par = FrameworkNC(
             _mw(data), Min(2), 5, SRGPolicy([0.6, 0.6]), concurrency=c
         ).execute()
-        engine = AsyncExecutor(
+        engine = FrameworkNC(
             _mw(data), Min(2), 5, SRGPolicy([0.6, 0.6]), concurrency=c
         )
         outcome = asyncio.run(engine.execute_async())
@@ -196,9 +253,9 @@ class TestWaveShadow:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_identical_under_faults_budget_and_replan(self, scenario, c):
         mw, fn, k, policy, kwargs = _scenario(scenario)
-        par = ParallelExecutor(mw, fn, k, policy, concurrency=c, **kwargs).execute()
+        par = FrameworkNC(mw, fn, k, policy, concurrency=c, **kwargs).execute()
         mw, fn, k, policy, kwargs = _scenario(scenario)
-        engine = AsyncExecutor(mw, fn, k, policy, concurrency=c, **kwargs)
+        engine = FrameworkNC(mw, fn, k, policy, concurrency=c, **kwargs)
         outcome = asyncio.run(engine.execute_async())
         assert result_to_dict(outcome.result) == result_to_dict(par.result)
         assert outcome.elapsed == par.elapsed
@@ -206,7 +263,7 @@ class TestWaveShadow:
 
     def test_eager_speculation_identical_too(self):
         data = uniform(200, 2, seed=9)
-        par = ParallelExecutor(
+        par = FrameworkNC(
             _mw(data),
             Min(2),
             5,
@@ -214,7 +271,7 @@ class TestWaveShadow:
             concurrency=4,
             speculation="eager",
         ).execute()
-        engine = AsyncExecutor(
+        engine = FrameworkNC(
             _mw(data),
             Min(2),
             5,
@@ -227,7 +284,7 @@ class TestWaveShadow:
 
     def test_on_answer_fires_in_rank_order_at_completion(self):
         data = uniform(120, 2, seed=2)
-        engine = AsyncExecutor(
+        engine = FrameworkNC(
             _mw(data), Min(2), 3, SRGPolicy([0.5, 0.5]), concurrency=4
         )
         seen = []
@@ -251,7 +308,7 @@ class TestCancellationSafety:
         """
         data = uniform(200, 2, seed=13)
         mw = _mw(data)
-        engine = AsyncExecutor(mw, Min(2), 5, SRGPolicy([0.6, 0.6]))
+        engine = FrameworkNC(mw, Min(2), 5, SRGPolicy([0.6, 0.6]))
 
         async def main():
             task = asyncio.create_task(engine.run_async())
@@ -280,7 +337,7 @@ class TestCancellationSafety:
 
         async def main():
             mw = Middleware.warm(cache, model)
-            engine = AsyncExecutor(mw, Min(2), 5, SRGPolicy([0.6, 0.6]))
+            engine = FrameworkNC(mw, Min(2), 5, SRGPolicy([0.6, 0.6]))
             task = asyncio.create_task(engine.run_async())
             for _ in range(30):
                 await asyncio.sleep(0)
@@ -291,7 +348,7 @@ class TestCancellationSafety:
                 pass
             # The survivor: a fresh warm engine over the same cache.
             mw2 = Middleware.warm(cache, model)
-            engine2 = AsyncExecutor(mw2, Min(2), 5, SRGPolicy([0.6, 0.6]))
+            engine2 = FrameworkNC(mw2, Min(2), 5, SRGPolicy([0.6, 0.6]))
             return await engine2.run_async()
 
         result = asyncio.run(main())
