@@ -92,6 +92,15 @@ def test_parallel_sweep(benchmark, report):
     assert lazy[-1].elapsed < lazy[0].elapsed
     # Eager mode reaches lower elapsed at high c than default mode.
     assert eager[-1].elapsed <= lazy[-1].elapsed
+    # The E8 table itself, pinned: default mode runs the sequential
+    # plan's 203 accesses one wave each at c = 1 and in 105 waves from
+    # c = 2 on (the plan's natural width is 2); eager mode pays 7 extra
+    # accesses at c = 2 and 196 from c = 4 on.
+    for outcome in lazy:
+        width = 203 if outcome.concurrency == 1 else 105
+        assert outcome.total_cost == 203
+        assert outcome.elapsed == width and outcome.waves == width
+    assert [outcome.total_cost for outcome in eager] == [203, 210, 399, 399, 399]
     # All answers exact.
     oracle = scenario.oracle()
     for outcome in lazy + eager:

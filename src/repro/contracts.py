@@ -23,7 +23,12 @@ unifies):
   replay (:class:`~repro.optimizer.estimator.CostEstimator`), box
   answers included, equals the reference engine's
   (:func:`~repro.optimizer.estimator.reference_cost`); a wrong replay
-  would misprice plans, not fail.
+  would misprice plans, not fail;
+* **wave early stop** -- a wave of the parallel engine that stops
+  popping the top-k once it holds ``c`` accesses leaves only targets
+  with a usable choice behind: the full pop would have degraded none of
+  them and would not have abandoned discovery (docs/RUNTIME.md, "The
+  wave core"), so stopping early cannot change the run.
 
 Checking is off by default (the checks sit on the per-access hot path)
 and is enabled per middleware::
@@ -170,6 +175,17 @@ class ContractChecker:
             raise ContractViolationError(
                 f"object {obj}: proven interval [{lower!r}, {upper!r}] is "
                 "inverted or leaves [0, 1]; bound bookkeeping is corrupt"
+            )
+
+    def check_refinable(self, obj: object, refinable: bool) -> None:
+        """Assert a target an early-stopped wave did not pop is refinable."""
+        self.checks += 1
+        if not refinable:
+            raise ContractViolationError(
+                f"target {obj}: a wave stopped popping the top-k once full, "
+                "but this target has no usable choice and the full pop would "
+                "have answered it bound-only (or abandoned discovery) in "
+                "this wave; the early stop is not exact"
             )
 
     # ------------------------------------------------------------------

@@ -209,12 +209,20 @@ class SaturatingBoundIndex:
         saturated = group.saturated
         if not unsaturated and not saturated:
             return None
-        if group.dirty:
-            group.bound = self._group_bound(group.mask)
-            group.dirty = False
-        bound = group.bound
         mask = group.mask
         mask_of = self._mask_of
+        if group.dirty:
+            # A group left holding only entries whose objects moved on
+            # has no live member and needs no bound.
+            while unsaturated and mask_of.get(-unsaturated[0][1]) != mask:
+                heappop(unsaturated)
+            while saturated and mask_of.get(-saturated[0]) != mask:
+                heappop(saturated)
+            if not unsaturated and not saturated:
+                return None
+            group.bound = self._group_bound(mask)
+            group.dirty = False
+        bound = group.bound
         while unsaturated:
             neg_known, neg_obj = unsaturated[0]
             if mask_of.get(-neg_obj) != mask:

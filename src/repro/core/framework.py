@@ -38,9 +38,9 @@ At ``concurrency == 1`` the engine runs the sequential core, one access per
 iteration; above it, the *wave core* collects up to ``c`` distinct
 compatible accesses the sequential schedule wants next -- the
 policy-selected necessary choices of the current top-k's incomplete
-objects (a sorted stream can be advanced only once per wave) -- issues
-them concurrently under a virtual clock and folds in all results at the
-barrier. Each core has a sync driver (:meth:`FrameworkNC.run`,
+objects, in rank order (a sorted stream can be advanced only once per
+wave) -- issues them concurrently under a virtual clock and folds in all
+results at the barrier. Each core has a sync driver (:meth:`FrameworkNC.run`,
 :meth:`FrameworkNC.execute`) and an async one
 (:meth:`FrameworkNC.run_async`, :meth:`FrameworkNC.execute_async`,
 :meth:`FrameworkNC.stream`) whose latency waits yield to the event loop
@@ -267,6 +267,9 @@ class FrameworkNC:
         # target -> (record count, gate epoch, admitted choices): the
         # inputs of Definition 2 the list was derived under.
         self._choice_cache: dict[int, tuple[int, int, list[Access]]] = {}
+        # (gate epoch, whether some channel refused accesses under it):
+        # the wave core's early-stop gate, read once per wave.
+        self._refusing: tuple[int, bool] = (0, False)
 
     # ------------------------------------------------------------------
     # Engine plumbing (shared by both cores)
@@ -302,17 +305,6 @@ class FrameworkNC:
             self._unseen_abandoned
             or self.middleware.seen_count >= self.middleware.n_objects
         )
-
-    def _collect_topk(self) -> list[tuple[int, float]]:
-        """Pop the current top-k ``(obj, F_max)`` off the bound index."""
-        popped: list[tuple[int, float]] = []
-        while len(popped) < self.k:
-            entry = self._bounds.pop_current()
-            if entry is None:
-                break
-            if not self._retired(entry[0]):
-                popped.append(entry)
-        return popped
 
     def _push_back(self, entries: Sequence[tuple[int, float]]) -> None:
         """Reinsert popped entries at the bounds they were popped with.
@@ -685,41 +677,52 @@ class FrameworkNC:
     # The wave core (Section 9.1.1)
     # ------------------------------------------------------------------
 
-    def _plan_wave(
-        self, workable: list[tuple[int, list[Access]]]
-    ) -> dict[Access, int]:
-        """Choose up to ``c`` distinct compatible accesses for this wave.
+    def _pops_full_topk(self) -> bool:
+        """Whether this wave pops the whole top-k even once it is full.
 
-        ``workable`` pairs each refinable incomplete top-k object with its
-        usable choices; the wave maps each chosen access to the target it
-        refines. Each target contributes at most one access -- the one the
-        sequential policy would pick for it. Every access in the wave is
-        therefore individually justified by Theorem 1 (its target's task
-        must be worked on eventually); the only speculation is ordering,
-        which keeps the total-cost overhead of concurrency small.
+        Stopping at ``c`` accesses is exact only while
+        :meth:`_usable_choices` can return ``None`` for no target: then a
+        target left unpopped would not have been degraded, would not have
+        abandoned discovery and would not have blocked the budget in this
+        wave (docs/RUNTIME.md, "The wave core"). That holds while no
+        channel refuses accesses and no budget filters choices. Eager
+        mode also needs every workable target, for its second choices.
+        Refusal is read once per gate epoch, which moves whenever a
+        channel's admission may have changed.
         """
-        batch: dict[Access, int] = {}
-        used_sorted: set[int] = set()
-        for target, choices in workable:
-            if len(batch) >= self.concurrency:
-                break
-            access = self._select(target, choices)
-            if access in batch or (
-                access.is_sorted and access.predicate in used_sorted
-            ):
-                # The access this target actually wants is already in the
-                # wave (a shared sorted stream, typically). Issuing its
-                # second choice instead would be speculation the sequential
-                # plan never performs; skip the target until the next wave.
-                continue
-            batch[access] = target
-            if access.is_sorted:
-                used_sorted.add(access.predicate)
         if self.speculation == "eager":
-            self._fill_speculatively(
-                [target for target, _choices in workable], batch, used_sorted
-            )
-        return batch
+            return True
+        middleware = self.middleware
+        if self.degrade_on_budget and middleware.remaining_budget() is not None:
+            return True
+        epoch = middleware.gate_epoch
+        if self._refusing[0] != epoch:
+            self._refusing = (epoch, bool(middleware.degraded_predicates()))
+        return self._refusing[1]
+
+    def _check_early_stop(self, popped: int) -> None:
+        """Armed contracts: the targets an early stop left were refinable.
+
+        Pops the rest of the top-k, raises
+        :class:`~repro.exceptions.ContractViolationError` (through the
+        checker) if one of them has no usable choice -- the full pop
+        would have degraded it or abandoned discovery this wave -- and
+        pushes them back at their popped bounds.
+        """
+        checker = self.middleware.contracts
+        assert checker is not None
+        rest: list[tuple[int, float]] = []
+        while popped + len(rest) < self.k:
+            entry = self._bounds.pop_current()
+            if entry is None:
+                break
+            obj = entry[0]
+            if self._retired(obj):
+                continue
+            rest.append(entry)
+            if obj == UNSEEN or not self.state.is_complete(obj):
+                checker.check_refinable(obj, self._usable_choices(obj) is not None)
+        self._push_back(rest)
 
     def _fill_speculatively(
         self,
@@ -756,39 +759,72 @@ class FrameworkNC:
     def _waves(self) -> Generator[list[float], None, ParallelResult]:
         """The wave loop: plan a wave, yield its durations, fold it.
 
-        Each round pops the current top-k and degrades unrefinable
-        targets. Then it either returns the finished
-        :class:`ParallelResult` or plans the next wave and yields the
-        wave's access durations *before* performing it. That yield is the
-        only point where a driver may suspend (the async drivers await
-        the wave's makespan there); resuming folds the whole wave through
-        :meth:`_perform` and plans on to the next yield without
+        Each round pops the top-k in rank order, degrading unrefinable
+        targets, and gives each refinable one the access the sequential
+        policy picks for it, until the wave holds ``c`` accesses. Every
+        access in the wave is therefore individually justified by
+        Theorem 1 (its target's task must be worked on eventually); the
+        only speculation is ordering, which keeps the total-cost overhead
+        of concurrency small. A target whose pick is already in the wave
+        (a shared sorted stream, typically) waits for the next wave:
+        issuing its second choice would be speculation the sequential
+        plan never performs.
+
+        A full wave stops popping: only a wave that cannot fill can pass
+        the Theorem-1 stopping test, so the rest of the top-k is popped
+        only then, or when :meth:`_pops_full_topk` says an early stop is
+        not provably exact. With no refinable target left the round
+        returns the finished :class:`ParallelResult`. Otherwise it yields
+        the wave's access durations *before* performing it. That yield is
+        the only point where a driver may suspend (the async drivers
+        await the wave's makespan there); resuming folds the whole wave
+        through :meth:`_perform` and plans on to the next yield without
         interruption. As in the sequential core, a sorted access whose
         list ran out during the suspension is dropped from the fold.
         """
         self._prepare()
+        concurrency = self.concurrency
         while True:
             # Wave boundary == safe checkpoint: no access is in flight,
             # the previous wave is fully folded in.
             self._replan_checkpoint()
-            popped = self._collect_topk()
-            workable: list[tuple[int, list[Access]]] = []
-            abandoned_unseen = False
-            for obj, _bound in popped:
+            full = self._pops_full_topk()
+            popped: list[tuple[int, float]] = []
+            workable: list[int] = []
+            batch: dict[Access, int] = {}
+            used_sorted: set[int] = set()
+            while len(popped) < self.k and (full or len(batch) < concurrency):
+                entry = self._bounds.pop_current()
+                if entry is None:
+                    break
+                obj = entry[0]
+                if self._retired(obj):
+                    continue
                 if obj != UNSEEN and self.state.is_complete(obj):
+                    popped.append(entry)
                     continue
                 choices = self._usable_choices(obj)
-                if choices is not None:
-                    workable.append((obj, choices))
-                elif obj == UNSEEN:
-                    abandoned_unseen = True
-                else:
+                if choices is None and obj == UNSEEN:
+                    # Every sorted source refuses: give up on discovery.
+                    # UNSEEN retires, so the next entry takes its place.
+                    self._unseen_abandoned = True
+                    continue
+                popped.append(entry)
+                if choices is None:
                     self._degrade(obj)
-            if abandoned_unseen:
-                self._unseen_abandoned = True
-                self._push_back(popped)
-                continue
-            if not workable:
+                    continue
+                workable.append(obj)
+                if len(batch) >= concurrency:
+                    continue
+                access = self._select(obj, choices)
+                if access in batch or (
+                    access.is_sorted and access.predicate in used_sorted
+                ):
+                    continue
+                batch[access] = obj
+                if access.is_sorted:
+                    used_sorted.add(access.predicate)
+            if not batch:
                 ranking = [
                     RankedObject(
                         obj,
@@ -800,10 +836,13 @@ class FrameworkNC:
                 ]
                 result = self._finish(ranking, self._label())
                 result.metadata["waves"] = self.waves
-                result.metadata["concurrency"] = self.concurrency
+                result.metadata["concurrency"] = concurrency
                 return self._outcome(result)
-            batch = self._plan_wave(workable)
-            assert batch, "refinable top-k objects always admit an access"
+            if self.speculation == "eager":
+                self._fill_speculatively(workable, batch, used_sorted)
+            elif len(popped) < self.k and self.middleware.contracts is not None:
+                # Only an early stop leaves part of the top-k unpopped.
+                self._check_early_stop(len(popped))
             durations = [self.latency_model.duration(acc) for acc in batch]
             yield durations
             # Fold results in randoms-first: a concurrent sa_i may deliver
@@ -817,7 +856,7 @@ class FrameworkNC:
                 ):
                     continue
                 self._perform(batch[access], access)
-            self.clock.run_wave(durations, self.concurrency)
+            self.clock.run_wave(durations, concurrency)
             self.waves += 1
             self._push_back(popped)
 

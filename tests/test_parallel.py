@@ -62,7 +62,8 @@ class TestExecutorCorrectness:
     def test_k_exceeds_n_with_full_exhaustion(self, ds1):
         """Regression: after all objects are discovered, the retired
         UNSEEN entry must never become a wave target (it used to surface
-        via _collect_topk when k > n and lists exhausted)."""
+        while the wave core popped the top-k, when k > n and lists
+        exhausted)."""
         mw = mw_over(ds1)
         outcome = FrameworkNC(
             mw, Min(2), 10, SRGPolicy([0.0, 0.0]), concurrency=4
@@ -245,25 +246,42 @@ class TestNoneModeCostParity:
 
 class TestWavePlanning:
     def test_waves_never_exceed_concurrency(self, small_uniform):
-        mw = mw_over(small_uniform)
-        engine = FrameworkNC(
-            mw, Min(2), 5, SRGPolicy([0.5, 0.5]), concurrency=3
-        )
-        original = engine._plan_wave
-
-        def checked(popped):
-            batch = original(popped)
-            assert len(batch) <= 3
-            assert len(set(batch)) == len(batch), "no duplicate accesses"
-            sorted_preds = [a.predicate for a in batch if a.is_sorted]
-            assert len(sorted_preds) == len(set(sorted_preds)), (
-                "a sorted stream advances at most once per wave"
+        """Each wave, as the core yields it and folds it, is well formed."""
+        for speculation in ("none", "eager"):
+            engine = FrameworkNC(
+                mw_over(small_uniform), Min(2), 8, SRGPolicy([0.8, 0.8]),
+                concurrency=3, speculation=speculation,
             )
-            return batch
+            folded: list[list] = []
+            perform = engine._perform
 
-        engine._plan_wave = checked
-        outcome = engine.execute()
-        assert_valid_topk(outcome.result, small_uniform, Min(2), 5)
+            def recording(target, access, perform=perform, folded=folded):
+                folded[-1].append(access)
+                return perform(target, access)
+
+            engine._perform = recording
+            yielded: list[int] = []
+            waves = engine._waves()
+            while True:
+                try:
+                    durations = next(waves)
+                except StopIteration as done:
+                    outcome = done.value
+                    break
+                yielded.append(len(durations))
+                folded.append([])
+            assert [len(wave) for wave in folded] == yielded
+            assert len(folded) == outcome.waves
+            for wave in folded:
+                assert 1 <= len(wave) <= 3
+                assert len(set(wave)) == len(wave), "no duplicate accesses"
+                sorted_preds = [a.predicate for a in wave if a.is_sorted]
+                assert len(sorted_preds) == len(set(sorted_preds)), (
+                    "a sorted stream advances at most once per wave"
+                )
+            # Waves reach the bound in both modes, so the checks bite.
+            assert max(yielded) == 3, speculation
+            assert_valid_topk(outcome.result, small_uniform, Min(2), 8)
 
     def test_metadata_reports_waves(self, small_uniform):
         mw = mw_over(small_uniform)
