@@ -26,6 +26,7 @@ from typing import Callable, Optional
 from repro.algorithms.base import TopKAlgorithm
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
+from repro.data.dataset import Dataset
 from repro.optimizer.optimizer import NCOptimizer
 from repro.optimizer.plan import SRGPlan
 from repro.optimizer.replan import (
@@ -63,6 +64,21 @@ class NC(TopKAlgorithm):
         self.sample_size = sample_size
         self.seed = seed
         self.replan = replan
+        self._samples: dict[tuple[int, int, int], Dataset] = {}
+
+    def dummy_sample(self, m: int) -> Dataset:
+        """The seeded dummy uniform sample of width ``m`` this NC plans on.
+
+        Drawn once per (width, size, seed) and reused by every plan and
+        replanning controller, so the optimizer's per-sample replay
+        memory is shared across them.
+        """
+        key = (m, self.sample_size, self.seed)
+        sample = self._samples.get(key)
+        if sample is None:
+            sample = dummy_uniform_sample(m, self.sample_size, self.seed)
+            self._samples[key] = sample
+        return sample
 
     def _default_planner(
         self,
@@ -71,7 +87,7 @@ class NC(TopKAlgorithm):
         k: int,
         warm_start: Optional[list[tuple[float, ...]]] = None,
     ) -> SRGPlan:
-        sample = dummy_uniform_sample(middleware.m, self.sample_size, self.seed)
+        sample = self.dummy_sample(middleware.m)
         kwargs: dict[str, object] = {}
         if warm_start is not None:
             kwargs["warm_start"] = warm_start
@@ -114,9 +130,8 @@ class NC(TopKAlgorithm):
         fixed-plan and custom-planner modes, where it is the only sample
         available to re-search against.
         """
-        sample = dummy_uniform_sample(middleware.m, self.sample_size, self.seed)
         return ReplanController(
-            sample,
+            self.dummy_sample(middleware.m),
             fn,
             k,
             middleware.n_objects,

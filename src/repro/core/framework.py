@@ -317,7 +317,9 @@ class FrameworkNC:
             if not self._retired(obj):
                 self._bounds.push(obj, bound)
 
-    def _alternatives(self, target: int) -> list[Access]:
+    def _alternatives(
+        self, target: int, epoch: Optional[int] = None
+    ) -> list[Access]:
         """The task's necessary choices on channels admitting accesses.
 
         By Definition 2 the set changes only with the target's
@@ -325,9 +327,12 @@ class FrameworkNC:
         admission, so it is derived once per (record count, gate epoch)
         and reused until either moves (docs/RUNTIME.md). The returned
         list is shared with the cache: read it, never mutate it.
+        ``epoch`` is the gate epoch when the caller has read it already
+        (the wave core, once per wave); ``None`` reads it here.
         """
         records = self.state.record_count(target)
-        epoch = self.middleware.gate_epoch
+        if epoch is None:
+            epoch = self.middleware.gate_epoch
         cached = self._choice_cache.get(target)
         if cached is not None and cached[0] == records and cached[1] == epoch:
             return cached[2]
@@ -344,7 +349,9 @@ class FrameworkNC:
     # Fault handling and graceful degradation (docs/FAULTS.md)
     # ------------------------------------------------------------------
 
-    def _usable_choices(self, target: int) -> Optional[list[Access]]:
+    def _usable_choices(
+        self, target: int, epoch: Optional[int] = None
+    ) -> Optional[list[Access]]:
         """The target's choices on sources still accepting accesses.
 
         Returns ``None`` when every choice sits behind an open circuit
@@ -356,8 +363,9 @@ class FrameworkNC:
         more refusal condition: choices the budget cannot pay for are
         filtered out (cache hits charge nothing and always stay), so an
         exhausted budget degrades the answer exactly like a dead source.
+        ``epoch`` is handed to :meth:`_alternatives`.
         """
-        choices = self._alternatives(target)
+        choices = self._alternatives(target, epoch)
         if self.degrade_on_budget and choices:
             remaining = self.middleware.remaining_budget()
             if remaining is not None:
@@ -677,7 +685,7 @@ class FrameworkNC:
     # The wave core (Section 9.1.1)
     # ------------------------------------------------------------------
 
-    def _pops_full_topk(self) -> bool:
+    def _pops_full_topk(self, epoch: int) -> bool:
         """Whether this wave pops the whole top-k even once it is full.
 
         Stopping at ``c`` accesses is exact only while
@@ -687,20 +695,19 @@ class FrameworkNC:
         wave (docs/RUNTIME.md, "The wave core"). That holds while no
         channel refuses accesses and no budget filters choices. Eager
         mode also needs every workable target, for its second choices.
-        Refusal is read once per gate epoch, which moves whenever a
-        channel's admission may have changed.
+        Refusal is read once per gate epoch (``epoch``, this wave's),
+        which moves whenever a channel's admission may have changed.
         """
         if self.speculation == "eager":
             return True
         middleware = self.middleware
         if self.degrade_on_budget and middleware.remaining_budget() is not None:
             return True
-        epoch = middleware.gate_epoch
         if self._refusing[0] != epoch:
             self._refusing = (epoch, bool(middleware.degraded_predicates()))
         return self._refusing[1]
 
-    def _check_early_stop(self, popped: int) -> None:
+    def _check_early_stop(self, popped: int, epoch: int) -> None:
         """Armed contracts: the targets an early stop left were refinable.
 
         Pops the rest of the top-k, raises
@@ -721,7 +728,9 @@ class FrameworkNC:
                 continue
             rest.append(entry)
             if obj == UNSEEN or not self.state.is_complete(obj):
-                checker.check_refinable(obj, self._usable_choices(obj) is not None)
+                checker.check_refinable(
+                    obj, self._usable_choices(obj, epoch) is not None
+                )
         self._push_back(rest)
 
     def _fill_speculatively(
@@ -729,6 +738,7 @@ class FrameworkNC:
         targets: list[int],
         batch: dict[Access, int],
         used_sorted: set[int],
+        epoch: int,
     ) -> None:
         """Eager mode: pack remaining slots with second-choice accesses.
 
@@ -744,7 +754,7 @@ class FrameworkNC:
                     break
                 alternatives = [
                     acc
-                    for acc in self._alternatives(target)
+                    for acc in self._alternatives(target, epoch)
                     if acc not in batch
                     and not (acc.is_sorted and acc.predicate in used_sorted)
                 ]
@@ -788,7 +798,10 @@ class FrameworkNC:
             # Wave boundary == safe checkpoint: no access is in flight,
             # the previous wave is fully folded in.
             self._replan_checkpoint()
-            full = self._pops_full_topk()
+            # Nothing moves the gate epoch while the wave is planned: no
+            # access runs and the driver cannot suspend before the yield.
+            epoch = self.middleware.gate_epoch
+            full = self._pops_full_topk(epoch)
             popped: list[tuple[int, float]] = []
             workable: list[int] = []
             batch: dict[Access, int] = {}
@@ -803,7 +816,7 @@ class FrameworkNC:
                 if obj != UNSEEN and self.state.is_complete(obj):
                     popped.append(entry)
                     continue
-                choices = self._usable_choices(obj)
+                choices = self._usable_choices(obj, epoch)
                 if choices is None and obj == UNSEEN:
                     # Every sorted source refuses: give up on discovery.
                     # UNSEEN retires, so the next entry takes its place.
@@ -839,10 +852,10 @@ class FrameworkNC:
                 result.metadata["concurrency"] = concurrency
                 return self._outcome(result)
             if self.speculation == "eager":
-                self._fill_speculatively(workable, batch, used_sorted)
+                self._fill_speculatively(workable, batch, used_sorted, epoch)
             elif len(popped) < self.k and self.middleware.contracts is not None:
                 # Only an early stop leaves part of the top-k unpopped.
-                self._check_early_stop(len(popped))
+                self._check_early_stop(len(popped), epoch)
             durations = [self.latency_model.duration(acc) for acc in batch]
             yield durations
             # Fold results in randoms-first: a concurrent sa_i may deliver
@@ -1003,11 +1016,14 @@ class FrameworkTG(FrameworkNC):
         if self.concurrency > 1:
             raise ValueError("FrameworkTG runs sequentially; concurrency must be 1")
 
-    def _alternatives(self, target: int) -> list[Access]:
+    def _alternatives(
+        self, target: int, epoch: Optional[int] = None
+    ) -> list[Access]:
         """Every currently-legal access on a channel admitting accesses.
 
         Derived afresh on every call: the pool depends on every seen
-        object, not on one target, so NC's per-target cache cannot hold it.
+        object, not on one target, so NC's per-target cache cannot hold
+        it, and ``epoch`` goes unread.
         """
         middleware = self.middleware
         state = self.state

@@ -41,21 +41,28 @@ scheme-comparison experiment.
 Behind that exact-key memo sits a **comparison-box memo**. The replay
 reads the depths only through the SR tests ``l_i > delta_i``, and each
 replay returns the box of depths that answer every test it made alike
-(:attr:`SimulationCounts.box`). On an exact-key miss the estimator
-scans the boxes stored for the same schedule, newest first; a plan
-inside one takes that replay's counts without replaying (docs/PERF.md
-gives the exactness argument). Such a *box answer* counts as a distinct
-run and a ``kernel`` run, exactly like a fresh replay, and is
-cross-checked like one under armed contracts. Only fresh replays that
-returned (and passed any cross-check) store a box; a fallback stores
-none. Box answers are counted (:attr:`CostEstimator.box_hits`,
-``repro_estimator_box_hits_total``), and at most :data:`CACHE_SIZE`
-boxes are kept, oldest dropped first.
+(:attr:`SimulationCounts.box`). The boxes live on the
+:class:`~repro.optimizer.kernel.SampleIndex`, keyed by ``(F, sample_k,
+schedule)``, so every estimator handed one index shares them:
+:class:`~repro.optimizer.NCOptimizer` keeps one index per sample,
+capability masks and wild-guess setting, and initial searches and drift
+replans alike answer from earlier searches' replays (the replay reads
+the unit costs not at all, docs/PERF.md). On an exact-key miss the
+estimator scans the boxes stored for its key, newest first; a plan
+inside one takes that replay's counts without replaying. Such a *box
+answer* counts as a distinct run and a ``kernel`` run, exactly like a
+fresh replay, and is cross-checked like one under armed contracts.
+Only fresh replays that returned (and passed any cross-check) store a
+box; a fallback stores none. Box answers are counted
+(:attr:`CostEstimator.box_hits`, ``repro_estimator_box_hits_total``),
+and an index keeps at most :data:`CACHE_SIZE` boxes, oldest dropped
+first. A sample amplified through ``min_sample_k`` replays on a private
+index.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro.contracts import env_enabled
@@ -64,7 +71,7 @@ from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
 from repro.exceptions import ContractViolationError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.kernel import SampleIndex, SimulationCounts, check_depths
+from repro.optimizer.kernel import SampleIndex, check_depths
 from repro.scoring.functions import ScoringFunction
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -75,8 +82,8 @@ from repro.sources.middleware import Middleware
 #: rounded to 6 digits) collides distinct fine-step hill-climb depths.
 PlanKey = tuple[tuple[float, ...], tuple[int, ...]]
 
-#: Capacity of the plan-cost memo, and separately the cap on stored
-#: comparison boxes; the oldest entry goes first.
+#: Capacity of the plan-cost memo, and separately the cap on the
+#: comparison boxes one sample index stores; the oldest entry goes first.
 CACHE_SIZE = 65536
 
 
@@ -93,6 +100,11 @@ class CostEstimator:
         metrics: optional :class:`~repro.obs.MetricsRegistry` fed with
             run/cache/fallback counters (``repro_estimator_*``,
             docs/OBSERVABILITY.md).
+        index: optional :class:`~repro.optimizer.kernel.SampleIndex` over
+            ``sample`` with the cost model's capability masks and the same
+            wild-guess setting, shared with other estimators together
+            with its stored boxes. Built privately when ``None``, and
+            ignored when ``min_sample_k`` amplifies the sample.
     """
 
     def __init__(
@@ -106,6 +118,7 @@ class CostEstimator:
         min_sample_k: Optional[int] = None,
         max_amplified_size: int = 5000,
         metrics: Optional[MetricsRegistry] = None,
+        index: Optional[SampleIndex] = None,
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -115,6 +128,16 @@ class CostEstimator:
             raise ValueError("sample width and cost model width differ")
         if fn.arity != sample.m:
             raise ValueError("scoring function arity and sample width differ")
+        if index is not None and (
+            index.sample is not sample
+            or index.no_wild_guesses != no_wild_guesses
+            or index.sorted_capable != cost_model.sorted_capabilities
+            or index.random_capable != cost_model.random_capabilities
+        ):
+            raise ValueError(
+                "index was built over another sample, capability masks "
+                "or wild-guess setting"
+            )
         if min_sample_k is not None:
             if min_sample_k < 1:
                 raise ValueError(f"min_sample_k must be >= 1, got {min_sample_k}")
@@ -132,6 +155,7 @@ class CostEstimator:
                 )
                 if target > sample.n:
                     sample = bootstrap_sample(sample, target, seed=0)
+                    index = None
         self.sample = sample
         self.fn = fn
         self.k = k
@@ -141,17 +165,13 @@ class CostEstimator:
         self.sample_k = max(1, round(k * sample.n / n_total))
         self.scale = n_total / sample.n
         self._cache: OrderedDict[PlanKey, float] = OrderedDict()
-        # Comparison boxes per schedule (oldest first), and the schedules
-        # in storing order for eviction.
-        self._boxes: dict[tuple[int, ...], list[SimulationCounts]] = {}
-        self._box_order: deque[tuple[int, ...]] = deque()
         self._box_hits = 0
         self._runs = 0
         self._cache_hits = 0
         self._cache_misses = 0
         self._path_runs = {"kernel": 0, "reference": 0}
         self._fallbacks = 0
-        self._index: Optional[SampleIndex] = None
+        self._index = index
         self._armed = env_enabled()
         self._metrics = metrics
 
@@ -248,33 +268,6 @@ class CostEstimator:
         if len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)
 
-    def _box_get(
-        self, depths: tuple[float, ...], schedule: tuple[int, ...]
-    ) -> Optional[SimulationCounts]:
-        """The newest stored replay whose comparison box holds ``depths``."""
-        for counts in reversed(self._boxes.get(schedule, ())):
-            lo, hi = counts.box  # type: ignore[misc]
-            for a, d, b in zip(lo, depths, hi):
-                if not a <= d < b:
-                    break
-            else:
-                return counts
-        return None
-
-    def _box_put(
-        self, schedule: tuple[int, ...], counts: SimulationCounts
-    ) -> None:
-        if counts.box is None:
-            return
-        self._boxes.setdefault(schedule, []).append(counts)
-        self._box_order.append(schedule)
-        if len(self._box_order) > CACHE_SIZE:
-            oldest = self._box_order.popleft()
-            boxes = self._boxes[oldest]
-            del boxes[0]
-            if not boxes:
-                del self._boxes[oldest]
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -321,14 +314,15 @@ class CostEstimator:
         """
         depths, schedule = plan
         self._runs += 1
+        index = self._ensure_index()
         # Range-checked first: a box may extend past [0, 1].
-        counts = self._box_get(check_depths(depths, self.sample.m), schedule)
+        counts = index.box_answer(
+            self.fn, self.sample_k, check_depths(depths, self.sample.m), schedule
+        )
         replayed = counts is None
         if counts is None:
             try:
-                counts = self._ensure_index().simulate(
-                    self.fn, self.sample_k, depths, schedule
-                )
+                counts = index.simulate(self.fn, self.sample_k, depths, schedule)
             except (ReproError, ValueError) as exc:
                 # Conditions the reference engine raises too (unanswerable
                 # query, bad plan): genuine errors, not kernel faults.
@@ -348,7 +342,7 @@ class CostEstimator:
         if self._armed:
             self._cross_check(plan, cost)
         if replayed:
-            self._box_put(schedule, counts)
+            index.store_box(self.fn, self.sample_k, schedule, counts, CACHE_SIZE)
         return cost
 
     # ------------------------------------------------------------------

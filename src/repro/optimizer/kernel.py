@@ -41,9 +41,10 @@ simulated sources, strict mode, no retries/breaker trips/budgets/caches,
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.exceptions import UnanswerableQueryError
@@ -78,6 +79,17 @@ def check_depths(depths: Sequence[float], m: int) -> tuple[float, ...]:
     return deltas
 
 
+def function_key(fn: ScoringFunction) -> Hashable:
+    """What stored comparison boxes key ``fn`` by.
+
+    A compiled query's :attr:`~ScoringFunction.content_key`, so every
+    compilation of one expression shares its boxes; any other function
+    is keyed by the object itself (a strong reference, never its id).
+    """
+    key = fn.content_key
+    return fn if key is None else key
+
+
 @dataclass(frozen=True)
 class SimulationCounts:
     """Per-predicate access counts of one simulated plan run.
@@ -108,6 +120,16 @@ class SampleIndex:
     :meth:`Dataset.sorted_order`) and materializing the score rows -- so
     a search scheme's hundreds of simulations share one O(m n log n)
     setup.
+
+    The index is also the replay memory of its sample: it stores the
+    comparison boxes of returned replays (:meth:`store_box`) per
+    ``(F, k, schedule)``, and :meth:`box_answer` finds the counts of a
+    plan inside one. A replay reads the cost model only through its
+    capability masks and the plan's depths only through the SR tests
+    ``l_i > delta_i``, so a box stored while pricing under one unit-cost
+    model answers exactly under any other with the same masks: every
+    search an :class:`~repro.optimizer.NCOptimizer` runs on this sample
+    shares them (docs/PERF.md). ``F`` is keyed by :func:`function_key`.
 
     Args:
         sample: the sample database the plans are executed on.
@@ -145,6 +167,58 @@ class SampleIndex:
             order = sample.sorted_order(i)
             self.orders[i] = order.tolist()
             self.sorted_scores[i] = sample.matrix[order, i].tolist()
+        # Comparison boxes per (F key, k, schedule), oldest first, and one
+        # such key per stored box in storing order, for eviction.
+        self._boxes: dict[tuple, list[SimulationCounts]] = {}
+        self._box_order: deque[tuple] = deque()
+
+    @property
+    def boxes_held(self) -> int:
+        """Comparison boxes currently stored."""
+        return len(self._box_order)
+
+    def box_answer(
+        self,
+        fn: ScoringFunction,
+        k: int,
+        depths: tuple[float, ...],
+        schedule: tuple[int, ...],
+    ) -> Optional[SimulationCounts]:
+        """The newest stored replay whose comparison box holds ``depths``.
+
+        ``depths`` must already be range-checked (:func:`check_depths`):
+        a box may extend past ``[0, 1]``. ``None`` when no stored replay
+        of ``(fn, k, schedule)`` answers the plan.
+        """
+        for counts in reversed(self._boxes.get((function_key(fn), k, schedule), ())):
+            lo, hi = counts.box  # type: ignore[misc]
+            for a, d, b in zip(lo, depths, hi):
+                if not a <= d < b:
+                    break
+            else:
+                return counts
+        return None
+
+    def store_box(
+        self,
+        fn: ScoringFunction,
+        k: int,
+        schedule: tuple[int, ...],
+        counts: SimulationCounts,
+        cap: int,
+    ) -> None:
+        """Store a returned replay's box; at most ``cap``, oldest dropped."""
+        if counts.box is None:
+            return
+        key = (function_key(fn), k, schedule)
+        self._boxes.setdefault(key, []).append(counts)
+        self._box_order.append(key)
+        while len(self._box_order) > cap:
+            oldest = self._box_order.popleft()
+            boxes = self._boxes[oldest]
+            del boxes[0]
+            if not boxes:
+                del self._boxes[oldest]
 
     def simulate(
         self,

@@ -22,6 +22,7 @@ from repro.data.dataset import Dataset
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.optimizer.estimator import CostEstimator
+from repro.optimizer.kernel import SampleIndex
 from repro.optimizer.plan import SRGPlan
 from repro.optimizer.schedule import ScheduleOptimizer, benefit_cost_schedule
 from repro.optimizer.search import HillClimb, SearchScheme
@@ -31,6 +32,14 @@ from repro.sources.cost import CostModel
 
 class NCOptimizer:
     """Produces a cost-optimized :class:`SRGPlan` for a query and scenario.
+
+    The optimizer keeps the :class:`~repro.optimizer.kernel.SampleIndex`
+    of the last (sample, capability masks, wild-guess setting) it
+    planned on (:meth:`index_for`) and hands it to every estimator it
+    builds, so its searches on one sample -- a server's initial plans
+    and drift replans alike -- answer plans from each other's stored
+    comparison boxes. Plans, costs and run counts are those of searches
+    that share nothing (docs/PERF.md).
 
     Args:
         scheme: the Delta-search scheme; defaults to :class:`HillClimb`,
@@ -67,6 +76,33 @@ class NCOptimizer:
         self.metrics = metrics
         self.trace = trace
         self.clock = clock
+        # Keyed by the sample's id, which the index's strong reference to
+        # the sample keeps from being reused while the index is kept.
+        self._index_key: Optional[tuple] = None
+        self._index: Optional[SampleIndex] = None
+
+    def index_for(
+        self, sample: Dataset, cost_model: CostModel, no_wild_guesses: bool = True
+    ) -> SampleIndex:
+        """The sample index this optimizer's estimators share on ``sample``.
+
+        One per (sample object, ``cost_model``'s capability masks,
+        ``no_wild_guesses``), built anew when that key changes: the unit
+        costs do not matter, so searches under revised costs with the
+        same masks share one index and its stored comparison boxes.
+        """
+        key = (
+            id(sample),
+            tuple(cost_model.sorted_capabilities),
+            tuple(cost_model.random_capabilities),
+            no_wild_guesses,
+        )
+        if self._index is None or key != self._index_key:
+            self._index = SampleIndex(
+                sample, cost_model, no_wild_guesses=no_wild_guesses
+            )
+            self._index_key = key
+        return self._index
 
     def _phase(self, estimator: CostEstimator, name: str, **fields) -> None:
         if self.trace is not None:
@@ -107,6 +143,7 @@ class NCOptimizer:
             no_wild_guesses=no_wild_guesses,
             min_sample_k=min_sample_k,
             metrics=self.metrics,
+            index=self.index_for(sample, cost_model, no_wild_guesses),
         )
         clock = self.clock
         phase_seconds: dict[str, float] = {}

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.data.dataset import Dataset
-from repro.optimizer.kernel import SampleIndex
+from repro.optimizer.kernel import check_depths
 from repro.optimizer.optimizer import NCOptimizer
 from repro.optimizer.plan import SRGPlan
 from repro.scoring.functions import ScoringFunction
@@ -135,11 +135,14 @@ class ReplanController:
     """Decides, at engine checkpoints, whether to swap the live plan.
 
     One controller serves one query run. It owns the optimizer re-search
-    machinery (sample, :class:`~repro.optimizer.kernel.SampleIndex` for
-    remaining-cost projection, an :class:`~repro.optimizer.NCOptimizer`)
-    and the decision state (current plan, revision counter, last searched
-    model signature, outcome tally). Engines own the execution state; the
-    controller never mutates the middleware.
+    machinery (sample and :class:`~repro.optimizer.NCOptimizer`) and the
+    decision state (current plan, revision counter, last searched model
+    signature, outcome tally). Re-searches and remaining-cost projections
+    replay plans on the optimizer's
+    :class:`~repro.optimizer.kernel.SampleIndex` for the sample, so they
+    answer from the comparison boxes of every earlier search on it.
+    Engines own the execution state; the controller never mutates the
+    middleware.
 
     Args:
         sample: the planning sample (the same knowledge model the initial
@@ -183,9 +186,6 @@ class ReplanController:
         self.no_wild_guesses = no_wild_guesses
         self.plan = initial_plan
         self.revision = 0
-        # Capability masks never change mid-run (penalties are finite),
-        # so one simulation index serves every projection.
-        self._index = SampleIndex(sample, assumed_model, no_wild_guesses)
         self._sample_k = max(1, round(k * sample.n / n_total))
         self._scale = n_total / sample.n
         self._last_check = 0
@@ -301,10 +301,22 @@ class ReplanController:
         the probes actually performed. What remains is priced under the
         revised ``model``. Clamped at zero per channel: work already done
         beyond a plan's forecast is sunk, never refunded.
+
+        The replay is answered from the optimizer's stored comparison
+        boxes when one holds the plan (a candidate's always does: the
+        search just priced it). Capability masks never change mid-run
+        (penalties are finite), so the assumed model's index is the one
+        every re-search used.
         """
-        counts = self._index.simulate(
-            self.fn, self._sample_k, plan.depths, plan.schedule
+        index = self.optimizer.index_for(
+            self.sample, self.assumed_model, self.no_wild_guesses
         )
+        schedule = tuple(plan.schedule)
+        counts = index.box_answer(
+            self.fn, self._sample_k, check_depths(plan.depths, self.sample.m), schedule
+        )
+        if counts is None:
+            counts = index.simulate(self.fn, self._sample_k, plan.depths, schedule)
         stats = middleware.stats
         total = 0.0
         for i in range(model.m):

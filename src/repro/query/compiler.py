@@ -161,7 +161,9 @@ def compile_expression(
     float as :meth:`Expr.evaluate` on the matching environment. The
     generated ``bound(r, l)`` is attached as ``fn.bound``
     (:attr:`ScoringFunction.bound`), and a min-shaped expression also
-    exposes its terms as ``fn.min_terms`` (:func:`min_terms`). All AST
+    exposes its terms as ``fn.min_terms`` (:func:`min_terms`).
+    ``fn.content_key`` is the lowered ``(source, constants)``
+    (:attr:`ScoringFunction.content_key`). All AST
     node types are monotone by construction, so the compiled function
     honours the Section 3.1 contract.
     """
@@ -186,4 +188,6 @@ def compile_expression(
     fn = Monotone(evaluate, arity=len(order), name=str(expr))
     fn.bound = cast(BoundFunction, namespace["bound"])
     fn.min_terms = min_terms(expr, order)
+    # Not the source alone: queries of one shape share it across weights.
+    fn.content_key = (source, tuple(constants.items()))
     return fn, order

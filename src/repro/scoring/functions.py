@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -51,10 +51,16 @@ class ScoringFunction(ABC):
             ``F_max`` with ``l`` the last-seen bounds, ``F_min`` with
             ``l`` all zeros -- without building that row. Set by compiled
             queries; read it through :func:`bound_evaluator`.
+        content_key: a hashable value equal for two functions only when
+            they compute the same ``F``, or ``None``. Compiled queries set
+            it to their lowered ``(source, constants)``, so every
+            compilation of one expression shares its stored plan replays
+            (:func:`repro.optimizer.kernel.function_key`).
     """
 
     min_terms: Optional[tuple[tuple[int, Optional[float]], ...]] = None
     bound: Optional[BoundFunction] = None
+    content_key: Optional[Hashable] = None
 
     def __init__(self, arity: int, name: str):
         if arity < 1:

@@ -50,7 +50,6 @@ from repro.optimizer.replan import (
     ReplanController,
     plan_fingerprint,
 )
-from repro.optimizer.sampling import dummy_uniform_sample
 from repro.query.ast import ParsedQuery, QueryError
 from repro.query.compiler import compile_expression
 from repro.query.parser import parse_query
@@ -305,7 +304,6 @@ class QueryServer:
         ] = OrderedDict()
         self._plan_epoch = 0
         self._warm_start_hits = 0
-        self._replan_sample: Optional[Dataset] = None
         self._replan_outcomes: dict[str, int] = {}
         # Open sessions plus the RETAINED_SESSIONS most recently
         # retrieved ones (ids in retrieval order in _retrieved).
@@ -664,16 +662,13 @@ class QueryServer:
 
         Shares the server's metrics-wired optimizer (re-search estimator
         counters land in :meth:`stats` like initial planning's do) and
-        the cached dummy sample all sessions plan on.
+        the planner's dummy sample all sessions plan on, so re-searches
+        answer from the comparison boxes of every earlier search.
         """
         if self.config.replan == "off":
             return None
-        if self._replan_sample is None:
-            self._replan_sample = dummy_uniform_sample(
-                middleware.m, self.config.sample_size, self._planner.seed
-            )
         return ReplanController(
-            self._replan_sample,
+            self._planner.dummy_sample(middleware.m),
             fn,
             k,
             middleware.n_objects,

@@ -83,14 +83,14 @@ def fresh_choices(engine: FrameworkNC, target: int) -> list[Access]:
 class Checked:
     """Engine mixin: every choice-set read is compared with a fresh one."""
 
-    def _alternatives(self, target):
-        got = super()._alternatives(target)
+    def _alternatives(self, target, epoch=None):
+        got = super()._alternatives(target, epoch)
         assert got == fresh_choices(self, target), (target, got)
         self.checks = getattr(self, "checks", 0) + 1
         return got
 
-    def _usable_choices(self, target):
-        got = super()._usable_choices(target)
+    def _usable_choices(self, target, epoch=None):
+        got = super()._usable_choices(target, epoch)
         want = fresh_choices(self, target)
         remaining = self.middleware.remaining_budget()
         if self.degrade_on_budget and remaining is not None:
@@ -419,8 +419,8 @@ class TestListsRunningOut:
         offered = []
         original = engine._alternatives
 
-        def spy(target):
-            choices = original(target)
+        def spy(target, epoch=None):
+            choices = original(target, epoch)
             if target == UNSEEN:
                 offered.append(tuple(choices))
             return choices

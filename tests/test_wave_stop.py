@@ -33,8 +33,8 @@ from repro.sources.simulated import sources_for
 class Gated(FrameworkNC):
     """The engine as shipped, recording the early-stop gate per wave."""
 
-    def _pops_full_topk(self):
-        full = super()._pops_full_topk()
+    def _pops_full_topk(self, epoch):
+        full = super()._pops_full_topk(epoch)
         self.gates = getattr(self, "gates", []) + [full]
         return full
 
@@ -42,7 +42,7 @@ class Gated(FrameworkNC):
 class FullPop(FrameworkNC):
     """The wave core without the early stop: every wave pops the top-k."""
 
-    def _pops_full_topk(self):
+    def _pops_full_topk(self, epoch):
         return True
 
 
@@ -187,9 +187,9 @@ class TestArmedCrossCheck:
         calls = []
         check = armed._check_early_stop
 
-        def counting(popped):
+        def counting(popped, epoch):
             calls.append(popped)
-            check(popped)
+            check(popped, epoch)
 
         armed._check_early_stop = counting
         result = armed.execute().result
@@ -203,15 +203,15 @@ class TestArmedCrossCheck:
         class Blind(FrameworkNC):
             """Stops early, but every target beyond the wave is unrefinable."""
 
-            def _usable_choices(self, target):
+            def _usable_choices(self, target, epoch=None):
                 if getattr(self, "checking", False):
                     return None
-                return super()._usable_choices(target)
+                return super()._usable_choices(target, epoch)
 
-            def _check_early_stop(self, popped):
+            def _check_early_stop(self, popped, epoch):
                 self.checking = True
                 try:
-                    super()._check_early_stop(popped)
+                    super()._check_early_stop(popped, epoch)
                 finally:
                     self.checking = False
 
