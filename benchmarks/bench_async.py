@@ -30,7 +30,7 @@ from bench_service import N, QUERY_BATCH, SCHEMA, SEED
 
 from repro.bench.reporting import ascii_table
 from repro.data.generators import uniform
-from repro.service import AsyncQueryServer, ServerConfig, serve_tcp
+from repro.service import QueryServer, ServerConfig, serve_tcp
 from repro.sources.cost import CostModel
 
 RESULT_FILE = pathlib.Path(__file__).parent.parent / "BENCH_async.json"
@@ -39,10 +39,10 @@ CLIENT_LEVELS = (1, 4, 16)
 TIME_SCALE = 0.002  # seconds of simulated source latency per cost unit
 
 
-def build_async_server(clients: int) -> AsyncQueryServer:
+def build_async_server(clients: int) -> QueryServer:
     data = uniform(N, len(SCHEMA), seed=SEED)
     model = CostModel.uniform(len(SCHEMA), cs=1.0, cr=2.0)
-    return AsyncQueryServer(
+    return QueryServer(
         model,
         dataset=data,
         schema=SCHEMA,

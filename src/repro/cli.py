@@ -350,6 +350,8 @@ def _cmd_serve(args) -> int:
     from repro.service import QueryServer, ServerConfig, serve_stream
     from repro.sources.cache import SourceCache
 
+    if args.tcp and args.socket:
+        raise ReproError("pass at most one of --socket and --tcp")
     schema = [name.strip() for name in args.schema.split(",") if name.strip()]
     if not schema:
         raise ReproError("--schema must name at least one predicate")
@@ -395,16 +397,14 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
     trace = TraceRecorder() if args.trace else None
-    if args.tcp and args.socket:
-        raise ReproError("pass at most one of --socket and --tcp")
+    server = QueryServer(
+        model, cache=cache, schema=schema, config=config, trace=trace
+    )
     if args.tcp or args.socket:
         import asyncio
 
-        from repro.service import AsyncQueryServer, StreamQueryService
+        from repro.service import StreamQueryService
 
-        server = AsyncQueryServer(
-            model, cache=cache, schema=schema, config=config, trace=trace
-        )
         if args.socket:
             service = StreamQueryService(server, path=args.socket)
         else:
@@ -429,9 +429,6 @@ def _cmd_serve(args) -> int:
 
         asyncio.run(_serve())
     else:
-        server = QueryServer(
-            model, cache=cache, schema=schema, config=config, trace=trace
-        )
         # Bytes, so a non-UTF-8 line is answered rather than fatal.
         serve_stream(server, getattr(sys.stdin, "buffer", sys.stdin), sys.stdout)
     snapshot = server.stats()
@@ -615,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "sessions executing at once on the async (--socket/--tcp) "
-            "server; 1 keeps answers byte-identical to the sync path "
+            "sessions executing at once on the --socket/--tcp "
+            "transports; 1 keeps answers byte-identical to the stdio path "
             "(default 1)"
         ),
     )

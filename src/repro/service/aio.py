@@ -1,43 +1,14 @@
-"""The async multi-client serving layer (docs/RUNTIME.md, docs/SERVICE.md).
+"""The socket transports of ``repro serve`` (docs/RUNTIME.md, docs/SERVICE.md).
 
-Two pieces grow ``repro.service`` from a single-client stdio loop into a
-network server:
-
-* :class:`AsyncQueryServer` -- the :class:`~repro.service.server.QueryServer`
-  lifted onto the asyncio event loop: up to ``concurrent_queries``
-  sessions *execute* at once (each on its own
-  :class:`~repro.core.framework.FrameworkNC`, driven through its async
-  entry points, over the shared
-  :class:`~repro.sources.cache.SourceCache`), with backpressure
-  (``max_pending``), mid-flight cancellation, and graceful drain.
-* :class:`StreamQueryService` -- the JSON-lines protocol of ``repro
-  serve`` over TCP or a unix socket, many clients at once, with
-  per-client admission control and streaming progressive results
-  (``op: "stream"``).
-
-Determinism contract (docs/RUNTIME.md): the sync entry points run the
-sync server's engines, so they answer byte-identically to
-:class:`~repro.service.server.QueryServer` at any ``query_concurrency``.
-At ``concurrent_queries=1`` and ``time_scale=0`` a submit-then-wait
-request sequence produces answer and trace bytes identical to the sync
-server's too -- tasks start in submission order, the admission
-semaphore wakes waiters FIFO, and scale-0 pacing never consults a
-timer. At higher concurrency the *interleaving* of
-accesses changes but the union of charged work does not: each query's
-logical access sequence is value-deterministic and the shared cache
-fetches every position exactly once, so total charged Eq. 1 cost and the
-returned top-k are invariant across concurrency levels (what E22 and the
-``serve-smoke`` CI job pin). Per-session *attribution* (who paid
-for a shared frontier extension, who got the free hit) is the one thing
-interleaving may move.
-
-Concurrency discipline: asyncio is cooperative, so instead of locks this
-module relies on *synchronous sections* -- every mutation of shared
-server state (session tables, admission counters, the cache's
-charge-and-fetch) runs between awaits, never across one. The engine's
-only suspension points are pacer waits, so cancellation always lands
-between consistent states and the reconciliation invariant (charged +
-cached == recorded) survives a kill.
+:class:`StreamQueryService` speaks the JSON-lines protocol of ``repro
+serve`` over TCP or a unix socket, many clients at once, on a
+:class:`~repro.service.server.QueryServer`'s async entry points: up to
+``concurrent_queries`` sessions execute at once over the shared
+:class:`~repro.sources.cache.SourceCache`, with per-client admission
+control, streaming progressive results (``op: "stream"``), mid-flight
+cancellation and graceful drain. The determinism contract and the
+synchronous-section discipline the transport relies on are the server's
+(:mod:`repro.service.server`).
 """
 
 from __future__ import annotations
@@ -48,7 +19,6 @@ from typing import Optional
 
 from repro.exceptions import ProtocolError, ReproError, ServiceOverloadError
 from repro.runtime.engine import AnswerCallback
-from repro.runtime.pacing import Pacer
 from repro.service.protocol import (
     QUERY_OPS,
     STREAM_OPS,
@@ -59,237 +29,12 @@ from repro.service.protocol import (
     session_response,
     validate_request,
 )
-from repro.service.server import QueryServer, Session
+from repro.service.server import QueryServer
 from repro.types import RankedObject
 
-
-class AsyncQueryServer(QueryServer):
-    """A :class:`QueryServer` whose sessions run as asyncio tasks.
-
-    Construction is identical to the sync server (same args, same shared
-    cache/breakers/ledger); the async entry points are
-    :meth:`submit_async` / :meth:`wait` / :meth:`cancel` /
-    :meth:`drain`. The sync entry points (``submit`` / ``result`` /
-    ``query``) are the sync server's: strictly FIFO on its engines,
-    byte-identical to :class:`~repro.service.server.QueryServer` --
-    useful for warming a cache before serving -- but must not be mixed
-    with in-flight async sessions.
-
-    Concurrency knobs come from the shared
-    :class:`~repro.service.server.ServerConfig`: ``concurrent_queries``
-    (executing at once), ``max_pending`` (admitted but not yet started),
-    and ``time_scale`` (the :class:`~repro.runtime.Pacer`).
-    """
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self.pacer = Pacer(self.config.time_scale)
-        self._semaphore = asyncio.Semaphore(self.config.concurrent_queries)
-        self._tasks: dict[str, asyncio.Task[None]] = {}
-        self._events: dict[str, asyncio.Event] = {}
-        # Open session id -> the open-session set of the connection that
-        # submitted it (StreamQueryService), emptied as sessions close.
-        self._owners: dict[str, set[str]] = {}
-        self._pending = 0
-        self._draining = False
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def inflight_sessions(self) -> int:
-        """Sessions currently executing accesses."""
-        return len(self._inflight)
-
-    @property
-    def pending_sessions(self) -> int:
-        """Sessions admitted but still waiting for an execution slot."""
-        return self._pending
-
-    @property
-    def draining(self) -> bool:
-        """Whether :meth:`drain` has shut the admission door."""
-        return self._draining
-
-    def stats(self) -> dict:
-        """The shared-state snapshot, extended with async runtime gauges."""
-        snap = super().stats()
-        snap["inflight"] = self.inflight_sessions
-        snap["pending"] = self.pending_sessions
-        snap["draining"] = self._draining
-        snap["concurrent_queries"] = self.config.concurrent_queries
-        return snap
-
-    def _close_slot(self, session: Session) -> None:
-        if not session.retrieved:
-            owned = self._owners.pop(session.id, None)
-            if owned is not None:
-                owned.discard(session.id)
-        super()._close_slot(session)
-
-    def _forget(self, session_id: str) -> None:
-        super()._forget(session_id)
-        self._tasks.pop(session_id, None)
-        self._events.pop(session_id, None)
-
-    # ------------------------------------------------------------------
-    # Async session lifecycle
-    # ------------------------------------------------------------------
-
-    async def submit_async(
-        self,
-        text: str,
-        budget: Optional[float] = None,
-        on_answer: Optional[AnswerCallback] = None,
-    ) -> str:
-        """Admit a session and start its task; returns the session id.
-
-        The session begins executing as soon as an execution slot frees
-        up (``concurrent_queries``); retrieval is a separate
-        :meth:`wait`. ``on_answer`` is awaited once per confirmed answer
-        in rank order -- the streaming-progressive-results hook.
-
-        Raises :class:`~repro.exceptions.ServiceOverloadError` when the
-        server is draining, ``max_in_flight`` sessions are already open,
-        or ``max_pending`` sessions are already waiting for a slot.
-        """
-        if self._draining:
-            self._reject("server", "draining")
-            raise ServiceOverloadError(
-                "server is draining; new sessions are not admitted"
-            )
-        parsed = self._admit(text)
-        limit = self.config.max_pending
-        if limit is not None and self._pending >= limit:
-            self._reject("server", "max_pending")
-            raise ServiceOverloadError(
-                f"{self._pending} sessions already pending "
-                f"(max_pending={limit}); apply backpressure upstream"
-            )
-        session = self._new_session(parsed, text, budget)
-        self._events[session.id] = asyncio.Event()
-        self._pending += 1
-        task = asyncio.create_task(
-            self._run_session(session, on_answer),
-            name=f"repro-session-{session.id}",
-        )
-        self._tasks[session.id] = task
-        return session.id
-
-    async def wait(self, session_id: str) -> Session:
-        """Await a session's terminal state and close its admission slot."""
-        session = self.session(session_id)
-        event = self._events.get(session_id)
-        if event is not None:
-            await event.wait()
-        self._close_slot(session)
-        return session
-
-    async def cancel(self, session_id: str) -> Session:
-        """Cancel a session mid-flight (or retrieve it, if already done).
-
-        The cancel lands on the engine's next pacer wait -- never inside
-        an access's charge-and-fetch -- so whatever the session charged
-        up to that point is folded into the shared ledger exactly like a
-        completed session's cost, and the reconciliation invariant
-        (charged + cached == recorded) holds. The session ends with
-        status ``"cancelled"`` and its slot is released.
-        """
-        session = self.session(session_id)
-        task = self._tasks.get(session_id)
-        if task is not None and not task.done():
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            if session.status == "queued":
-                # The cancel landed before the task's coroutine ever ran
-                # a single step: its except/finally never executed, so
-                # the pre-start bookkeeping happens here instead.
-                self._mark_cancelled_prestart(session)
-                self._events[session.id].set()
-        return await self.wait(session_id)
-
-    def _mark_cancelled_prestart(self, session: Session) -> None:
-        """Close out a session cancelled before execution started.
-
-        Nothing ran and nothing is charged, but the admission slot must
-        be returned: the pending count drops (the ``async with`` that
-        would have decremented it never entered) and the lifecycle
-        counter records the refusal so sessions_total still equals the
-        number of admitted sessions.
-        """
-        session.status = "cancelled"
-        session.error = "cancelled before execution started"
-        session.error_type = "CancelledError"
-        self._pending -= 1
-        self.metrics.inc("repro_sessions_total", status="cancelled")
-
-    async def query_async(
-        self,
-        text: str,
-        budget: Optional[float] = None,
-        on_answer: Optional[AnswerCallback] = None,
-    ) -> Session:
-        """Convenience: submit, execute, and retrieve in one await."""
-        return await self.wait(
-            await self.submit_async(text, budget=budget, on_answer=on_answer)
-        )
-
-    async def drain(self) -> int:
-        """Stop admitting and await every in-flight session; returns count.
-
-        Graceful shutdown: submissions after this raise
-        :class:`~repro.exceptions.ServiceOverloadError`, queries already
-        admitted run to completion (they are *not* cancelled), and the
-        call returns once the last one has folded its accounting into
-        the shared ledger.
-        """
-        self._draining = True
-        tasks = [task for task in self._tasks.values() if not task.done()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        return len(tasks)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    async def _run_session(
-        self, session: Session, on_answer: Optional[AnswerCallback]
-    ) -> None:
-        try:
-            async with self._semaphore:
-                self._pending -= 1
-                await self._execute_async(session, on_answer)
-        except asyncio.CancelledError:
-            if session.status == "queued":
-                # Cancelled before an execution slot ever opened: nothing
-                # ran, nothing is charged, but the slot comes back and
-                # the refusal is counted.
-                self._mark_cancelled_prestart(session)
-            # Swallow deliberately: waiters rendezvous on the session
-            # event; the task itself must not propagate the cancel into
-            # gather() during drain.
-        finally:
-            self._events[session.id].set()
-
-    async def _execute_async(
-        self, session: Session, on_answer: Optional[AnswerCallback]
-    ) -> None:
-        with self._lifecycle(session) as run:
-            try:
-                run.engine = engine = self._engine(
-                    run.middleware, session, self.pacer
-                )
-                self._complete(session, await engine.run_async(on_answer=on_answer))
-            except asyncio.CancelledError:
-                session.status = "cancelled"
-                session.error = "cancelled mid-flight"
-                session.error_type = "CancelledError"
-                raise
+# perfbench/spans.py and perfbench/workloads.py import this name and wrap
+# its ``submit_async`` and ``_execute_async``.
+AsyncQueryServer = QueryServer
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
@@ -344,7 +89,7 @@ class StreamQueryService:
     ends :meth:`serve_forever`.
 
     Args:
-        server: the :class:`AsyncQueryServer` to serve.
+        server: the :class:`~repro.service.server.QueryServer` to serve.
         host: TCP listen address (default loopback).
         port: TCP listen port; ``0`` (default) picks a free one -- read
             :attr:`port` after :meth:`start`.
@@ -355,7 +100,7 @@ class StreamQueryService:
 
     def __init__(
         self,
-        server: AsyncQueryServer,
+        server: QueryServer,
         host: str = "127.0.0.1",
         port: int = 0,
         path: Optional[str] = None,
@@ -550,7 +295,7 @@ class StreamQueryService:
 
 
 async def serve_tcp(
-    server: AsyncQueryServer, host: str = "127.0.0.1", port: int = 0
+    server: QueryServer, host: str = "127.0.0.1", port: int = 0
 ) -> StreamQueryService:
     """Start a TCP :class:`StreamQueryService`; returns it listening.
 

@@ -9,14 +9,41 @@ session gets its own *warm* :class:`~repro.sources.middleware.Middleware`
 cache hits replay at zero charged cost, only frontier accesses pay, and
 Eq. 1 keeps metering exactly what reaches a web source.
 
-The execution model is deliberately deterministic: sessions are admitted
-up to ``max_in_flight`` open at once, queued, and *executed in submission
-order* when their results are demanded (or :meth:`run_pending` is
+Two families of entry points share that state. The sync ones
+(``submit`` / ``result`` / ``query`` / ``run_pending``) are deliberately
+deterministic: sessions are admitted up to ``max_in_flight`` open at
+once, queued, and *executed in submission order* on the engine's sync
+driver when their results are demanded (or :meth:`run_pending` is
 called). Parallelism lives where the paper puts it -- inside a query, via
 the wave core of :class:`~repro.core.framework.FrameworkNC`
 (``query_concurrency > 1``) -- so a serve run replays bit-for-bit under a
 fixed seed (session ids come from :func:`repro.determinism.derive_rng`,
 never from OS entropy).
+
+The async ones (``submit_async`` / ``wait`` / ``cancel`` /
+``query_async`` / ``drain``) run sessions as asyncio tasks: up to
+``concurrent_queries`` *execute* at once, each through its engine's
+async driver over the shared cache, with backpressure (``max_pending``),
+mid-flight cancellation and graceful drain (docs/RUNTIME.md). At
+``concurrent_queries=1`` and ``time_scale=0`` a submit-then-wait request
+sequence produces answer and trace bytes identical to the sync entry
+points' -- tasks start in submission order, the admission semaphore
+wakes waiters FIFO, and scale-0 pacing never consults a timer. At higher
+concurrency the *interleaving* of accesses changes but the union of
+charged work does not: each query's logical access sequence is
+value-deterministic and the shared cache fetches every position exactly
+once, so total charged Eq. 1 cost and the returned top-k are invariant
+across concurrency levels (what E22 and the ``serve-smoke`` CI job pin).
+Per-session *attribution* (who paid for a shared frontier extension, who
+got the free hit) is the one thing interleaving may move.
+
+Concurrency discipline: asyncio is cooperative, so instead of locks the
+async entry points rely on *synchronous sections* -- every mutation of
+shared server state (session tables, admission counters, the cache's
+charge-and-fetch) runs between awaits, never across one. The engine's
+only suspension points are pacer waits, so cancellation always lands
+between consistent states and the reconciliation invariant (charged +
+cached == recorded) survives a kill.
 
 Per-session cost budgets ride the graceful-degradation path of
 docs/FAULTS.md: with ``degrade_on_budget`` (the server default) an
@@ -26,6 +53,7 @@ of an exception, mirroring how dead sources degrade.
 
 from __future__ import annotations
 
+import asyncio
 from collections import Counter, OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,6 +81,7 @@ from repro.optimizer.replan import (
 from repro.query.ast import ParsedQuery, QueryError
 from repro.query.compiler import compile_expression
 from repro.query.parser import parse_query
+from repro.runtime.engine import AnswerCallback
 from repro.runtime.pacing import Pacer
 from repro.sources.cache import SourceCache
 from repro.sources.cost import CostModel
@@ -109,16 +138,18 @@ class ServerConfig:
             counted in ``stats()["warm_start_hits"]`` and the
             ``repro_server_warm_start_total`` metric.
         concurrent_queries: sessions *executing* at once -- only the
-            async server (:class:`repro.service.aio.AsyncQueryServer`)
-            honors values above 1; the sync server stays strictly FIFO.
+            async entry points (:meth:`QueryServer.submit_async`) honor
+            values above 1; the sync ones stay strictly FIFO.
         max_pending: backpressure bound on admitted-but-not-yet-started
-            sessions of the async server (beyond it submissions raise
+            sessions of the async entry points (beyond it submissions raise
             :class:`~repro.exceptions.ServiceOverloadError`); ``None``
             leaves the pending queue bounded by ``max_in_flight`` alone.
         client_max_open: per-client cap on open sessions enforced by the
-            TCP transport; ``None`` disables the per-client cap.
-        time_scale: real seconds per unit of virtual access latency in
-            the async runtime (:class:`repro.runtime.Pacer`); ``0.0``
+            socket transports of the async entry points
+            (:class:`repro.service.aio.StreamQueryService`); ``None``
+            disables the per-client cap.
+        time_scale: real seconds per unit of virtual access latency on
+            the async entry points (:class:`repro.runtime.Pacer`); ``0.0``
             never sleeps and keeps runs deterministic and maximally fast.
         replan: mid-flight adaptive replanning mode
             (:mod:`repro.optimizer.replan`). ``"off"`` (default) runs
@@ -191,7 +222,7 @@ class Session:
     """One submitted query's lifecycle record.
 
     Status flow: ``queued`` -> ``running`` -> ``done`` | ``failed`` (the
-    async server adds ``cancelled`` as a terminal state for queries
+    async entry points add ``cancelled`` as a terminal state for queries
     whose client disconnected or cancelled mid-flight). A session
     stays *open* (occupying an admission slot) until its outcome is
     retrieved.
@@ -218,6 +249,16 @@ class Session:
 
 class QueryServer:
     """Serves many top-k queries over one shared, metered source pool.
+
+    The sync entry points (:meth:`submit` / :meth:`result` /
+    :meth:`query` / :meth:`run_pending`) execute sessions strictly FIFO
+    on the engine's sync driver. The async entry points
+    (:meth:`submit_async` / :meth:`wait` / :meth:`cancel` /
+    :meth:`query_async` / :meth:`drain`) run them as asyncio tasks, up to
+    ``concurrent_queries`` at once, paced by ``time_scale`` (a
+    :class:`~repro.runtime.Pacer`) and bounded by ``max_pending``. The
+    sync entry points are useful for warming a cache before serving, but
+    must not be mixed with in-flight async sessions.
 
     Args:
         cost_model: per-predicate unit costs, shared by every session.
@@ -252,29 +293,10 @@ class QueryServer:
         self.config = config if config is not None else ServerConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._trace = trace
-        if cache is None:
-            if dataset is None:
-                raise ValueError("pass a dataset or a pre-built cache")
-            cache = SourceCache.over(
-                dataset,
-                cost_model,
-                ttl=self.config.cache_ttl,
-                max_entries=self.config.cache_max_entries,
-                metrics=self.metrics,
-                trace=trace,
-            )
-        elif cache.metrics is None or (trace is not None and cache.trace is None):
-            # A user-supplied cache joins the server's shared ledger
-            # unless it already reports elsewhere.
-            cache.attach_observability(
-                metrics=self.metrics if cache.metrics is None else None,
-                trace=trace if cache.trace is None else None,
-            )
-        if cache.m != cost_model.m:
-            raise ValueError(
-                f"cache covers {cache.m} predicates but cost model "
-                f"{cost_model.m}"
-            )
+        self.cost_model = cost_model
+        if cache is None and dataset is None:
+            raise ValueError("pass a dataset or a pre-built cache")
+        self.cache = self._adopt_cache(dataset, cache)
         if schema is None:
             schema = [f"p{i}" for i in range(cost_model.m)]
         if len(schema) != cost_model.m:
@@ -282,8 +304,6 @@ class QueryServer:
                 f"schema names {len(schema)} predicates but the pool "
                 f"serves {cost_model.m}"
             )
-        self.cost_model = cost_model
-        self.cache = cache
         self.schema = tuple(schema)
         self.breakers = breakers_for(cost_model.m, self.config.breaker_policy)
         self._rng = derive_rng(self.config.seed)
@@ -321,9 +341,18 @@ class QueryServer:
         self._clock_base = 0
         self._charged_total = 0.0
         self._rejected = 0
-        # Executing sessions' middlewares, by session id: the sync server
-        # runs at most one, the async server up to concurrent_queries.
+        # Executing sessions' middlewares, by session id: the sync entry
+        # points run at most one, the async ones up to concurrent_queries.
         self._inflight: dict[str, Middleware] = {}
+        self.pacer = Pacer(self.config.time_scale)
+        self._semaphore = asyncio.Semaphore(self.config.concurrent_queries)
+        self._tasks: dict[str, asyncio.Task[None]] = {}
+        self._events: dict[str, asyncio.Event] = {}
+        # Open session id -> the open-session set of the connection that
+        # submitted it (StreamQueryService), emptied as sessions close.
+        self._owners: dict[str, set[str]] = {}
+        self._pending = 0
+        self._draining = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -334,14 +363,33 @@ class QueryServer:
         """Sessions currently occupying admission slots."""
         return self._open_count
 
+    @property
+    def inflight_sessions(self) -> int:
+        """Sessions currently executing accesses."""
+        return len(self._inflight)
+
+    @property
+    def pending_sessions(self) -> int:
+        """Async sessions admitted but still waiting for an execution slot."""
+        return self._pending
+
+    @property
+    def draining(self) -> bool:
+        """Whether :meth:`drain` has shut the admission door."""
+        return self._draining
+
     def _close_slot(self, session: Session) -> None:
         """Mark ``session`` retrieved, returning its admission slot once.
 
-        The retrieved session joins the window of the
+        The session leaves its connection's open set, if a socket client
+        submitted it. The retrieved session joins the window of the
         :data:`RETAINED_SESSIONS` most recently retrieved ones; the one
         that falls out of the window is forgotten.
         """
         if not session.retrieved:
+            owned = self._owners.pop(session.id, None)
+            if owned is not None:
+                owned.discard(session.id)
             session.retrieved = True
             self._open_count -= 1
             self._retrieved.append(session.id)
@@ -349,8 +397,10 @@ class QueryServer:
                 self._forget(self._retrieved.popleft())
 
     def _forget(self, session_id: str) -> None:
-        """Drop a retrieved session's record and result."""
+        """Drop a retrieved session's record, result, task and event."""
         del self._sessions[session_id]
+        self._tasks.pop(session_id, None)
+        self._events.pop(session_id, None)
 
     @property
     def trace(self) -> Optional[TraceRecorder]:
@@ -388,7 +438,8 @@ class QueryServer:
         between-query callers both see breaker state as it is, not as it
         was when the last session closed. ``metrics`` is the unified
         registry snapshot every layer reconciles against
-        (docs/OBSERVABILITY.md).
+        (docs/OBSERVABILITY.md). ``inflight``, ``pending``, ``draining``
+        and ``concurrent_queries`` are the async runtime's gauges.
         """
         return {
             "schema": list(self.schema),
@@ -411,31 +462,26 @@ class QueryServer:
                 self.breakers, self.current_clock()
             ),
             "metrics": self.metrics.snapshot(),
+            "inflight": self.inflight_sessions,
+            "pending": self.pending_sessions,
+            "draining": self._draining,
+            "concurrent_queries": self.config.concurrent_queries,
         }
 
     # ------------------------------------------------------------------
     # Dataset / source-set lifecycle
     # ------------------------------------------------------------------
 
-    def reload(
-        self,
-        dataset: Optional[Dataset] = None,
-        cache: Optional[SourceCache] = None,
-    ) -> None:
-        """Swap the served source pool; remembered plans are invalidated.
+    def _adopt_cache(
+        self, dataset: Optional[Dataset], cache: Optional[SourceCache]
+    ) -> SourceCache:
+        """The cache to serve: ``cache``, or a fresh one over ``dataset``.
 
-        The supported way to point a live server at new data. Exactly one
-        of ``dataset`` (fresh simulated sources are built, as in the
-        constructor) or ``cache`` (a pre-built pool, e.g. fault-injected)
-        must be given. Bumps the plan-memory epoch and drops every
-        remembered plan: a ``(Delta, H)`` optimized against the old pool
-        must never replay against the new one, even when the pool sizes
-        coincide. Open sessions keep the middleware (and cache) they
-        were built over; sessions admitted after the reload see the new
-        pool.
+        A built cache feeds the server's metrics and trace. A
+        user-supplied cache joins the server's shared ledger unless it
+        already reports elsewhere. Either must cover the cost model's
+        predicates.
         """
-        if (dataset is None) == (cache is None):
-            raise ValueError("pass exactly one of dataset or cache")
         if cache is None:
             assert dataset is not None
             cache = SourceCache.over(
@@ -458,7 +504,28 @@ class QueryServer:
                 f"cache covers {cache.m} predicates but cost model "
                 f"{self.cost_model.m}"
             )
-        self.cache = cache
+        return cache
+
+    def reload(
+        self,
+        dataset: Optional[Dataset] = None,
+        cache: Optional[SourceCache] = None,
+    ) -> None:
+        """Swap the served source pool; remembered plans are invalidated.
+
+        The supported way to point a live server at new data. Exactly one
+        of ``dataset`` (fresh simulated sources are built, as in the
+        constructor) or ``cache`` (a pre-built pool, e.g. fault-injected)
+        must be given. Bumps the plan-memory epoch and drops every
+        remembered plan: a ``(Delta, H)`` optimized against the old pool
+        must never replay against the new one, even when the pool sizes
+        coincide. Open sessions keep the middleware (and cache) they
+        were built over; sessions admitted after the reload see the new
+        pool.
+        """
+        if (dataset is None) == (cache is None):
+            raise ValueError("pass exactly one of dataset or cache")
+        self.cache = self._adopt_cache(dataset, cache)
         self._plan_epoch += 1
         self._plan_memory.clear()
         self.metrics.inc("repro_server_reloads_total")
@@ -564,6 +631,122 @@ class QueryServer:
     def query(self, text: str, budget: Optional[float] = None) -> Session:
         """Convenience: submit, execute, and retrieve in one call."""
         return self.result(self.submit(text, budget=budget))
+
+    async def submit_async(
+        self,
+        text: str,
+        budget: Optional[float] = None,
+        on_answer: Optional[AnswerCallback] = None,
+    ) -> str:
+        """Admit a session and start its task; returns the session id.
+
+        The session begins executing as soon as an execution slot frees
+        up (``concurrent_queries``); retrieval is a separate
+        :meth:`wait`. ``on_answer`` is awaited once per confirmed answer
+        in rank order -- the streaming-progressive-results hook.
+
+        Raises :class:`~repro.exceptions.ServiceOverloadError` when the
+        server is draining, ``max_in_flight`` sessions are already open,
+        or ``max_pending`` sessions are already waiting for a slot.
+        """
+        if self._draining:
+            self._reject("server", "draining")
+            raise ServiceOverloadError(
+                "server is draining; new sessions are not admitted"
+            )
+        parsed = self._admit(text)
+        limit = self.config.max_pending
+        if limit is not None and self._pending >= limit:
+            self._reject("server", "max_pending")
+            raise ServiceOverloadError(
+                f"{self._pending} sessions already pending "
+                f"(max_pending={limit}); apply backpressure upstream"
+            )
+        session = self._new_session(parsed, text, budget)
+        self._events[session.id] = asyncio.Event()
+        self._pending += 1
+        task = asyncio.create_task(
+            self._run_session(session, on_answer),
+            name=f"repro-session-{session.id}",
+        )
+        self._tasks[session.id] = task
+        return session.id
+
+    async def wait(self, session_id: str) -> Session:
+        """Await a session's terminal state and close its admission slot."""
+        session = self.session(session_id)
+        event = self._events.get(session_id)
+        if event is not None:
+            await event.wait()
+        self._close_slot(session)
+        return session
+
+    async def cancel(self, session_id: str) -> Session:
+        """Cancel a session mid-flight (or retrieve it, if already done).
+
+        The cancel lands on the engine's next pacer wait -- never inside
+        an access's charge-and-fetch -- so whatever the session charged
+        up to that point is folded into the shared ledger exactly like a
+        completed session's cost, and the reconciliation invariant
+        (charged + cached == recorded) holds. The session ends with
+        status ``"cancelled"`` and its slot is released.
+        """
+        session = self.session(session_id)
+        task = self._tasks.get(session_id)
+        if task is not None and not task.done():
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
+            if session.status == "queued":
+                # The cancel landed before the task's coroutine ever ran
+                # a single step: its except/finally never executed, so
+                # the pre-start bookkeeping happens here instead.
+                self._mark_cancelled_prestart(session)
+                self._events[session.id].set()
+        return await self.wait(session_id)
+
+    def _mark_cancelled_prestart(self, session: Session) -> None:
+        """Close out a session cancelled before execution started.
+
+        Nothing ran and nothing is charged, but the admission slot must
+        be returned: the pending count drops (the ``async with`` that
+        would have decremented it never entered) and the lifecycle
+        counter records the refusal so sessions_total still equals the
+        number of admitted sessions.
+        """
+        session.status = "cancelled"
+        session.error = "cancelled before execution started"
+        session.error_type = "CancelledError"
+        self._pending -= 1
+        self.metrics.inc("repro_sessions_total", status="cancelled")
+
+    async def query_async(
+        self,
+        text: str,
+        budget: Optional[float] = None,
+        on_answer: Optional[AnswerCallback] = None,
+    ) -> Session:
+        """Convenience: submit, execute, and retrieve in one await."""
+        return await self.wait(
+            await self.submit_async(text, budget=budget, on_answer=on_answer)
+        )
+
+    async def drain(self) -> int:
+        """Stop admitting and await every in-flight session; returns count.
+
+        Graceful shutdown: submissions after this raise
+        :class:`~repro.exceptions.ServiceOverloadError`, queries already
+        admitted run to completion (they are *not* cancelled), and the
+        call returns once the last one has folded its accounting into
+        the shared ledger.
+        """
+        self._draining = True
+        tasks = [task for task in self._tasks.values() if not task.done()]
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        return len(tasks)
 
     # ------------------------------------------------------------------
     # Execution
@@ -690,9 +873,10 @@ class QueryServer:
         The plan depends only on ``(m, fn, k, n_objects, cost model)`` --
         the planner samples a seeded dummy distribution, not live source
         state -- so planning is interleaving-invariant and identical for
-        both servers. The configured concurrency picks the engine's core
-        (sequential at 1, waves above it); the async server passes its
-        ``pacer`` and drives the engine's async entry points.
+        both entry-point families. The configured concurrency picks the
+        engine's core (sequential at 1, waves above it); the async entry
+        points pass the server's ``pacer`` and drive the engine's async
+        driver.
         """
         fn, _order = compile_expression(session.query.expr, schema=self.schema)
         plan = self._session_plan(middleware, fn, session)
@@ -720,7 +904,7 @@ class QueryServer:
 
     @contextmanager
     def _lifecycle(self, session: Session) -> Iterator[_Run]:
-        """One session's execution around its engine run, for both servers.
+        """One session's execution around its engine run, sync or async.
 
         On entry: register the middleware as in flight, pin the cache
         (concurrent sessions' ticks must not evict entries under live
@@ -785,6 +969,40 @@ class QueryServer:
         with self._lifecycle(session) as run:
             run.engine = self._engine(run.middleware, session)
             self._complete(session, run.engine.run())
+
+    async def _run_session(
+        self, session: Session, on_answer: Optional[AnswerCallback]
+    ) -> None:
+        try:
+            async with self._semaphore:
+                self._pending -= 1
+                await self._execute_async(session, on_answer)
+        except asyncio.CancelledError:
+            if session.status == "queued":
+                # Cancelled before an execution slot ever opened: nothing
+                # ran, nothing is charged, but the slot comes back and
+                # the refusal is counted.
+                self._mark_cancelled_prestart(session)
+            # Swallow deliberately: waiters rendezvous on the session
+            # event; the task itself must not propagate the cancel into
+            # gather() during drain.
+        finally:
+            self._events[session.id].set()
+
+    async def _execute_async(
+        self, session: Session, on_answer: Optional[AnswerCallback]
+    ) -> None:
+        with self._lifecycle(session) as run:
+            try:
+                run.engine = engine = self._engine(
+                    run.middleware, session, self.pacer
+                )
+                self._complete(session, await engine.run_async(on_answer=on_answer))
+            except asyncio.CancelledError:
+                session.status = "cancelled"
+                session.error = "cancelled mid-flight"
+                session.error_type = "CancelledError"
+                raise
 
 
 @dataclass

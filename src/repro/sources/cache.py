@@ -327,7 +327,7 @@ class SourceCache:
         """Drop one query's pin; the last release runs any deferred sweep.
 
         Running the sweep here -- not at the next tick -- keeps TTL/LRU
-        timing aligned with the sync server's (the sweep observes the
+        timing aligned with the sync entry points' (the sweep observes the
         same clock the deferring tick advanced) and guarantees a burst of
         cancelled or completed queries leaves no eviction debt behind.
         """

@@ -11,18 +11,15 @@ import threading
 
 import pytest
 
+import repro.service
 from repro.cli import main
+from repro.core.framework import FrameworkNC
 from repro.data.generators import uniform
 from repro.exceptions import ServiceOverloadError
 from repro.obs.trace import TraceRecorder
 from repro.query.parser import MAX_NESTING
 from repro.serialization import result_to_dict
-from repro.service import (
-    AsyncQueryServer,
-    QueryServer,
-    ServerConfig,
-    serve_tcp,
-)
+from repro.service import QueryServer, ServerConfig, serve_tcp
 from repro.sources.cost import CostModel
 from tests.test_service_server import nested_min
 
@@ -32,10 +29,10 @@ MIN3_Q = "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 3"
 BATCH = [MIN_Q, AVG_Q, MIN3_Q, MIN_Q]
 
 
-def make_server(server_cls=AsyncQueryServer, *, trace=False, **config_kwargs):
+def make_server(*, trace=False, **config_kwargs):
     data = uniform(300, 2, seed=3)
     model = CostModel.uniform(2, cs=1.0, cr=2.0)
-    return server_cls(
+    return QueryServer(
         model,
         dataset=data,
         schema=["a", "b"],
@@ -83,10 +80,14 @@ def assert_reconciles(server, sessions):
 
 
 class TestSequentialShadow:
-    """concurrent_queries == 1 IS the sync server, byte for byte."""
+    """At concurrent_queries == 1 the async entry points ARE the sync ones.
+
+    Each comparison runs the sync entry points on one server and the
+    async entry points on a second, identically built one.
+    """
 
     def test_results_and_trace_identical_to_sync_server(self):
-        sync = make_server(QueryServer, trace=True)
+        sync = make_server(trace=True)
         sync_sessions = [sync.query(q) for q in BATCH]
 
         aio = make_server(trace=True, concurrent_queries=1)
@@ -108,22 +109,45 @@ class TestSequentialShadow:
 
     @pytest.mark.parametrize("query_concurrency", [1, 2])
     def test_sync_api_is_the_sync_server(self, query_concurrency):
-        # The async server's submit/result/query run the sync server's
-        # engines: the sequential core at concurrency 1 (never a width-1
-        # wave), the wave core above it.
-        sync = make_server(
-            QueryServer, trace=True, query_concurrency=query_concurrency
-        )
+        # query() drives the engine's sync driver, query_async() its async
+        # one: the sequential core at concurrency 1 (never a width-1
+        # wave), the wave core above it. Both answer and trace the same
+        # bytes.
+        sync = make_server(trace=True, query_concurrency=query_concurrency)
         aio = make_server(trace=True, query_concurrency=query_concurrency)
-        for query in BATCH:
+
+        async def main():
+            return [await aio.query_async(query) for query in BATCH]
+
+        aio_sessions = asyncio.run(main())
+        for query, s_aio in zip(BATCH, aio_sessions):
             expected = json.dumps(
                 result_to_dict(sync.query(query).result), sort_keys=True
             )
-            got = json.dumps(
-                result_to_dict(aio.query(query).result), sort_keys=True
-            )
+            got = json.dumps(result_to_dict(s_aio.result), sort_keys=True)
             assert got == expected
         assert aio.trace.to_jsonl() == sync.trace.to_jsonl()
+        assert aio.stats() == sync.stats()
+
+    @pytest.mark.parametrize("query_concurrency", [1, 2])
+    def test_sync_entry_points_start_no_event_loop(
+        self, monkeypatch, query_concurrency
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sync request reached the event loop")
+
+        monkeypatch.setattr(asyncio.events, "new_event_loop", refuse)
+        monkeypatch.setattr(FrameworkNC, "run_async", refuse)
+        server = make_server(query_concurrency=query_concurrency)
+        assert [server.query(query).status for query in BATCH] == [
+            "done"
+        ] * len(BATCH)
+
+    def test_the_old_async_server_name_is_the_one_server(self):
+        from repro.service import aio
+
+        assert aio.AsyncQueryServer is QueryServer
+        assert "AsyncQueryServer" not in repro.service.__all__
 
     def test_query_async_convenience(self):
         server = make_server()
@@ -148,7 +172,7 @@ class TestConcurrentInvariance:
         ]
 
     def test_charged_total_and_answers_invariant(self):
-        base = make_server(QueryServer)
+        base = make_server()
         base_sessions = [base.query(q) for q in BATCH]
 
         conc = make_server(concurrent_queries=4)
@@ -352,7 +376,7 @@ def checkpoint(server):
 
 class TestOpenSessionCount:
     def test_sync_server_count_equals_scan(self):
-        server = make_server(QueryServer, degrade_on_budget=False)
+        server = make_server(degrade_on_budget=False)
         counts = []
         a = server.submit(MIN_Q)
         b = server.submit(AVG_Q, budget=0.5)  # fails: budget exceeded
@@ -392,7 +416,7 @@ class TestOpenSessionCount:
             await server.cancel(b)
             await server.query_async(MIN_Q)
             counts.append(checkpoint(server))
-            server.query(AVG_Q)  # the sync API on the async server
+            server.query(AVG_Q)  # a sync entry point, after async ones
             counts.append(checkpoint(server))
 
         asyncio.run(main())
@@ -454,7 +478,7 @@ class TestTcpTransport:
         return asyncio.run(main())
 
     def test_three_concurrent_clients_match_sync_answers(self):
-        sync = make_server(QueryServer)
+        sync = make_server()
         expected = {
             q: [(e.obj, e.score) for e in sync.query(q).result.ranking]
             for q in (MIN_Q, AVG_Q, MIN3_Q)
@@ -714,3 +738,16 @@ class TestUnixSocket:
         assert main(["serve", "--n", "50", "--socket", str(path)]) == 2
         assert "cannot listen" in capsys.readouterr().err
         assert path.read_text() == "keep me"
+
+    def test_cli_refuses_socket_and_tcp_before_building_anything(
+        self, tmp_path, capsys
+    ):
+        # The transport conflict is reported ahead of the invalid config:
+        # nothing is built before the transports are checked.
+        path = tmp_path / "s.sock"
+        assert main([
+            "serve", "--n", "50", "--socket", str(path),
+            "--tcp", "127.0.0.1:0", "--concurrent-queries", "0",
+        ]) == 2
+        assert "pass at most one of --socket and --tcp" in capsys.readouterr().err
+        assert not path.exists()

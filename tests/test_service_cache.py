@@ -23,7 +23,7 @@ from repro.data.generators import uniform
 from repro.exceptions import ReproError
 from repro.obs.trace import TraceRecorder
 from repro.scoring.functions import Avg, Max, Min
-from repro.service import AsyncQueryServer, QueryServer, ServerConfig
+from repro.service import QueryServer, ServerConfig
 from repro.sources.cache import SourceCache
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -384,8 +384,8 @@ class TestEvictionOrder:
     ]
 
     @staticmethod
-    def _server(server_cls, **config):
-        return server_cls(
+    def _server(**config):
+        return QueryServer(
             CostModel.uniform(3, cs=1.0, cr=2.0),
             dataset=uniform(120, 3, seed=11),
             schema=["a", "b", "c"],
@@ -402,9 +402,7 @@ class TestEvictionOrder:
         ]
 
     def _overlapping(self, concurrent, **config):
-        server = self._server(
-            AsyncQueryServer, concurrent_queries=concurrent, **config
-        )
+        server = self._server(concurrent_queries=concurrent, **config)
 
         async def main():
             for batch in self.ROUNDS:
@@ -435,7 +433,7 @@ class TestEvictionOrder:
     def test_one_query_at_a_time_sync_server(self):
         # The clock cannot move mid-query, so stamping at view creation
         # gives the same order as stamping at every bound read did.
-        server = self._server(QueryServer, cache_max_entries=60)
+        server = self._server(cache_max_entries=60)
         for text in self.SERIAL:
             server.query(text)
         assert self._evictions(server) == [

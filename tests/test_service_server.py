@@ -260,6 +260,18 @@ class TestProtocol:
         assert responses[0]["ok"]
         assert not responses[1]["ok"] and "bad JSON" in responses[1]["error"]
         assert responses[2]["ok"] and responses[3]["op"] == "shutdown"
+        # The stdio transport runs the sync entry points; the stats op
+        # still carries the async runtime's gauges, all at rest.
+        runtime = {
+            key: responses[2]["stats"][key]
+            for key in ("inflight", "pending", "draining", "concurrent_queries")
+        }
+        assert runtime == {
+            "inflight": 0,
+            "pending": 0,
+            "draining": False,
+            "concurrent_queries": 1,
+        }
 
     def test_serve_stream_answers_too_deep_lines_and_keeps_serving(self):
         # A query nested past the parser's cap and a JSON line nested

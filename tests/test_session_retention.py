@@ -18,7 +18,7 @@ import pytest
 
 from repro.data.generators import uniform
 from repro.exceptions import ReproError
-from repro.service import AsyncQueryServer, QueryServer, ServerConfig
+from repro.service import QueryServer, ServerConfig
 from repro.service.protocol import handle_request
 from repro.service.server import RETAINED_SESSIONS
 from repro.sources.cost import CostModel
@@ -31,8 +31,8 @@ TEXTS = [
 ]
 
 
-def tiny_server(server_cls=QueryServer, **config):
-    return server_cls(
+def tiny_server(**config):
+    return QueryServer(
         CostModel.uniform(2, cs=1.0, cr=2.0),
         dataset=uniform(8, 2, seed=1),
         schema=["a", "b"],
@@ -128,7 +128,7 @@ def test_state_and_stats_stay_flat_as_queries_accumulate():
 
 
 def test_async_server_forgets_tasks_and_events():
-    server = tiny_server(AsyncQueryServer)
+    server = tiny_server()
 
     async def main():
         first = (await server.query_async(QUERY)).id
@@ -151,7 +151,7 @@ def test_a_connection_counts_only_its_open_sessions():
     from tests.test_service_aio import _TcpClient
 
     async def main():
-        server = tiny_server(AsyncQueryServer, client_max_open=2)
+        server = tiny_server(client_max_open=2)
         service = await serve_tcp(server, "127.0.0.1", 0)
         try:
             async with _TcpClient(service.host, service.port) as a, \
