@@ -35,17 +35,6 @@ class AlgoRow:
     correct: bool
     result: QueryResult
 
-    def as_tuple(self) -> tuple:
-        """Row form for ASCII tables."""
-        return (
-            self.scenario,
-            self.algorithm,
-            self.cost,
-            self.sorted_accesses,
-            self.random_accesses,
-            "yes" if self.correct else "NO",
-        )
-
 
 def verify(result: QueryResult, scenario: Scenario) -> bool:
     """Score-multiset equivalence against the brute-force oracle."""

@@ -72,7 +72,12 @@ never interleave *inside* an access: the ``serves_free`` cache check and
 the Eq. 1 charge it guards are always observed together. Cancellation
 therefore only ever lands on a wait, between consistent states, which is
 what keeps the obs reconciliation invariant (charged + cached ==
-recorded) intact for cancelled queries.
+recorded) intact for cancelled queries. Whether a given wait actually
+suspends is the pacer's call: the default
+:class:`~repro.runtime.pacing.Pacer` suspends on every one, so engines
+gathered on one loop interleave per access; the server's pacer for a
+lone execution slot suspends on every
+:data:`~repro.runtime.pacing.YIELD_EVERY`-th (docs/RUNTIME.md).
 """
 
 from __future__ import annotations
@@ -175,8 +180,9 @@ class FrameworkNC:
         speculation: wave-packing mode at ``concurrency > 1``, ``"none"``
             or ``"eager"`` (module docstring).
         pacer: maps virtual durations onto real ``await``\\ s in the async
-            drivers; the default never sleeps (scale 0), so a standalone
-            async run is as fast as the sync one.
+            drivers; the default never sleeps (scale 0) and yields to the
+            event loop on every wait, so a standalone async run is as
+            fast as the sync one and interleaves per access with others.
     """
 
     def __init__(

@@ -170,11 +170,6 @@ class CircuitBreaker:
             return True
         return False
 
-    @property
-    def consecutive_failures(self) -> int:
-        """Consecutive logical-access failures since the last success."""
-        return self._failures
-
     def reset(self) -> None:
         """Rewind to pristine closed state (middleware reset)."""
         self._failures = 0

@@ -28,7 +28,10 @@ mid-flight cancellation and graceful drain (docs/RUNTIME.md). At
 ``concurrent_queries=1`` and ``time_scale=0`` a submit-then-wait request
 sequence produces answer and trace bytes identical to the sync entry
 points' -- tasks start in submission order, the admission semaphore
-wakes waiters FIFO, and scale-0 pacing never consults a timer. At higher
+wakes waiters FIFO, and scale-0 pacing never consults a timer: it only
+yields, on a session's first wait and then on every
+:data:`~repro.runtime.pacing.YIELD_EVERY`-th one, since no other session
+can take the one execution slot in the turns between. At higher
 concurrency the *interleaving* of accesses changes but the union of
 charged work does not: each query's logical access sequence is
 value-deterministic and the shared cache fetches every position exactly
@@ -43,7 +46,14 @@ shared server state (session tables, admission counters, the cache's
 charge-and-fetch) runs between awaits, never across one. The engine's
 only suspension points are pacer waits, so cancellation always lands
 between consistent states and the reconciliation invariant (charged +
-cached == recorded) survives a kill.
+cached == recorded) survives a kill. A pacer wait suspends on every
+access (or wave) when ``concurrent_queries > 1``, so sessions interleave
+per access; with one execution slot it suspends on every
+:data:`~repro.runtime.pacing.YIELD_EVERY`-th, so a cancel, or a line
+from another connection, is taken up within that many accesses of the
+running session. The admission semaphore belongs to the event loop that
+runs the async entry points; a server used from one ``asyncio.run``
+after another builds a fresh one for each new loop.
 
 Per-session cost budgets ride the graceful-degradation path of
 docs/FAULTS.md: with ``degrade_on_budget`` (the server default) an
@@ -82,7 +92,7 @@ from repro.query.ast import ParsedQuery, QueryError
 from repro.query.compiler import compile_expression
 from repro.query.parser import parse_query
 from repro.runtime.engine import AnswerCallback
-from repro.runtime.pacing import Pacer
+from repro.runtime.pacing import YIELD_EVERY, Pacer
 from repro.sources.cache import SourceCache
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -344,8 +354,11 @@ class QueryServer:
         # Executing sessions' middlewares, by session id: the sync entry
         # points run at most one, the async ones up to concurrent_queries.
         self._inflight: dict[str, Middleware] = {}
-        self.pacer = Pacer(self.config.time_scale)
+        # The admission semaphore and the event loop it belongs to: an
+        # asyncio primitive binds to the first loop that waits on it, so
+        # _follow_loop builds a fresh one whenever the loop changes.
         self._semaphore = asyncio.Semaphore(self.config.concurrent_queries)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._tasks: dict[str, asyncio.Task[None]] = {}
         self._events: dict[str, asyncio.Event] = {}
         # Open session id -> the open-session set of the connection that
@@ -662,6 +675,7 @@ class QueryServer:
                 f"{self._pending} sessions already pending "
                 f"(max_pending={limit}); apply backpressure upstream"
             )
+        self._follow_loop()
         session = self._new_session(parsed, text, budget)
         self._events[session.id] = asyncio.Event()
         self._pending += 1
@@ -671,6 +685,21 @@ class QueryServer:
         )
         self._tasks[session.id] = task
         return session.id
+
+    def _follow_loop(self) -> None:
+        """Give the running event loop its own admission semaphore.
+
+        A server outlives event loops (one ``asyncio.run`` batch after
+        another), but an asyncio semaphore binds to the first loop a
+        session waits on it in. When the running loop changes, every
+        session of the old one has ended (``asyncio.run`` cancels what
+        is left before it closes the loop), so a fresh semaphore starts
+        with every slot free.
+        """
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            self._loop = loop
+            self._semaphore = asyncio.Semaphore(self.config.concurrent_queries)
 
     async def wait(self, session_id: str) -> Session:
         """Await a session's terminal state and close its admission slot."""
@@ -684,11 +713,15 @@ class QueryServer:
     async def cancel(self, session_id: str) -> Session:
         """Cancel a session mid-flight (or retrieve it, if already done).
 
-        The cancel lands on the engine's next pacer wait -- never inside
-        an access's charge-and-fetch -- so whatever the session charged
-        up to that point is folded into the shared ledger exactly like a
-        completed session's cost, and the reconciliation invariant
-        (charged + cached == recorded) holds. The session ends with
+        The cancel lands on the pacer wait the session is suspended at --
+        never inside an access's charge-and-fetch. With one execution
+        slot a running session suspends only on every
+        :data:`~repro.runtime.pacing.YIELD_EVERY`-th wait, so a cancel
+        from another coroutine or connection waits at most that many of
+        its accesses for each loop turn it needs. Whatever the session
+        charged up to that point is folded into the shared ledger
+        exactly like a completed session's cost, and the reconciliation
+        invariant (charged + cached == recorded) holds. The session ends with
         status ``"cancelled"`` and its slot is released.
         """
         session = self.session(session_id)
@@ -875,7 +908,7 @@ class QueryServer:
         state -- so planning is interleaving-invariant and identical for
         both entry-point families. The configured concurrency picks the
         engine's core (sequential at 1, waves above it); the async entry
-        points pass the server's ``pacer`` and drive the engine's async
+        points pass a per-session ``pacer`` and drive the engine's async
         driver.
         """
         fn, _order = compile_expression(session.query.expr, schema=self.schema)
@@ -989,13 +1022,25 @@ class QueryServer:
         finally:
             self._events[session.id].set()
 
+    def _pacer(self) -> Pacer:
+        """One async session's pacer (docs/RUNTIME.md, "Pacing a lone slot").
+
+        Every wait yields when other sessions can hold execution slots
+        too, so they interleave per access. With one slot no other
+        session can run in the skipped turns: the pacer yields on the
+        session's first wait and then every :data:`YIELD_EVERY`-th. A
+        positive ``time_scale`` sleeps on every wait either way.
+        """
+        lone = self.config.concurrent_queries == 1
+        return Pacer(self.config.time_scale, yield_every=YIELD_EVERY if lone else 1)
+
     async def _execute_async(
         self, session: Session, on_answer: Optional[AnswerCallback]
     ) -> None:
         with self._lifecycle(session) as run:
             try:
                 run.engine = engine = self._engine(
-                    run.middleware, session, self.pacer
+                    run.middleware, session, self._pacer()
                 )
                 self._complete(session, await engine.run_async(on_answer=on_answer))
             except asyncio.CancelledError:

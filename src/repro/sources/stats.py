@@ -143,11 +143,6 @@ class AccessStats:
         return self._total
 
     @property
-    def cached_sorted_counts(self) -> tuple[int, ...]:
-        """Sorted accesses served free from a cross-query cache, per predicate."""
-        return tuple(self._cached_s)
-
-    @property
     def cached_random_counts(self) -> tuple[int, ...]:
         """Random accesses served free from a cross-query cache, per predicate."""
         return tuple(self._cached_r)
@@ -158,24 +153,9 @@ class AccessStats:
         return sum(self._cached_s) + sum(self._cached_r)
 
     @property
-    def retry_sorted_counts(self) -> tuple[int, ...]:
-        """Retry attempts (beyond each access's first) per predicate, sorted."""
-        return tuple(self._retries_s)
-
-    @property
-    def retry_random_counts(self) -> tuple[int, ...]:
-        """Retry attempts (beyond each access's first) per predicate, random."""
-        return tuple(self._retries_r)
-
-    @property
     def total_retries(self) -> int:
         """All retry attempts across predicates and access kinds."""
         return sum(self._retries_s) + sum(self._retries_r)
-
-    @property
-    def fault_sorted_counts(self) -> tuple[int, ...]:
-        """Failed attempts per predicate, sorted accesses."""
-        return tuple(self._faults_s)
 
     @property
     def fault_random_counts(self) -> tuple[int, ...]:

@@ -112,7 +112,7 @@ class TestEstimateFrontierEquivalence:
 class TestSearchIntegration:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(depth_value, min_size=2, max_size=2))
-    def test_chosen_plans_identical_across_frontier_switch(self, start):
+    def test_climb_plans_equal_reference_engine_plans(self, start):
         # Fast path vs the reference engine.
         results = []
         for cls in (CostEstimator, OracleEstimator):
@@ -122,7 +122,7 @@ class TestSearchIntegration:
             )
         assert results[0] == results[1]
 
-    def test_grid_chosen_plans_identical_across_frontier_switch(self):
+    def test_grid_plans_equal_reference_engine_plans(self):
         chosen = []
         for cls in (CostEstimator, OracleEstimator):
             est = _estimator(cls=cls)

@@ -49,6 +49,36 @@ class TestPacer:
         # a() started first but its wait yielded, letting b() run through.
         assert order == ["b", "a"]
 
+    def test_cadence_yields_on_first_and_every_nth_wait(self):
+        assert _yielding_waits(Pacer(0.0, yield_every=4), 10) == [0, 4, 8]
+        assert _yielding_waits(Pacer(), 5) == [0, 1, 2, 3, 4]
+
+    def test_positive_scale_ignores_the_cadence(self):
+        assert _yielding_waits(Pacer(1e-9, yield_every=4), 5) == [0, 1, 2, 3, 4]
+
+    def test_non_positive_cadence_rejected(self):
+        with pytest.raises(ValueError):
+            Pacer(yield_every=0)
+
+    def test_engine_default_pacer_yields_on_every_access(self):
+        """A standalone engine interleaves per access with other tasks."""
+        middleware = _mw(uniform(200, 2, seed=3))
+        engine = FrameworkNC(middleware, Min(2), 5, SRGPolicy([0.6, 0.6]))
+
+        async def main():
+            task = asyncio.create_task(engine.run_async())
+            seen, steps = 0, []
+            while not task.done():
+                await asyncio.sleep(0)
+                steps.append(middleware.stats.total_accesses - seen)
+                seen = middleware.stats.total_accesses
+            await task
+            return steps
+
+        steps = asyncio.run(main())
+        assert sum(steps) == middleware.stats.total_accesses > 1
+        assert max(steps) == 1
+
     def test_wave_waits_makespan_not_sum(self):
         """One sleep per wave; an empty wave is a plain yield."""
 
@@ -67,6 +97,34 @@ class TestPacer:
             return loop.time() - start
 
         assert asyncio.run(main()) >= 0.015
+
+
+def _yielding_waits(pacer, waits):
+    """Indices of the ``waits`` zero-length waits that let another task run."""
+
+    async def main():
+        turns = 0
+        done = False
+
+        async def ticker():
+            nonlocal turns
+            while not done:
+                turns += 1
+                await asyncio.sleep(0)
+
+        task = asyncio.create_task(ticker())
+        await asyncio.sleep(0)
+        yielded = []
+        for index in range(waits):
+            before = turns
+            await pacer.wait(0.0)
+            if turns != before:
+                yielded.append(index)
+        done = True
+        await task
+        return yielded
+
+    return asyncio.run(main())
 
 
 def _mw(data, m=2):

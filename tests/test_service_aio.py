@@ -4,7 +4,9 @@ Everything runs through ``asyncio.run`` -- no pytest-asyncio dependency.
 """
 
 import asyncio
+import gc
 import json
+import logging
 import os
 import tempfile
 import threading
@@ -18,6 +20,8 @@ from repro.data.generators import uniform
 from repro.exceptions import ServiceOverloadError
 from repro.obs.trace import TraceRecorder
 from repro.query.parser import MAX_NESTING
+from repro.runtime import pacing
+from repro.runtime.pacing import YIELD_EVERY
 from repro.serialization import result_to_dict
 from repro.service import QueryServer, ServerConfig, serve_tcp
 from repro.sources.cost import CostModel
@@ -27,6 +31,8 @@ MIN_Q = "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 5"
 AVG_Q = "SELECT * FROM r ORDER BY avg(a, b) STOP AFTER 5"
 MIN3_Q = "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 3"
 BATCH = [MIN_Q, AVG_Q, MIN3_Q, MIN_Q]
+#: About ten YIELD_EVERY cadences of accesses on make_server's pool (310).
+LONG_Q = "SELECT * FROM r ORDER BY avg(a, b) STOP AFTER 40"
 
 
 def make_server(*, trace=False, **config_kwargs):
@@ -274,6 +280,133 @@ class TestAdmission:
             "repro_overload_rejections_total", scope="server",
             limit="draining",
         ) == 1
+
+
+def performed(server, session_id):
+    """Accesses ``session_id`` has performed, charged or served free."""
+    middleware = server._inflight.get(session_id)
+    if middleware is None:
+        session = server.session(session_id)
+        return session.charged_accesses + session.cache_hits
+    return middleware.stats.total_accesses + middleware.stats.total_cached
+
+
+def accesses_per_turn(server, query):
+    """Accesses one session performs between two turns of a spinning caller."""
+
+    async def main():
+        sid = await server.submit_async(query)
+        seen, steps = 0, []
+        while server.session(sid).status in ("queued", "running"):
+            await asyncio.sleep(0)
+            now = performed(server, sid)
+            steps.append(now - seen)
+            seen = now
+        await server.wait(sid)
+        return steps
+
+    return asyncio.run(main())
+
+
+@pytest.fixture
+def pacer_sleeps(monkeypatch):
+    """Every ``asyncio.sleep`` delay the pacer awaits, in order."""
+    delays = []
+
+    class Recording:
+        @staticmethod
+        async def sleep(delay):
+            delays.append(delay)
+            await asyncio.sleep(delay)
+
+    monkeypatch.setattr(pacing, "asyncio", Recording)
+    return delays
+
+
+class TestYieldCadence:
+    """Where a session's pacer waits reach the event loop."""
+
+    def test_lone_slot_yields_on_a_bounded_cadence(self):
+        steps = accesses_per_turn(make_server(concurrent_queries=1), LONG_Q)
+        assert sum(steps) == 310
+        assert max(steps) == YIELD_EVERY
+
+    def test_lone_slot_yields_first_then_every_nth_wait(self, pacer_sleeps):
+        server = make_server(concurrent_queries=1)
+        sessions = run_batch(server, [LONG_Q, MIN_Q])
+        waits = [performed(server, s.id) for s in sessions]
+        # Each session's first wait yields, then every YIELD_EVERY-th.
+        assert len(pacer_sleeps) == sum(
+            1 + (n - 1) // YIELD_EVERY for n in waits
+        )
+        assert set(pacer_sleeps) == {0}
+
+    @pytest.mark.parametrize("concurrent_queries", [2, 3])
+    def test_several_slots_yield_on_every_wait(self, concurrent_queries):
+        steps = accesses_per_turn(
+            make_server(concurrent_queries=concurrent_queries), LONG_Q
+        )
+        assert sum(steps) == 310
+        assert max(steps) == 1
+
+    @pytest.mark.parametrize("query_concurrency", [1, 2])
+    def test_positive_time_scale_sleeps_once_per_wait(
+        self, pacer_sleeps, query_concurrency
+    ):
+        server = make_server(
+            concurrent_queries=1,
+            time_scale=1e-9,
+            query_concurrency=query_concurrency,
+        )
+        (session,) = run_batch(server, [MIN_Q])
+        assert session.status == "done"
+        waits = session.result.metadata.get("waves", performed(server, session.id))
+        assert len(pacer_sleeps) == waits
+        assert all(delay > 0 for delay in pacer_sleeps)
+
+    def test_cancel_lands_within_yield_every_accesses(self):
+        server = make_server(concurrent_queries=1)
+
+        async def main():
+            sid = await server.submit_async(LONG_Q)
+            while sid not in server._inflight or not performed(server, sid):
+                await asyncio.sleep(0)
+            seen = performed(server, sid)
+            return seen, await server.cancel(sid)
+
+        seen, session = asyncio.run(main())
+        assert 0 < seen <= YIELD_EVERY
+        assert session.status == "cancelled"
+        # The cancel lands on the wait the session is suspended at: not
+        # one access after the caller saw it.
+        assert session.charged_accesses + session.cache_hits == seen
+        assert_reconciles(server, [session])
+
+
+class TestEventLoops:
+    def test_server_survives_successive_event_loops(self, caplog):
+        """The admission semaphore follows the running loop: a second
+        asyncio.run batch at one slot must not find it bound to the
+        first batch's (closed) loop."""
+        server = make_server(concurrent_queries=1)
+
+        async def batch():
+            ids = [
+                await server.submit_async(MIN_Q),
+                await server.submit_async(AVG_Q),
+            ]
+            return [(await server.wait(i)).status for i in ids]
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            assert asyncio.run(batch()) == ["done", "done"]
+            assert asyncio.run(batch()) == ["done", "done"]
+            stats = server.stats()
+            # Unretrieved task exceptions are logged when the task dies.
+            server._tasks.clear()
+            gc.collect()
+        assert (stats["pending"], stats["inflight"]) == (0, 0)
+        assert "never retrieved" not in caplog.text
+        assert "different event loop" not in caplog.text
 
 
 class TestCancellation:
@@ -543,6 +676,35 @@ class TestTcpTransport:
         assert cancel["ok"] and cancel["status"] in ("cancelled", "done")
         assert stats["ok"]
         assert stats["stats"]["draining"] is False
+
+    def test_cancel_op_lands_within_a_few_cadences(self):
+        """At one slot a cancel line waits for the session's next yield to
+        be read; it then lands on the wait the session is suspended at."""
+
+        async def scenario(server, host, port):
+            landed_at = []
+            cancel = server.cancel
+
+            async def recording_cancel(session_id):
+                landed_at.append(performed(server, session_id))
+                return await cancel(session_id)
+
+            server.cancel = recording_cancel
+            async with _TcpClient(host, port) as client:
+                submitted = await client.call(op="submit", query=LONG_Q)
+                sid = submitted["session"]
+                seen = performed(server, sid)
+                response = await client.call(op="cancel", session=sid)
+                return seen, landed_at, response, server.session(sid)
+
+        seen, landed_at, response, session = self._serve(scenario)
+        assert response["ok"] and response["status"] == "cancelled"
+        landed = session.charged_accesses + session.cache_hits
+        assert landed_at == [landed]
+        # Read, then dispatched: a loop turn or two after the client
+        # sent it, each turn at most YIELD_EVERY accesses of the session.
+        assert landed - seen <= 3 * YIELD_EVERY
+        assert landed < 310
 
     def test_client_disconnect_cancels_owned_sessions(self):
         async def scenario(server, host, port):

@@ -4,7 +4,11 @@ Runs ``perfbench/run.py`` from each checkout in alternating order
 (``--trace 0`` for the end-to-end numbers, then one ``--trace 1`` run
 for the per-layer numbers and exact counts), and records per side the
 median calibrated and raw end-to-end metrics (``peak_rss_mb`` has no
-raw form), the traced layer times and the exact counts. Run from the
+raw form), the traced layer times and the exact counts. For every
+end-to-end metric it also records, in the metric's better direction
+(``BENCHMARK.json``), the change's median gain, the parent's
+interquartile range and the pairs the change won, so a latency,
+throughput or memory claim can be checked against its runs. Run from the
 repository root::
 
     python tools/perfbench_ab.py PARENT_DIR CHANGE_DIR --out BENCH_x.json
@@ -44,6 +48,7 @@ LAYERS = (
 EXACT = (
     "access_cost_per_query",
     "answered_frac",
+    "engine.accesses_per_query",
     "optimizer.plans_costed",
     "optimizer.runs_kernel",
     "optimizer.runs_reference",
@@ -96,6 +101,31 @@ def summarize(untraced: list[dict], traced: dict) -> dict:
     }
 
 
+def verdict(parent: list[float], change: list[float], better: str) -> dict:
+    """One metric's A/B verdict over alternating pairs of runs.
+
+    ``gain`` is how far the change's median is on the better side of the
+    parent's (negative when it is worse), ``gain_pct`` the same relative
+    to the parent's median, and ``pairs_won`` the pairs in which the
+    change's run was strictly better than the parent's. A gain counts
+    only when it exceeds the parent's interquartile range
+    (``gain_exceeds_parent_iqr``).
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    parent_median = statistics.median(parent)
+    gain = sign * (parent_median - statistics.median(change))
+    quartiles = statistics.quantiles(parent, n=4)
+    iqr = quartiles[2] - quartiles[0]
+    return {
+        "better": better,
+        "gain": gain,
+        "gain_pct": 100.0 * gain / parent_median if parent_median else 0.0,
+        "parent_iqr": iqr,
+        "pairs_won": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "gain_exceeds_parent_iqr": gain > iqr,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -107,7 +137,9 @@ def main() -> None:
     parser.add_argument("--seconds", type=int, default=20)
     args = parser.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
-        workloads = [w["name"] for w in json.load(handle)["workloads"]]
+        benchmark = json.load(handle)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     report: dict = {
         "experiment": args.experiment,
         "quick": False,
@@ -129,24 +161,25 @@ def main() -> None:
             side: summarize(untraced[side], run(sides[side], workload, args, 1))
             for side in sides
         }
-        entry["p50_change_pct"] = 100.0 * (
-            entry["change"]["calibrated"]["latency_p50_ms"]
-            / entry["parent"]["calibrated"]["latency_p50_ms"] - 1.0
-        )
-        parent_p50 = entry["parent"]["runs"]["latency_p50_ms"]
-        quartiles = statistics.quantiles(parent_p50, n=4)
-        entry["p50_parent_iqr_ms"] = quartiles[2] - quartiles[0]
-        entry["p50_pairs_won"] = sum(
-            c < p
-            for p, c in zip(parent_p50, entry["change"]["runs"]["latency_p50_ms"])
-        )
+        entry["verdicts"] = {
+            name: verdict(
+                entry["parent"]["runs"][name],
+                entry["change"]["runs"][name],
+                better[name],
+            )
+            for name in END_TO_END
+        }
         entry["identical_exact_counts"] = (
             entry["parent"]["exact"] == entry["change"]["exact"]
         )
         report["workloads"][workload] = entry
         print(
-            f"{workload}: p50 {entry['p50_change_pct']:+.1f}%, "
-            f"won {entry['p50_pairs_won']}/{args.pairs} pairs",
+            f"{workload}: "
+            + ", ".join(
+                f"{name} gain {v['gain_pct']:+.1f}% "
+                f"({v['pairs_won']}/{args.pairs} pairs won)"
+                for name, v in entry["verdicts"].items()
+            ),
             flush=True,
         )
     with open(args.out, "w") as handle:
