@@ -276,6 +276,10 @@ class FrameworkNC:
         # (gate epoch, whether some channel refused accesses under it):
         # the wave core's early-stop gate, read once per wave.
         self._refusing: tuple[int, bool] = (0, False)
+        # The wave core's confirmed answers, best first: the complete
+        # prefixes its waves retired. The async drivers read it after each
+        # wave to hand answers out as they are confirmed.
+        self._confirmed: list[RankedObject] = []
 
     # ------------------------------------------------------------------
     # Engine plumbing (shared by both cores)
@@ -772,6 +776,20 @@ class FrameworkNC:
                     used_sorted.add(access.predicate)
                 progressed = True
 
+    def _retires_prefix(self) -> bool:
+        """Whether a wave retires the complete objects it pops first.
+
+        Always, in the shipped engine (:meth:`_waves`); the wave-stop tests
+        override it to hold the core to one that re-pops its confirmed
+        answers on every wave.
+        """
+        return True
+
+    def _ranked(self, obj: int, bound: float) -> RankedObject:
+        """A wave-core answer: bound-only objects at their lower bound."""
+        degraded = self._bound_only.get(obj)
+        return RankedObject(obj, bound if degraded is None else degraded[0])
+
     def _waves(self) -> Generator[list[float], None, ParallelResult]:
         """The wave loop: plan a wave, yield its durations, fold it.
 
@@ -786,20 +804,31 @@ class FrameworkNC:
         issuing its second choice would be speculation the sequential
         plan never performs.
 
+        A complete object popped before any incomplete object, ``UNSEEN``
+        or degraded target is confirmed (Theorem 1: no live entry can
+        rank above it). It moves to :attr:`_confirmed`, is never pushed
+        back, and counts toward k, so later waves pop only ``k`` minus the
+        confirmed answers -- the sequential core's progressive output.
+        A complete object popped after that prefix is pushed back as
+        before. The access sequence is unchanged (docs/RUNTIME.md, "The
+        wave core"); only an exact score tie can order differently.
+
         A full wave stops popping: only a wave that cannot fill can pass
         the Theorem-1 stopping test, so the rest of the top-k is popped
         only then, or when :meth:`_pops_full_topk` says an early stop is
         not provably exact. With no refinable target left the round
-        returns the finished :class:`ParallelResult`. Otherwise it yields
-        the wave's access durations *before* performing it. That yield is
-        the only point where a driver may suspend (the async drivers
-        await the wave's makespan there); resuming folds the whole wave
-        through :meth:`_perform` and plans on to the next yield without
+        returns the finished :class:`ParallelResult`, ranking the
+        confirmed answers first. Otherwise it yields the wave's access
+        durations *before* performing it. That yield is the only point
+        where a driver may suspend (the async drivers await the wave's
+        makespan there); resuming folds the whole wave through
+        :meth:`_perform` and plans on to the next yield without
         interruption. As in the sequential core, a sorted access whose
         list ran out during the suspension is dropped from the fold.
         """
         self._prepare()
         concurrency = self.concurrency
+        confirmed = self._confirmed
         while True:
             # Wave boundary == safe checkpoint: no access is in flight,
             # the previous wave is fully folded in.
@@ -808,11 +837,13 @@ class FrameworkNC:
             # access runs and the driver cannot suspend before the yield.
             epoch = self.middleware.gate_epoch
             full = self._pops_full_topk(epoch)
+            prefix = self._retires_prefix()
+            quota = self.k - len(confirmed)
             popped: list[tuple[int, float]] = []
             workable: list[int] = []
             batch: dict[Access, int] = {}
             used_sorted: set[int] = set()
-            while len(popped) < self.k and (full or len(batch) < concurrency):
+            while len(popped) < quota and (full or len(batch) < concurrency):
                 entry = self._bounds.pop_current()
                 if entry is None:
                     break
@@ -820,8 +851,13 @@ class FrameworkNC:
                 if self._retired(obj):
                     continue
                 if obj != UNSEEN and self.state.is_complete(obj):
-                    popped.append(entry)
+                    if prefix:
+                        confirmed.append(self._ranked(obj, entry[1]))
+                        quota -= 1
+                    else:
+                        popped.append(entry)
                     continue
+                prefix = False
                 choices = self._usable_choices(obj, epoch)
                 if choices is None and obj == UNSEEN:
                     # Every sorted source refuses: give up on discovery.
@@ -844,14 +880,8 @@ class FrameworkNC:
                 if access.is_sorted:
                     used_sorted.add(access.predicate)
             if not batch:
-                ranking = [
-                    RankedObject(
-                        obj,
-                        self._bound_only[obj][0]
-                        if obj in self._bound_only
-                        else bound,
-                    )
-                    for obj, bound in popped
+                ranking = confirmed + [
+                    self._ranked(obj, bound) for obj, bound in popped
                 ]
                 result = self._finish(ranking, self._label())
                 result.metadata["waves"] = self.waves
@@ -859,9 +889,9 @@ class FrameworkNC:
                 return self._outcome(result)
             if self.speculation == "eager":
                 self._fill_speculatively(workable, batch, used_sorted, epoch)
-            elif len(popped) < self.k and self.middleware.contracts is not None:
+            elif len(popped) < quota and self.middleware.contracts is not None:
                 # Only an early stop leaves part of the top-k unpopped.
-                self._check_early_stop(len(popped), epoch)
+                self._check_early_stop(len(confirmed) + len(popped), epoch)
             durations = [self.latency_model.duration(acc) for acc in batch]
             yield durations
             # Fold results in randoms-first: a concurrent sa_i may deliver
@@ -931,6 +961,33 @@ class FrameworkNC:
             except StopIteration as done:
                 return done.value
 
+    async def _paced_waves(
+        self,
+    ) -> AsyncIterator[Union[RankedObject, ParallelResult]]:
+        """The wave core on the event loop, answers first, outcome last.
+
+        Awaits each wave's makespan on the pacer, then yields the answers
+        that wave's planning confirmed (:attr:`_confirmed`, best first).
+        Once the Theorem-1 test passes it yields the rest of the ranking
+        and, last, the finished :class:`ParallelResult`.
+        """
+        waves = self._waves()
+        confirmed = self._confirmed
+        sent = 0
+        while True:
+            try:
+                durations = next(waves)
+            except StopIteration as done:
+                outcome: ParallelResult = done.value
+                break
+            await self.pacer.wave(durations)
+            while sent < len(confirmed):
+                yield confirmed[sent]
+                sent += 1
+        for answer in outcome.result.ranking[sent:]:
+            yield answer
+        yield outcome
+
     async def _run_paced(
         self, on_answer: Optional[AnswerCallback]
     ) -> ParallelResult:
@@ -947,17 +1004,17 @@ class FrameworkNC:
             finally:
                 await answers.aclose()
             return self._outcome(self._finish(ranking, self._label()))
-        waves = self._waves()
-        while True:
-            try:
-                durations = next(waves)
-            except StopIteration as done:
-                outcome: ParallelResult = done.value
-                break
-            await self.pacer.wave(durations)
-        if on_answer is not None:
-            for answer in outcome.result.ranking:
-                await on_answer(answer)
+        outcome: Optional[ParallelResult] = None
+        items = self._paced_waves()
+        try:
+            async for item in items:
+                if isinstance(item, ParallelResult):
+                    outcome = item
+                elif on_answer is not None:
+                    await on_answer(item)
+        finally:
+            await items.aclose()
+        assert outcome is not None
         return outcome
 
     async def execute_async(self) -> ParallelResult:
@@ -969,26 +1026,33 @@ class FrameworkNC:
     ) -> QueryResult:
         """:meth:`run` on the event loop; optionally streams answers.
 
-        ``on_answer`` is awaited once per ranked answer. At concurrency 1
-        answers arrive progressively, as each is confirmed; at higher
-        concurrency the Theorem-1 stopping test confirms the whole top-k
-        at once, so the callbacks fire together at the end, still in rank
-        order.
+        ``on_answer`` is awaited once per ranked answer, in rank order, as
+        each is confirmed: at concurrency 1 when the sequential core
+        confirms it, above it after the wave whose planning retired it
+        (the complete prefix of the rank order), and the rest once the
+        Theorem-1 stopping test passes.
         """
         return (await self._run_paced(on_answer)).result
 
     async def stream(self) -> AsyncIterator[RankedObject]:
         """Stream confirmed answers progressively, best first.
 
-        :meth:`answers` on the event loop, awaiting one pacer wait at
-        each pending access. Only defined at concurrency 1 -- the wave
-        shape has no per-answer confirmation order until the Theorem-1
-        test passes for the whole top-k; use :meth:`run_async` there.
+        At concurrency 1, :meth:`answers` on the event loop, awaiting one
+        pacer wait at each pending access; the stream is unbounded by
+        ``k``. Above it, the wave core's answers as :meth:`run_async`
+        hands them out: each wave's newly confirmed ones after its pacer
+        wait, then the rest once the Theorem-1 test passes -- exactly
+        :meth:`run`'s ranking.
         """
-        if self.concurrency != 1:
-            raise ReproError(
-                f"progressive streaming requires concurrency 1, not {self.concurrency}"
-            )
+        if self.concurrency > 1:
+            items = self._paced_waves()
+            try:
+                async for item in items:
+                    if isinstance(item, RankedObject):
+                        yield item
+            finally:
+                await items.aclose()
+            return
         for item in self._sequential():
             if isinstance(item, RankedObject):
                 yield item

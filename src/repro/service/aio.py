@@ -196,17 +196,22 @@ class StreamQueryService:
             # protocol's done-callback from logging a spurious error.
             pass
         finally:
-            # A vanished client must not leak running queries: cancel
-            # whatever it still has open (accounting is folded by cancel).
-            # The set shrinks during the awaits, as sessions close.
-            for session_id in sorted(owned):
-                if session_id in owned:
-                    await self.server.cancel(session_id)
-            writer.close()
             try:
+                # A vanished client must not leak running queries: cancel
+                # whatever it still has open (accounting is folded by
+                # cancel). The set shrinks during the awaits, as sessions
+                # close.
+                for session_id in sorted(owned):
+                    if session_id in owned:
+                        await self.server.cancel(session_id)
+                writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            except asyncio.CancelledError:
+                # Teardown can cancel the handler again while it cleans
+                # up; absorbed for the same reason as above.
+                writer.close()
 
     async def _send(self, writer: asyncio.StreamWriter, response: dict) -> None:
         writer.write(encode_response(response).encode("utf-8"))

@@ -7,7 +7,6 @@ import pytest
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.data.generators import uniform
-from repro.exceptions import ReproError
 from repro.faults.injector import FaultProfile, faulty_sources_for
 from repro.faults.retry import RetryPolicy
 from repro.optimizer.replan import ReplanConfig
@@ -220,19 +219,6 @@ class TestSequentialShadow:
         assert result_to_dict(outcome.result) == result_to_dict(seq)
         assert outcome.waves == seq.metadata["iterations"]
 
-    def test_stream_requires_concurrency_one(self):
-        data = uniform(30, 2, seed=1)
-        engine = FrameworkNC(
-            _mw(data), Min(2), 2, SRGPolicy([0.5, 0.5]), concurrency=2
-        )
-
-        async def consume():
-            async for _ in engine.stream():
-                pass
-
-        with pytest.raises(ReproError):
-            asyncio.run(consume())
-
 
 class TestConcurrencyOne:
     """concurrency == 1: every entry point drives the sequential core."""
@@ -290,7 +276,8 @@ class TestConcurrencyOne:
 
 
 class TestWaveShadow:
-    """concurrency > 1: the async drivers replay the sync wave core."""
+    """concurrency > 1: the async drivers replay the sync wave core and
+    hand out each answer once a wave confirms it."""
 
     @pytest.mark.parametrize("c", [2, 4, 8])
     def test_outcome_identical_to_parallel_executor(self, c):
@@ -340,7 +327,7 @@ class TestWaveShadow:
         outcome = asyncio.run(engine.execute_async())
         assert result_to_dict(outcome.result) == result_to_dict(par.result)
 
-    def test_on_answer_fires_in_rank_order_at_completion(self):
+    def test_on_answer_fires_in_rank_order(self):
         data = uniform(120, 2, seed=2)
         engine = FrameworkNC(
             _mw(data), Min(2), 3, SRGPolicy([0.5, 0.5]), concurrency=4
@@ -352,6 +339,47 @@ class TestWaveShadow:
 
         result = asyncio.run(engine.run_async(on_answer))
         assert seen == [a.obj for a in result.ranking]
+
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_first_answer_fires_before_the_last_wave(self, c):
+        """Waves confirm answers as they go, not all at the stopping test."""
+        data = uniform(200, 2, seed=3)
+        waves = []
+
+        class Counting(Pacer):
+            async def wave(self, durations):
+                waves.append(len(durations))
+                await super().wave(durations)
+
+        engine = FrameworkNC(
+            _mw(data), Min(2), 10, SRGPolicy([0.6, 0.6]),
+            concurrency=c, pacer=Counting(),
+        )
+        fired = []
+
+        async def on_answer(answer):
+            fired.append((len(waves), answer))
+
+        result = asyncio.run(engine.run_async(on_answer))
+        assert [answer for _waves, answer in fired] == result.ranking
+        assert len(waves) == result.metadata["waves"]
+        assert fired[0][0] < len(waves)
+        assert_valid_topk(result, data, Min(2), 10)
+
+    def test_stream_yields_the_run_ranking(self):
+        for c in (2, 4):
+            for scenario in SCENARIOS:
+                mw, fn, k, policy, kwargs = _scenario(scenario)
+                expected = FrameworkNC(
+                    mw, fn, k, policy, concurrency=c, **kwargs
+                ).run()
+                mw, fn, k, policy, kwargs = _scenario(scenario)
+                engine = FrameworkNC(mw, fn, k, policy, concurrency=c, **kwargs)
+
+                async def collect(engine=engine):
+                    return [answer async for answer in engine.stream()]
+
+                assert asyncio.run(collect()) == expected.ranking, (c, scenario)
 
 
 class TestCancellationSafety:

@@ -840,6 +840,28 @@ class TestTcpTransport:
         server = asyncio.run(main())
         assert server.draining  # aclose() drains on the way out
 
+    def test_teardown_cancel_in_client_cleanup_is_absorbed(self, caplog):
+        """A client submits, cancels and hangs up; the service closes and
+        the loop ends. The handler is cancelled again while it cleans up
+        after the client, and must absorb that cancel too: an escaping
+        one makes asyncio log "Exception in callback ... CancelledError"
+        from the stream protocol's done-callback."""
+
+        async def main():
+            service = await serve_tcp(make_server(), "127.0.0.1", 0)
+            client = _TcpClient(service.host, service.port)
+            await client.__aenter__()
+            submitted = await client.call(op="submit", query=MIN_Q)
+            assert submitted["ok"]
+            await client.send(op="cancel", session=submitted["session"])
+            await client.__aexit__()
+            await service.aclose()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(main())
+        assert "Exception in callback" not in caplog.text
+        assert "CancelledError" not in caplog.text
+
 
 class TestUnixSocket:
     """``repro serve --socket PATH``: the stream service on a unix socket."""

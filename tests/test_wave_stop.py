@@ -1,22 +1,29 @@
-"""The wave core's early stop against the full top-k pop (docs/RUNTIME.md).
+"""The wave core's early stop and retirement against references (docs/RUNTIME.md).
 
 A wave stops popping the top-k once it holds ``c`` accesses, unless the
 stop is not provably exact (eager speculation, a budget under
 ``degrade_on_budget``, a channel refusing accesses). ``FullPop`` forces
 the pop of the whole top-k on every wave, as the wave core did before the
-early stop; every run here must serialize byte-identically under both,
-on the sync and the async driver, with no more bound evaluations.
+early stop. A wave also retires the complete objects it pops before any
+other entry: they are confirmed answers. ``Repops`` never retires them,
+as the wave core did before it confirmed answers, so every wave pops and
+pushes them back. Every run here must serialize byte-identically under
+the shipped core and each reference, on the sync and the async driver,
+with no more bound evaluations.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
+from repro.data.dataset import Dataset
 from repro.data.generators import uniform
 from repro.exceptions import ContractViolationError
 from repro.faults.breaker import BreakerPolicy
@@ -28,6 +35,7 @@ from repro.scoring.functions import Avg, Min
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
 from repro.sources.simulated import sources_for
+from tests.conftest import assert_valid_topk
 
 
 class Gated(FrameworkNC):
@@ -44,6 +52,13 @@ class FullPop(FrameworkNC):
 
     def _pops_full_topk(self, epoch):
         return True
+
+
+class Repops(FrameworkNC):
+    """The wave core without retirement: every wave re-pops its answers."""
+
+    def _retires_prefix(self):
+        return False
 
 
 def compiled(text):
@@ -161,6 +176,27 @@ def test_early_stop_replays_the_full_pop(fn_name, scenario, driver):
         assert fewer > 0
 
 
+@pytest.mark.parametrize("driver", ["sync", "async"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("fn_name", list(FNS))
+def test_retiring_replays_the_repops(fn_name, scenario, driver):
+    fewer = 0
+    for k in (1, 3, 10):
+        for c in (2, 3, 4):
+            new, engine = run(FrameworkNC, fn_name, scenario, k, c, driver)
+            old, repops = run(Repops, fn_name, scenario, k, c, driver)
+            assert new == old, (k, c)
+            assert engine.bound_evaluations <= repops.bound_evaluations, (k, c)
+            assert not repops._confirmed
+            if k >= 3:
+                fewer += engine.bound_evaluations < repops.bound_evaluations
+    if scenario == "plain" and FNS[fn_name]().min_terms is None:
+        # Retired answers are no longer re-verified on every wave. (A
+        # min-shaped F's index evaluates one bound per group, not per
+        # entry, so popping fewer entries need not save any.)
+        assert fewer == 6
+
+
 def test_eager_speculation_always_pops_the_full_topk():
     _result, engine = run(Gated, "min", "plain", 10, 3, "sync")
     assert engine.gates and not any(engine.gates)
@@ -225,3 +261,82 @@ class TestArmedCrossCheck:
         )
         with pytest.raises(ContractViolationError, match="early stop"):
             engine.execute()
+
+
+def test_exact_ties_keep_the_confirmation_order():
+    """The one output retiring can change: the order of exactly tied scores.
+
+    Scores on a quarter grid tie. Object 2 is confirmed at 0.75 before
+    object 14, which ties it and has the higher id, is complete: re-popping
+    every wave ranked 14 first in the final wave, retiring keeps 2 first,
+    as the sequential core confirms them. Same accesses, same answers.
+    """
+    data = Dataset(np.round(np.random.default_rng(0).random((30, 2)) * 4) / 4)
+
+    def ranked(engine_cls, c):
+        engine = engine_cls(
+            Middleware.over(data, CostModel.uniform(2), record_log=True),
+            Min(2), 3, SRGPolicy((0.9, 0.9)), concurrency=c,
+        )
+        result = engine.execute().result
+        assert_valid_topk(result, data, Min(2), 3)
+        return [(e.obj, e.score) for e in result.ranking], result.stats.log
+
+    retired, log = ranked(FrameworkNC, 2)
+    repopped, repop_log = ranked(Repops, 2)
+    assert log == repop_log
+    assert retired == [(13, 1.0), (2, 0.75), (14, 0.75)]
+    assert repopped == [(13, 1.0), (14, 0.75), (2, 0.75)]
+    assert retired == ranked(FrameworkNC, 1)[0]
+
+
+class Degrading(FrameworkNC):
+    """The engine as shipped, recording each degradation as (wave, object)."""
+
+    def _degrade(self, obj):
+        self.degraded = getattr(self, "degraded", []) + [(self.waves, obj)]
+        return super()._degrade(obj)
+
+
+class DegradingFullPop(Degrading, FullPop):
+    """:class:`Degrading` popping the whole top-k on every wave."""
+
+
+class DegradingEarly(Degrading):
+    """:class:`Degrading` whose waves always stop when they are full."""
+
+    def _pops_full_topk(self, epoch):
+        return False
+
+
+def test_budget_keeps_the_full_pop_for_unaffordable_targets():
+    """A target past the c-th with no affordable choice degrades in its wave.
+
+    Only predicate 0 has sorted access, and the random accesses cost 1, 3
+    and 8. Once the budget left is under 8, a target missing only
+    predicate 2 has no affordable choice. The full pop degrades it in the
+    first wave it ranks in the top-k; a wave that stopped when full would
+    reach it only later, so the result would list its uncertainty and
+    partial reason in another order.
+    """
+
+    def budgeted(engine_cls):
+        engine = engine_cls(
+            Middleware.over(
+                uniform(20, 3, seed=0),
+                CostModel(cs=(1.0, math.inf, math.inf), cr=(1.0, 3.0, 8.0)),
+                record_log=True,
+                budget=15.0,
+            ),
+            Min(3), 3, SRGPolicy((0.9, 0.8, 0.9)),
+            degrade_on_budget=True, concurrency=2,
+        )
+        result = engine.execute().result
+        assert result.partial and result.metadata["budget_exhausted"]
+        return engine.degraded, list(result.uncertainty), repr(result.metadata)
+
+    shipped = budgeted(Degrading)
+    assert shipped == budgeted(DegradingFullPop)
+    early = budgeted(DegradingEarly)
+    assert early[0][0][0] > shipped[0][0][0]
+    assert early[1] != shipped[1]

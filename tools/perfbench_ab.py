@@ -13,7 +13,9 @@ repository root::
 
     python tools/perfbench_ab.py PARENT_DIR CHANGE_DIR --out BENCH_x.json
 
-Each checkout must hold ``perfbench/`` and ``src/``.
+``--workload NAME`` (repeatable) runs only the named workloads, in
+``BENCHMARK.json`` order; by default every workload runs. Each checkout
+must hold ``perfbench/`` and ``src/``.
 """
 
 from __future__ import annotations
@@ -135,10 +137,19 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument(
+        "--workload", action="append", dest="workloads", metavar="NAME",
+        help="run only this workload (repeatable; default: all)",
+    )
     args = parser.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
     workloads = [w["name"] for w in benchmark["workloads"]]
+    if args.workloads:
+        unknown = sorted(set(args.workloads) - set(workloads))
+        if unknown:
+            parser.error(f"unknown workload(s): {', '.join(unknown)}")
+        workloads = [name for name in workloads if name in args.workloads]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     report: dict = {
         "experiment": args.experiment,
