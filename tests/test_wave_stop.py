@@ -267,9 +267,10 @@ def test_exact_ties_keep_the_confirmation_order():
     """The one output retiring can change: the order of exactly tied scores.
 
     Scores on a quarter grid tie. Object 2 is confirmed at 0.75 before
-    object 14, which ties it and has the higher id, is complete: re-popping
-    every wave ranked 14 first in the final wave, retiring keeps 2 first,
-    as the sequential core confirms them. Same accesses, same answers.
+    object 14 is discovered. Object 14 also scores 0.75, and the
+    index breaks ties towards the higher id, so a core that re-pops every
+    wave ranks 14 first in its final wave. Retiring keeps 2 first, in the
+    order the sequential core confirms them. Same accesses, same answers.
     """
     data = Dataset(np.round(np.random.default_rng(0).random((30, 2)) * 4) / 4)
 
