@@ -178,13 +178,13 @@ class ContractChecker:
             )
 
     def check_refinable(self, obj: object, refinable: bool) -> None:
-        """Assert a target an early-stopped wave did not pop is refinable."""
+        """Assert a target an early-stopped wave did not pop has an admitted choice."""
         self.checks += 1
         if not refinable:
             raise ContractViolationError(
                 f"target {obj}: a wave stopped popping the top-k once full, "
-                "but this target has no usable choice and the full pop would "
-                "have answered it bound-only (or abandoned discovery) in "
+                "but this target has no choice on a channel admitting "
+                "accesses, so the full pop could have abandoned discovery in "
                 "this wave; the early stop is not exact"
             )
 

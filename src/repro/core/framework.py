@@ -257,7 +257,9 @@ class FrameworkNC:
         if replan is not None:
             self.plan_id = replan.plan_id
             self.plan_revision = replan.revision
-        self._budget_blocked = False
+        # Whether the budget filtered a refinement (the wave core keeps
+        # only the current wave's), and whether an access overran it.
+        self._budget_blocked = self._overrun = False
         self.state = ScoreState(middleware, fn)
         self._bounds = bound_index(self.state)
         # Every real object ever pushed into the bound index (live or not).
@@ -265,8 +267,9 @@ class FrameworkNC:
         self._steps = 0
         self._prepared = False
         # Degradation bookkeeping (docs/FAULTS.md): objects answered
-        # bound-only with their proven intervals, and human-readable
-        # reasons the answer is partial.
+        # bound-only with their proven intervals (the wave core records
+        # only the final wave's), and human-readable reasons the answer is
+        # partial.
         self._bound_only: dict[int, tuple[float, float]] = {}
         self._fault_events: list[str] = []
         self._unseen_abandoned = False
@@ -552,7 +555,7 @@ class FrameworkNC:
             # raising; the affordability filter ends further attempts.
             if not self.degrade_on_budget:
                 raise
-            self._budget_blocked = True
+            self._budget_blocked = self._overrun = True
             result = self._mark_fault(access, exc)
         else:
             if not access.is_sorted:
@@ -698,33 +701,34 @@ class FrameworkNC:
     def _pops_full_topk(self, epoch: int) -> bool:
         """Whether this wave pops the whole top-k even once it is full.
 
-        Stopping at ``c`` accesses is exact only while
-        :meth:`_usable_choices` can return ``None`` for no target: then a
-        target left unpopped would not have been degraded, would not have
-        abandoned discovery and would not have blocked the budget in this
-        wave (docs/RUNTIME.md, "The wave core"). That holds while no
-        channel refuses accesses and no budget filters choices. Eager
-        mode also needs every workable target, for its second choices.
-        Refusal is read once per gate epoch (``epoch``, this wave's),
-        which moves whenever a channel's admission may have changed.
+        Stopping at ``c`` accesses is exact while no channel refuses
+        accesses: a target left unpopped then has a choice on an
+        admitting channel, so it would not have abandoned discovery, the
+        one sticky decision a pop makes. Everything the budget decides
+        (degradation, waiting discovery, the budget flag) is read off the
+        final wave, which pops the whole top-k in every run
+        (docs/RUNTIME.md, "The wave core"). Eager mode also needs every
+        workable target, for its second choices. Refusal is read once per
+        gate epoch (``epoch``, this wave's), which moves whenever a
+        channel's admission may have changed.
         """
         if self.speculation == "eager":
             return True
-        middleware = self.middleware
-        if self.degrade_on_budget and middleware.remaining_budget() is not None:
-            return True
         if self._refusing[0] != epoch:
-            self._refusing = (epoch, bool(middleware.degraded_predicates()))
+            self._refusing = (epoch, bool(self.middleware.degraded_predicates()))
         return self._refusing[1]
 
     def _check_early_stop(self, popped: int, epoch: int) -> None:
-        """Armed contracts: the targets an early stop left were refinable.
+        """Armed contracts: the targets an early stop left were admitted.
 
         Pops the rest of the top-k, raises
         :class:`~repro.exceptions.ContractViolationError` (through the
-        checker) if one of them has no usable choice -- the full pop
-        would have degraded it or abandoned discovery this wave -- and
-        pushes them back at their popped bounds.
+        checker) if one of them has no choice on a channel admitting
+        accesses -- the full pop would have abandoned discovery this
+        wave -- and pushes them back at their popped bounds. Admission is
+        read through :meth:`_alternatives`, not :meth:`_usable_choices`:
+        what the budget filters is decided by the final wave, and the
+        filter would set the budget flag.
         """
         checker = self.middleware.contracts
         assert checker is not None
@@ -739,7 +743,7 @@ class FrameworkNC:
             rest.append(entry)
             if obj == UNSEEN or not self.state.is_complete(obj):
                 checker.check_refinable(
-                    obj, self._usable_choices(obj, epoch) is not None
+                    obj, bool(self._alternatives(obj, epoch))
                 )
         self._push_back(rest)
 
@@ -785,15 +789,10 @@ class FrameworkNC:
         """
         return True
 
-    def _ranked(self, obj: int, bound: float) -> RankedObject:
-        """A wave-core answer: bound-only objects at their lower bound."""
-        degraded = self._bound_only.get(obj)
-        return RankedObject(obj, bound if degraded is None else degraded[0])
-
     def _waves(self) -> Generator[list[float], None, ParallelResult]:
         """The wave loop: plan a wave, yield its durations, fold it.
 
-        Each round pops the top-k in rank order, degrading unrefinable
+        Each round pops the top-k in rank order, passing over unrefinable
         targets, and gives each refinable one the access the sequential
         policy picks for it, until the wave holds ``c`` accesses. Every
         access in the wave is therefore individually justified by
@@ -813,18 +812,25 @@ class FrameworkNC:
         before. The access sequence is unchanged (docs/RUNTIME.md, "The
         wave core"); only an exact score tie can order differently.
 
-        A full wave stops popping: only a wave that cannot fill can pass
-        the Theorem-1 stopping test, so the rest of the top-k is popped
-        only then, or when :meth:`_pops_full_topk` says an early stop is
-        not provably exact. With no refinable target left the round
-        returns the finished :class:`ParallelResult`, ranking the
-        confirmed answers first. Otherwise it yields the wave's access
-        durations *before* performing it. That yield is the only point
-        where a driver may suspend (the async drivers await the wave's
-        makespan there); resuming folds the whole wave through
-        :meth:`_perform` and plans on to the next yield without
-        interruption. As in the sequential core, a sorted access whose
-        list ran out during the suspension is dropped from the fold.
+        Degradation belongs to the final wave, the one with no refinable
+        target: only it degrades its unrefinable targets, in rank order
+        and at their final intervals, so a target an earlier wave passed
+        over and a later one refined is a complete answer. The budget
+        flag is the final wave's filter too, plus any access that overran
+        the budget; discovery stopped only by the budget waits for the
+        final wave to abandon it. A full wave stops popping: only a wave
+        that cannot fill can pass the Theorem-1 stopping test, so the
+        rest of the top-k is popped only then, or when
+        :meth:`_pops_full_topk` says an early stop is not provably exact.
+        With no refinable target left the round returns the finished
+        :class:`ParallelResult`, ranking the confirmed answers first.
+        Otherwise it yields the wave's access durations *before*
+        performing it. That yield is the only point where a driver may
+        suspend (the async drivers await the wave's makespan there);
+        resuming folds the whole wave through :meth:`_perform` and plans
+        on to the next yield without interruption. As in the sequential
+        core, a sorted access whose list ran out during the suspension is
+        dropped from the fold.
         """
         self._prepare()
         concurrency = self.concurrency
@@ -839,10 +845,12 @@ class FrameworkNC:
             full = self._pops_full_topk(epoch)
             prefix = self._retires_prefix()
             quota = self.k - len(confirmed)
+            self._budget_blocked = self._overrun
             popped: list[tuple[int, float]] = []
             workable: list[int] = []
             batch: dict[Access, int] = {}
             used_sorted: set[int] = set()
+            waiting: list[tuple[int, float]] = []
             while len(popped) < quota and (full or len(batch) < concurrency):
                 entry = self._bounds.pop_current()
                 if entry is None:
@@ -852,7 +860,7 @@ class FrameworkNC:
                     continue
                 if obj != UNSEEN and self.state.is_complete(obj):
                     if prefix:
-                        confirmed.append(self._ranked(obj, entry[1]))
+                        confirmed.append(RankedObject(obj, entry[1]))
                         quota -= 1
                     else:
                         popped.append(entry)
@@ -860,13 +868,18 @@ class FrameworkNC:
                 prefix = False
                 choices = self._usable_choices(obj, epoch)
                 if choices is None and obj == UNSEEN:
-                    # Every sorted source refuses: give up on discovery.
-                    # UNSEEN retires, so the next entry takes its place.
-                    self._unseen_abandoned = True
+                    # Every sorted source refuses: give up on discovery,
+                    # and UNSEEN retires. If only the budget stops it,
+                    # another session's fill may pay for it again, so
+                    # UNSEEN waits out the wave and the final wave
+                    # abandons it. Either way the next entry takes its
+                    # place.
+                    self._unseen_abandoned = not self._alternatives(obj, epoch)
+                    waiting.append(entry)
                     continue
                 popped.append(entry)
                 if choices is None:
-                    self._degrade(obj)
+                    # Unrefinable: the final wave degrades it.
                     continue
                 workable.append(obj)
                 if len(batch) >= concurrency:
@@ -880,8 +893,12 @@ class FrameworkNC:
                 if access.is_sorted:
                     used_sorted.add(access.predicate)
             if not batch:
+                self._unseen_abandoned |= bool(waiting)
                 ranking = confirmed + [
-                    self._ranked(obj, bound) for obj, bound in popped
+                    RankedObject(obj, bound)
+                    if self.state.is_complete(obj)
+                    else self._degrade(obj)
+                    for obj, bound in popped
                 ]
                 result = self._finish(ranking, self._label())
                 result.metadata["waves"] = self.waves
@@ -907,7 +924,7 @@ class FrameworkNC:
                 self._perform(batch[access], access)
             self.clock.run_wave(durations, concurrency)
             self.waves += 1
-            self._push_back(popped)
+            self._push_back(popped + waiting)
 
     # ------------------------------------------------------------------
     # Drivers: the core the concurrency bound picks, sync or async

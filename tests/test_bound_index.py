@@ -217,7 +217,9 @@ class TestBoundEvaluations:
         evaluations = registry.total("repro_engine_bound_evaluations_total")
         return evaluations / middleware.stats.total_accesses
 
-    def test_tied_min_stays_under_four_evaluations_per_access(self):
+    def test_tied_min_stays_under_four_evaluations_per_access(self, monkeypatch):
+        # Counts the unarmed engine: armed checks evaluate bounds too.
+        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
         # Under min(a, 0.8*b) every object whose known term is at or above
         # 0.8*l_b ties at that value; the lazy heap re-verifies the whole
         # tie on each drop of l_b, the saturating groups do not.
